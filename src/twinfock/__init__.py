@@ -13,10 +13,8 @@ from .combinat import (
     binomial,
     compositions,
     count_compositions,
-    falling_ratio,
     falling_ratio_exact,
     falling_ratio_logs,
-    falling_ratio_term,
     sum_log_probs,
 )
 from .detection import (
@@ -87,10 +85,8 @@ __all__ = [
     "count_compositions",
     "detection_report",
     "false_alarm_terms",
-    "falling_ratio",
     "falling_ratio_exact",
     "falling_ratio_logs",
-    "falling_ratio_term",
     "loss_component",
     "loss_identity_residual",
     "p_fa_closed",

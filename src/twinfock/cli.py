@@ -18,31 +18,24 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .combinat import (
-    LogProb,
-    binomial,
-    count_compositions,
-    falling_ratio_logs,
-    sum_log_probs,
-)
+from .combinat import LogProb, count_compositions
 from .detection import (
     TableNoise,
     ThermalNoise,
+    false_alarm_series,
     p_fa_closed,
     p_fa_oracle,
     p_md_closed,
     p_md_oracle,
+    single_photon_baselines,
 )
-from .fock import (
-    AMPLITUDE_CAP,
-    IDLER,
-    KEY_BYTES_BUDGET,
-    SIGNAL,
-    AmplitudeCapError,
-    SparseState,
-    combine,
+from .fock import IDLER, SIGNAL, AmplitudeCapError, SparseState, combine
+from .loss import (
+    beamsplitter_oracle,
+    check_oracle_size,
+    returned_mixture,
+    split_by_environment,
 )
-from .loss import returned_mixture, beamsplitter_oracle, split_by_environment
 from .states import (
     loss_identity_residual,
     pair_create,
@@ -71,6 +64,14 @@ _CONFIG_KEYS = {
 
 def fmt_float(value: float) -> str:
     return f"{value:.17g}"
+
+
+def fmt_sci(value: float) -> str:
+    """The float in fmt_log's mantissa/exponent form; 17 digits read back bit for bit."""
+    if value == 0:
+        return "0"
+    mantissa, _, exponent = f"{value:.16e}".partition("e")
+    return f"{mantissa}e{int(exponent):+d}"
 
 
 def fmt_log(prob: LogProb) -> str:
@@ -154,10 +155,8 @@ def parse_noise_spec(text: str):
     if not sep:
         raise ValueError(f"noise spec {text!r} needs the form thermal:<nbar> or table:<path>")
     if kind == "thermal":
-        nbar = float(rest)
-        if nbar < 0:
-            raise ValueError("thermal noise needs nbar >= 0")
-        return ("thermal", nbar)
+        # the model's constructor validates nbar; its mode count is fixed per cell later
+        return ("thermal", ThermalNoise(float(rest), 1).nbar)
     if kind == "table":
         return ("table", TableNoise.from_file(rest).values)
     raise ValueError(f"unknown noise kind {kind!r}")
@@ -310,25 +309,15 @@ def run_verification(max_n: int, max_m: int) -> list[CheckResult]:
     ]
 
 
-def _approx_sci(value: int) -> str:
-    """Scientific rendering of an arbitrarily large integer."""
-    digits = len(str(value))
-    lead = str(value)[:3]
-    return f"{lead[0]}.{lead[1:]}e+{digits - 1}"
-
-
 def cmd_verify(args) -> int:
     max_n, max_m = args.max_n, args.max_m
     if max_n < 0 or max_m < 1:
         raise ValueError("verify needs --max-n >= 0 and --max-m >= 1")
-    oracle_size = binomial(max_n + 2 * max_m - 1, max_n)
-    if oracle_size > AMPLITUDE_CAP or oracle_size * 3 * max_m * 2 > KEY_BYTES_BUDGET:
-        print(
-            f"refusing verification at N={max_n}, M={max_m}: the beamsplitter "
-            f"oracle would need {_approx_sci(oracle_size)} amplitudes "
-            f"(cap {AMPLITUDE_CAP}); lower --max-n/--max-m",
-            file=sys.stderr,
-        )
+    try:
+        # the largest state the battery builds is the oracle at the top corner
+        check_oracle_size(max_n, max_m)
+    except AmplitudeCapError as exc:
+        print(f"refusing verification: {exc}; lower --max-n/--max-m", file=sys.stderr)
         return EXIT_CAP
     results = run_verification(max_n, max_m)
     width = max(len(r.name) for r in results)
@@ -347,19 +336,22 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # curve sweeps
 
-def _pfa_cell(photons: int, modes: int, noise_spec) -> dict[str, LogProb]:
-    term_logs = falling_ratio_logs(photons, modes)
-    noise = make_noise(noise_spec, modes)
-    entries = {f"term:{k}": term_logs[k - 1] for k in range(1, photons + 1)}
-    entries["baseline:1_over_M"] = LogProb(-math.log(modes))
-    if photons > 0:
-        entries["baseline:N_over_M"] = LogProb(math.log(photons) - math.log(modes))
-    else:
-        entries["baseline:N_over_M"] = LogProb(-math.inf)
-    entries["total"] = sum_log_probs(
-        noise.arrangement_log(k) * term_logs[k - 1] for k in range(1, photons + 1)
-    )
-    return entries
+def _pfa_cell(photons: int, modes: int, noise_spec) -> dict[str, str]:
+    """Formatted values of one (N, M) cell by series name.
+
+    Exact-region values print as the library's floats; past the crossover
+    every value of the cell prints from the log scale.
+    """
+    coefficients, _, total = false_alarm_series(photons, modes, make_noise(noise_spec, modes))
+    baselines = single_photon_baselines(photons, modes)
+    entries = {f"term:{k}": c for k, c in enumerate(coefficients, start=1)}
+    entries["total"] = total
+    entries["baseline:1_over_M"] = baselines.single_copy
+    entries["baseline:N_over_M"] = baselines.repeated_copies
+    if isinstance(total, LogProb):
+        return {name: fmt_log(v if isinstance(v, LogProb) else LogProb.from_value(v))
+                for name, v in entries.items()}
+    return {name: fmt_sci(float(v)) for name, v in entries.items()}
 
 
 def pfa_rows(n_values, grid_for, noise_spec):
@@ -369,7 +361,7 @@ def pfa_rows(n_values, grid_for, noise_spec):
         for modes in grid_for(photons):
             entries = _pfa_cell(photons, modes, noise_spec)
             for series in sorted(entries):
-                rows.append((series, photons, modes, fmt_log(entries[series])))
+                rows.append((series, photons, modes, entries[series]))
     return rows
 
 

@@ -76,6 +76,9 @@ class LogProb:
         except OverflowError:
             return math.inf
 
+    def __float__(self) -> float:
+        return self.value
+
     @classmethod
     def from_value(cls, value: float) -> "LogProb":
         if value < 0:
@@ -99,13 +102,6 @@ def sum_log_probs(items: Iterable[LogProb]) -> LogProb:
     return LogProb(peak + math.log(sum(math.exp(x - peak) for x in logs)))
 
 
-def _check_ratio_args(photons: int, modes: int, picked: int) -> None:
-    if modes < 1:
-        raise ValueError("modes must be at least 1")
-    if not 1 <= picked <= photons:
-        raise ValueError("picked must satisfy 1 <= picked <= photons")
-
-
 def falling_ratio_exact(photons: int, modes: int, picked: int) -> Fraction:
     """Exact value of prod_{j<picked} (photons - j) / (photons + modes - 1 - j).
 
@@ -113,32 +109,25 @@ def falling_ratio_exact(photons: int, modes: int, picked: int) -> Fraction:
     C(photons + modes - 1, modes - 1); the product telescopes into the
     binomial ratio, which is what gets evaluated here.
     """
-    _check_ratio_args(photons, modes, picked)
+    if modes < 1:
+        raise ValueError("modes must be at least 1")
+    if not 1 <= picked <= photons:
+        raise ValueError("picked must satisfy 1 <= picked <= photons")
     return Fraction(
         math.comb(photons - picked + modes - 1, modes - 1),
         math.comb(photons + modes - 1, modes - 1),
     )
 
 
-def falling_ratio_term(photons: int, modes: int, picked: int) -> LogProb:
-    """Log-space prod_{j<picked} (photons - j) / (photons + modes - 1 - j).
-
-    This is the detector coefficient weighting the probability of picking up
-    exactly `picked` noise photons.  Safe at photons = 1000, modes = 1e5
-    where the plain float value underflows.
-    """
-    _check_ratio_args(photons, modes, picked)
-    log_value = 0.0
-    for j in range(picked):
-        log_value += math.log(photons - j) - math.log(photons + modes - 1 - j)
-    return LogProb(log_value)
-
-
 def falling_ratio_logs(photons: int, modes: int) -> list[LogProb]:
-    """All falling-ratio terms for picked = 1..photons, by prefix accumulation.
+    """Log-space falling ratios for picked = 1..photons, by prefix accumulation.
 
-    Entry k-1 is bit-identical to falling_ratio_term(photons, modes, k)
-    because both accumulate the same factor logs in the same order.
+    Entry k-1 is prod_{j<k} (photons - j) / (photons + modes - 1 - j), the
+    detector coefficient weighting the probability of picking up exactly k
+    noise photons; safe at photons = 1000, modes = 1e5, where the plain float
+    value underflows.  Each factor's log is taken of the rounded ratio, which
+    keeps its error near one rounding, and the prefix sums are Neumaier-
+    compensated so the error does not grow with the number of factors.
     """
     if modes < 1:
         raise ValueError("modes must be at least 1")
@@ -146,14 +135,14 @@ def falling_ratio_logs(photons: int, modes: int) -> list[LogProb]:
         raise ValueError("photons must be non-negative")
     out = []
     acc = 0.0
+    carry = 0.0
     for j in range(photons):
-        acc += math.log(photons - j) - math.log(photons + modes - 1 - j)
-        out.append(LogProb(acc))
+        factor = math.log((photons - j) / (photons + modes - 1 - j))
+        summed = acc + factor
+        if abs(acc) >= abs(factor):
+            carry += (acc - summed) + factor
+        else:
+            carry += (factor - summed) + acc
+        acc = summed
+        out.append(LogProb(acc + carry))
     return out
-
-
-def falling_ratio(photons: int, modes: int, picked: int) -> float:
-    """Float falling ratio, using the exact route below the crossover."""
-    if photons + modes <= EXACT_CROSSOVER:
-        return float(falling_ratio_exact(photons, modes, picked))
-    return falling_ratio_term(photons, modes, picked).value

@@ -11,13 +11,17 @@ brute-force trace oracles over explicitly materialized states.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .combinat import (
+    EXACT_CROSSOVER,
     LogProb,
     compositions,
     count_compositions,
-    falling_ratio,
+    falling_ratio_exact,
+    falling_ratio_logs,
+    sum_log_probs,
 )
 from .fock import SparseState, combine
 from .loss import absorption_weight, loss_component
@@ -37,8 +41,8 @@ class ThermalNoise:
     modes: int
 
     def __post_init__(self):
-        if self.nbar < 0:
-            raise ValueError("mean occupation nbar must be non-negative")
+        if not (math.isfinite(self.nbar) and self.nbar >= 0):
+            raise ValueError(f"mean occupation nbar must be finite and >= 0, got {self.nbar}")
         if self.modes < 1:
             raise ValueError("modes must be at least 1")
 
@@ -65,8 +69,9 @@ class TableNoise:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if any(v < 0 for v in self.values):
-            raise ValueError("arrangement probabilities must be non-negative")
+        bad = [v for v in self.values if not 0.0 <= v <= 1.0]
+        if bad:
+            raise ValueError(f"arrangement probabilities must lie in [0, 1], got {bad[0]}")
 
     @classmethod
     def from_file(cls, path) -> "TableNoise":
@@ -134,44 +139,58 @@ def p_md_closed(photons: int, eta: float) -> float:
     return (1.0 - eta) ** photons
 
 
-def false_alarm_terms(photons: int, modes: int, noise) -> list[FalseAlarmTerm]:
-    """Per-count breakdown of the closed-form false-alarm rate.
+def false_alarm_series(photons: int, modes: int, noise) -> tuple[list, list, Fraction | LogProb]:
+    """Closed-form false-alarm rate as (coefficients, contributions, total).
 
-    The coefficient of the k-photon arrangement probability is the falling
-    ratio prod_{j<k} (N - j) / (N + M - 1 - j), evaluated exactly at desk
-    scale and in log space beyond the crossover.
+    Entry k-1 of coefficients is the falling ratio
+    prod_{j<k} (N - j) / (N + M - 1 - j), entry k-1 of contributions is that
+    coefficient times the noise model's k-photon arrangement probability,
+    and total, their sum, is the false-alarm probability.  With photons +
+    modes up to EXACT_CROSSOVER every value is an exact Fraction; beyond it
+    every value is a LogProb, so nothing underflows.
     """
     if photons < 0:
         raise ValueError("photons must be non-negative")
     if modes < 1:
         raise ValueError("modes must be at least 1")
     _check_noise_modes(noise, modes)
-    out = []
-    for k in range(1, photons + 1):
-        coefficient = falling_ratio(photons, modes, k)
-        prob = noise.arrangement_prob(k)
-        out.append(FalseAlarmTerm(k, coefficient, coefficient * prob))
-    return out
+    counts = range(1, photons + 1)
+    if photons + modes <= EXACT_CROSSOVER:
+        coefficients = [falling_ratio_exact(photons, modes, k) for k in counts]
+        contributions = [c * Fraction(noise.arrangement_prob(k))
+                         for k, c in zip(counts, coefficients)]
+        return coefficients, contributions, sum(contributions, Fraction(0))
+    coefficients = falling_ratio_logs(photons, modes)
+    contributions = [c * noise.arrangement_log(k) for k, c in zip(counts, coefficients)]
+    return coefficients, contributions, sum_log_probs(contributions)
+
+
+def _terms(coefficients, contributions) -> list[FalseAlarmTerm]:
+    return [FalseAlarmTerm(k, float(c), float(x))
+            for k, (c, x) in enumerate(zip(coefficients, contributions), start=1)]
+
+
+def false_alarm_terms(photons: int, modes: int, noise) -> list[FalseAlarmTerm]:
+    """Per-count breakdown of the closed-form false-alarm rate, as floats."""
+    coefficients, contributions, _ = false_alarm_series(photons, modes, noise)
+    return _terms(coefficients, contributions)
 
 
 def p_fa_closed(photons: int, modes: int, noise) -> float:
     """Closed-form false-alarm probability under the given noise model."""
-    return sum(term.contribution for term in false_alarm_terms(photons, modes, noise))
+    return float(false_alarm_series(photons, modes, noise)[2])
 
 
 def projector_components(
     photons: int,
     modes: int,
-    reference_eta: float = 0.5,
     window: tuple[int, int] | None = None,
 ) -> list[SparseState]:
     """Orthonormal acceptance components, one per absorbed arrangement.
 
     The default window (1, photons) accepts any outcome with at least one
     returned photon; narrower windows restrict the accepted returned-photon
-    range.  The components do not depend on reference_eta (it only scales
-    weights, which are discarded here); the parameter is kept so alternate
-    constructions can be compared.
+    range.
     """
     if photons < 0:
         raise ValueError("photons must be non-negative")
@@ -181,7 +200,8 @@ def projector_components(
     out = []
     for returned in range(high, low - 1, -1):
         for absorbed in compositions(photons - returned, modes):
-            out.append(loss_component(photons, modes, reference_eta, absorbed).state)
+            # component states do not depend on eta, only the discarded weights do
+            out.append(loss_component(photons, modes, 0.5, absorbed).state)
     return out
 
 
@@ -194,7 +214,7 @@ def apply_projector(components: list[SparseState], state: SparseState) -> Sparse
     return combine(terms)
 
 
-def p_fa_oracle(photons: int, modes: int, noise, reference_eta: float = 0.5) -> float:
+def p_fa_oracle(photons: int, modes: int, noise) -> float:
     """Brute-force false-alarm probability as a trace against the noise state.
 
     The noise-only ensemble is diagonal in the photon-number basis: a
@@ -207,7 +227,7 @@ def p_fa_oracle(photons: int, modes: int, noise, reference_eta: float = 0.5) -> 
     term's returned-signal arrangement).  Intended for small instances.
     """
     _check_noise_modes(noise, modes)
-    components = projector_components(photons, modes, reference_eta)
+    components = projector_components(photons, modes)
     uniform = 1.0 / count_compositions(photons, modes)
     probs = {k: noise.arrangement_prob(k) for k in range(1, photons + 1)}
     total = 0.0
@@ -252,19 +272,18 @@ def detection_report(
     eta: float,
     noise,
     include_oracle: bool = False,
-    reference_eta: float = 0.5,
 ) -> DetectionReport:
     """Bundle the closed-form rates, optionally cross-checked by the oracles."""
-    terms = false_alarm_terms(photons, modes, noise)
+    coefficients, contributions, total = false_alarm_series(photons, modes, noise)
     report = DetectionReport(
         photons=photons,
         modes=modes,
         eta=eta,
-        p_fa_closed=sum(term.contribution for term in terms),
-        p_fa_terms=terms,
+        p_fa_closed=float(total),
+        p_fa_terms=_terms(coefficients, contributions),
         p_md_closed=p_md_closed(photons, eta),
     )
     if include_oracle:
-        report.p_fa_oracle = p_fa_oracle(photons, modes, noise, reference_eta)
+        report.p_fa_oracle = p_fa_oracle(photons, modes, noise)
         report.p_md_oracle = p_md_oracle(photons, modes, eta)
     return report

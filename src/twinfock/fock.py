@@ -33,6 +33,40 @@ class AmplitudeCapError(RuntimeError):
     """An operation would materialize more state than the configured caps allow."""
 
 
+def _check_size(label: str, terms: int, modes: int, registers: int) -> None:
+    if terms > AMPLITUDE_CAP:
+        raise AmplitudeCapError(f"{label} needs {terms} amplitudes (cap {AMPLITUDE_CAP})")
+    if terms * registers * modes * 2 > KEY_BYTES_BUDGET:
+        raise AmplitudeCapError(
+            f"{label} of {terms} terms x {modes} modes x {registers} "
+            f"registers exceeds the key storage budget"
+        )
+
+
+def check_sector_size(label: str, photons: int, parts: int, modes: int, registers: int) -> int:
+    """Term count C(photons + parts - 1, photons) of photons spread over parts modes.
+
+    Raises AmplitudeCapError when a state with that many terms, each over
+    `registers` registers of `modes` modes, would break the caps.  An lgamma
+    estimate refuses hostile sizes before the exact binomial is built, so
+    a refusal stays cheap however large the request.
+    """
+    if photons < 0:
+        raise ValueError("photons must be non-negative")
+    if parts < 1:
+        raise ValueError("modes must be at least 1")
+    log_terms = math.lgamma(photons + parts) - math.lgamma(photons + 1) - math.lgamma(parts)
+    # the margin of one covers lgamma's rounding; sizes within it get the exact test
+    if log_terms > math.log(AMPLITUDE_CAP) + 1.0:
+        raise AmplitudeCapError(
+            f"{label} needs about 10^{log_terms / math.log(10):.1f} amplitudes "
+            f"(cap {AMPLITUDE_CAP})"
+        )
+    terms = math.comb(photons + parts - 1, photons)
+    _check_size(label, terms, modes, registers)
+    return terms
+
+
 class SparseState:
     """Sparse state vector over one or more equally sized mode registers.
 
@@ -107,14 +141,7 @@ class SparseState:
         return 2 * (r * self.modes + mode)
 
     def _check_caps(self) -> None:
-        n = len(self._amps)
-        if n > AMPLITUDE_CAP:
-            raise AmplitudeCapError(f"state needs {n} amplitudes (cap {AMPLITUDE_CAP})")
-        if n * len(self.registers) * self.modes * 2 > KEY_BYTES_BUDGET:
-            raise AmplitudeCapError(
-                f"state of {n} terms x {self.modes} modes x {len(self.registers)} "
-                f"registers exceeds the key storage budget"
-            )
+        _check_size("state", len(self._amps), self.modes, len(self.registers))
 
     # -- ladder operators ----------------------------------------------------
 

@@ -14,16 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import binomial, compositions, count_compositions
-from .fock import (
-    AMPLITUDE_CAP,
-    BACKGROUND,
-    IDLER,
-    KEY_BYTES_BUDGET,
-    SIGNAL,
-    AmplitudeCapError,
-    SparseState,
-    combine,
-)
+from .fock import BACKGROUND, IDLER, SIGNAL, SparseState, check_sector_size, combine
 from .states import pair_state_direct
 
 
@@ -109,6 +100,12 @@ def returned_mixture(photons: int, modes: int, eta: float) -> list[LossComponent
     return out
 
 
+def check_oracle_size(photons: int, modes: int) -> int:
+    """Amplitudes of beamsplitter_oracle(photons, modes, eta); AmplitudeCapError past the caps."""
+    label = f"beamsplitter oracle with N={photons}, M={modes}"
+    return check_sector_size(label, photons, 2 * modes, modes, 3)
+
+
 def beamsplitter_oracle(photons: int, modes: int, eta: float) -> SparseState:
     """Exact tripartite state after the beamsplitter, built by ladder operators.
 
@@ -118,11 +115,7 @@ def beamsplitter_oracle(photons: int, modes: int, eta: float) -> SparseState:
     holds C(N + 2M - 1, N) amplitudes.
     """
     _check_loss_args(photons, modes, eta, (0,) * modes)
-    size = binomial(photons + 2 * modes - 1, photons)
-    if size > AMPLITUDE_CAP or size * 3 * modes * 2 > KEY_BYTES_BUDGET:
-        raise AmplitudeCapError(
-            f"beamsplitter oracle with N={photons}, M={modes} needs {size} amplitudes"
-        )
+    check_oracle_size(photons, modes)
     registers = (IDLER, SIGNAL, BACKGROUND)
     keep = math.sqrt(eta)
     leak = math.sqrt(1.0 - eta)

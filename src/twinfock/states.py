@@ -10,16 +10,8 @@ pair creation from vacuum) so each can check the other.
 
 import math
 
-from .combinat import compositions, count_compositions
-from .fock import (
-    AMPLITUDE_CAP,
-    IDLER,
-    KEY_BYTES_BUDGET,
-    SIGNAL,
-    AmplitudeCapError,
-    SparseState,
-    combine,
-)
+from .combinat import compositions
+from .fock import IDLER, SIGNAL, SparseState, check_sector_size, combine
 
 
 def pair_norm_constant(photons: int, modes: int) -> int:
@@ -35,18 +27,8 @@ def pair_norm_constant(photons: int, modes: int) -> int:
     )
 
 
-def _check_materializable(photons: int, modes: int, registers: int = 2) -> int:
-    count = count_compositions(photons, modes)
-    if count > AMPLITUDE_CAP:
-        raise AmplitudeCapError(
-            f"pair state with N={photons}, M={modes} needs {count} amplitudes "
-            f"(cap {AMPLITUDE_CAP})"
-        )
-    if count * registers * modes * 2 > KEY_BYTES_BUDGET:
-        raise AmplitudeCapError(
-            f"pair state with N={photons}, M={modes} exceeds the key storage budget"
-        )
-    return count
+def _check_materializable(photons: int, modes: int) -> int:
+    return check_sector_size(f"pair state with N={photons}, M={modes}", photons, modes, modes, 2)
 
 
 def pair_state_direct(photons: int, modes: int) -> SparseState:

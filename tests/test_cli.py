@@ -1,6 +1,6 @@
 import json
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -14,6 +14,7 @@ from twinfock.cli import (
     main,
     parse_noise_spec,
 )
+from twinfock.detection import ThermalNoise, p_fa_closed
 
 
 def run(args, capsys):
@@ -60,8 +61,9 @@ def test_log_grid_properties():
 
 def test_parse_noise_spec():
     assert parse_noise_spec("thermal:0.5") == ("thermal", 0.5)
-    with pytest.raises(ValueError):
-        parse_noise_spec("thermal:-1")
+    for bad in ("thermal:-1", "thermal:nan", "thermal:inf"):
+        with pytest.raises(ValueError):
+            parse_noise_spec(bad)
     with pytest.raises(ValueError):
         parse_noise_spec("gaussian:1")
     with pytest.raises(ValueError):
@@ -86,6 +88,10 @@ def test_verify_cap_refusal(capsys):
     code, _, err = run(["verify", "--max-n", "50", "--max-m", "50"], capsys)
     assert code == EXIT_CAP
     assert "N=50" in err and "M=50" in err
+    # refused from an estimate, before any binomial of this size is built
+    code, _, err = run(["verify", "--max-n", "200000", "--max-m", "200000"], capsys)
+    assert code == EXIT_CAP
+    assert "N=200000" in err and "cap" in err
 
 
 def test_verify_invalid_bounds(capsys):
@@ -122,9 +128,10 @@ def test_state_dump_term_count(capsys, tmp_path):
 
 
 def test_state_dump_cap(capsys):
-    code, _, err = run(["state-dump", "--n", "40", "--m", "12"], capsys)
-    assert code == EXIT_CAP
-    assert "cap" in err
+    for n, m in (("40", "12"), ("200000", "200000")):
+        code, _, err = run(["state-dump", "--n", n, "--m", m], capsys)
+        assert code == EXIT_CAP
+        assert "cap" in err
 
 
 # -- pfa-curves -----------------------------------------------------------------
@@ -145,7 +152,9 @@ def test_pfa_structure_and_order(capsys):
 
 
 def test_pfa_single_photon_term_equals_baseline(capsys):
-    code, out, _ = run(["pfa-curves", "--n", "1", "--m-list", "2,3,7,50"], capsys)
+    # both sides of the exact/log crossover at N + M = 200
+    code, out, _ = run(["pfa-curves", "--n", "1", "--m-list", "2,3,7,50,199,200,1000,99991"],
+                       capsys)
     assert code == EXIT_OK
     _, rows = parse_csv(out)
     term = {row[2]: row[3] for row in rows if row[0] == "term:1"}
@@ -161,6 +170,48 @@ def test_pfa_term_values_positive_and_bounded(capsys):
         if row[0].startswith("term:"):
             value = Decimal(row[3])
             assert 0 < value <= 1
+
+
+def test_pfa_exact_region_prints_library_floats(capsys):
+    code, out, _ = run(["pfa-curves", "--n", "3", "--m-list", "4"], capsys)
+    assert code == EXIT_OK
+    values = {row[0]: row[3] for row in parse_csv(out)[1]}
+    assert values["baseline:1_over_M"] == "2.5000000000000000e-1"
+    assert values["term:1"] == "5.0000000000000000e-1"
+    code, out, _ = run(["pfa-curves", "--n", "2", "--n", "30", "--m-list", "1,7,150,170",
+                        "--noise", "thermal:0.3"], capsys)
+    assert code == EXIT_OK
+    totals = {(int(row[1]), int(row[2])): row[3] for row in parse_csv(out)[1]
+              if row[0] == "total"}
+    for (photons, modes), text in totals.items():
+        if photons + modes <= 200:
+            assert float(text) == p_fa_closed(photons, modes, ThermalNoise(0.3, modes))
+
+
+def test_pfa_log_region_term_accuracy(capsys):
+    photons, modes = 1000, 100_000
+    code, out, _ = run(["pfa-curves", "--n", str(photons), "--m-list", str(modes)], capsys)
+    assert code == EXIT_OK
+    printed = {row[0]: Decimal(row[3]) for row in parse_csv(out)[1]}
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = Decimal(1)
+        for k in range(1, photons + 1):
+            exact *= Decimal(photons - k + 1) / Decimal(photons + modes - k)
+            assert abs(printed[f"term:{k}"] / exact - 1) < Decimal("2e-12")
+
+
+def test_pfa_rejects_bad_noise_values(capsys, tmp_path):
+    specs = ["thermal:nan", "thermal:inf"]
+    for index, content in enumerate(("0.1\nnan\n", "0.1\n2.5\n")):
+        table = tmp_path / f"table{index}.txt"
+        table.write_text(content)
+        specs.append(f"table:{table}")
+    for spec in specs:
+        code, out, err = run(["pfa-curves", "--n", "2", "--m-list", "3", "--noise", spec],
+                             capsys)
+        assert code == EXIT_INVALID and out == ""
+        assert "error:" in err
 
 
 def test_pfa_determinism(capsys, tmp_path):

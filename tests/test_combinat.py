@@ -9,12 +9,11 @@ from twinfock.combinat import (
     binomial,
     compositions,
     count_compositions,
-    falling_ratio,
     falling_ratio_exact,
     falling_ratio_logs,
-    falling_ratio_term,
     sum_log_probs,
 )
+from twinfock.detection import TableNoise, false_alarm_series
 
 
 def pascal_triangle(rows):
@@ -83,58 +82,75 @@ def test_compositions_enumeration_matches_count():
 
 def test_falling_ratio_single_photon_is_one_over_modes():
     for modes in (1, 2, 10, 1000):
-        assert falling_ratio_term(1, modes, 1).value == pytest.approx(1 / modes, rel=1e-14)
+        assert falling_ratio_exact(1, modes, 1) == Fraction(1, modes)
+        # the log of the rounded ratio reads back as exactly the float 1 / M
+        assert falling_ratio_logs(1, modes)[0] == LogProb.from_value(1 / modes)
 
 
 def test_falling_ratio_single_mode_is_one():
     for k in range(1, 8):
         assert falling_ratio_exact(7, 1, k) == 1
-        assert falling_ratio_term(7, 1, k).value == pytest.approx(1.0, abs=1e-15)
+    assert all(entry.log_value == 0.0 for entry in falling_ratio_logs(7, 1))
 
 
 def test_falling_ratio_last_term_inverse_binomial():
     # k = photons collapses to one over the total arrangement count
     assert falling_ratio_exact(10, 100, 10) == Fraction(1, math.comb(109, 10))
-    assert falling_ratio_term(10, 100, 10).value == pytest.approx(
-        1 / math.comb(109, 10), rel=1e-12)
+    assert falling_ratio_logs(10, 100)[-1].value == pytest.approx(
+        1 / math.comb(109, 10), rel=1e-14)
 
 
 def test_falling_ratio_argument_validation():
     with pytest.raises(ValueError):
-        falling_ratio_term(5, 2, 0)
+        falling_ratio_exact(5, 2, 0)
     with pytest.raises(ValueError):
-        falling_ratio_term(5, 2, 6)
+        falling_ratio_exact(5, 2, 6)
     with pytest.raises(ValueError):
-        falling_ratio_term(5, 0, 1)
+        falling_ratio_exact(5, 0, 1)
+    with pytest.raises(ValueError):
+        falling_ratio_logs(5, 0)
+    with pytest.raises(ValueError):
+        falling_ratio_logs(-1, 2)
+    assert falling_ratio_logs(0, 3) == []
 
 
 def test_exact_and_log_routes_agree():
     for photons in range(1, 13):
         for modes in range(1, 13):
+            logs = falling_ratio_logs(photons, modes)
             for k in range(1, photons + 1):
                 exact = float(falling_ratio_exact(photons, modes, k))
-                assert falling_ratio_term(photons, modes, k).value == pytest.approx(
-                    exact, rel=1e-12)
+                assert logs[k - 1].value == pytest.approx(exact, rel=1e-14)
 
 
 def test_strictly_decreasing_in_modes():
     for photons in (1, 2, 5, 11):
         for k in sorted({1, min(3, photons), photons}):
-            logs = [falling_ratio_term(photons, modes, k).log_value
+            logs = [falling_ratio_logs(photons, modes)[k - 1].log_value
                     for modes in range(1, 60)]
             assert all(a > b for a, b in zip(logs, logs[1:]))
+            exact = [falling_ratio_exact(photons, modes, k) for modes in range(1, 60)]
+            assert all(a > b for a, b in zip(exact, exact[1:]))
 
 
 def test_prefix_logs_match_individual_terms():
     logs = falling_ratio_logs(9, 7)
     assert len(logs) == 9
     for k, entry in enumerate(logs, start=1):
-        assert entry.log_value == falling_ratio_term(9, 7, k).log_value
+        exact = falling_ratio_exact(9, 7, k)
+        expected = math.log(exact.numerator) - math.log(exact.denominator)
+        assert entry.log_value == pytest.approx(expected, rel=0, abs=1e-14)
 
 
 def test_crossover_dispatch():
-    assert falling_ratio(150, 50, 17) == float(falling_ratio_exact(150, 50, 17))
-    assert falling_ratio(1000, 100_000, 3) == falling_ratio_term(1000, 100_000, 3).value
+    noise = TableNoise((0.25,))
+    coefficients, _, total = false_alarm_series(150, 50, noise)
+    assert coefficients[16] == falling_ratio_exact(150, 50, 17)
+    assert total == Fraction(0.25) * falling_ratio_exact(150, 50, 1)
+    coefficients, _, total = false_alarm_series(150, 51, noise)
+    assert coefficients == falling_ratio_logs(150, 51)
+    assert isinstance(total, LogProb)
+    assert false_alarm_series(1000, 100_000, noise)[0][2] == falling_ratio_logs(1000, 100_000)[2]
 
 
 def test_huge_instance_stays_finite():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -33,8 +34,9 @@ def test_thermal_single_mode_example():
 
 
 def test_thermal_rejects_negative_occupation():
-    with pytest.raises(ValueError):
-        ThermalNoise(-0.1, 2)
+    for nbar in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ThermalNoise(nbar, 2)
 
 
 def test_thermal_normalization_over_arrangements():
@@ -57,8 +59,9 @@ def test_table_noise_zero_extension_and_bounds():
     assert noise.arrangement_prob(1) == 0.1
     assert noise.arrangement_prob(2) == 0.05
     assert noise.arrangement_prob(3) == 0.0
-    with pytest.raises(ValueError):
-        TableNoise((-0.1,))
+    for bad in (-0.1, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            TableNoise((0.1, bad))
 
 
 def test_table_noise_from_file(tmp_path):
@@ -174,14 +177,6 @@ def test_projector_idempotent_on_random_states():
         assert combine([(1.0, once), (-1.0, twice)]).max_abs() < 1e-12
 
 
-def test_projector_reference_eta_is_irrelevant():
-    low = projector_components(3, 2, reference_eta=0.3)
-    high = projector_components(3, 2, reference_eta=0.7)
-    assert len(low) == len(high)
-    for a, b in zip(low, high):
-        assert combine([(1.0, a), (-1.0, b)]).max_abs() < 1e-15
-
-
 def test_projector_window():
     full = projector_components(3, 2)
     narrowed = projector_components(3, 2, window=(2, 3))
@@ -241,6 +236,12 @@ def test_detection_report_consistency():
     assert report.p_md_oracle == pytest.approx(report.p_md_closed, abs=1e-10)
     plain = detection_report(3, 2, 0.4, noise)
     assert plain.p_fa_oracle is None and plain.p_md_oracle is None
+    # past the exact/log crossover the report and p_fa_closed still agree
+    thermal = ThermalNoise(0.5, 100)
+    far = detection_report(150, 100, 0.4, thermal)
+    assert far.p_fa_closed == p_fa_closed(150, 100, thermal)
+    assert far.p_fa_closed == pytest.approx(
+        sum(term.contribution for term in far.p_fa_terms), rel=1e-13)
 
 
 def test_p_md_closed_has_no_mode_dependence():
