@@ -80,23 +80,34 @@ def fmt_log(prob: LogProb) -> str:
     Derived from the log-scale value, so magnitudes far below the float64
     underflow point stay strictly positive in the output.
     """
-    if prob.is_zero:
-        return "0"
-    log10 = prob.log_value / math.log(10.0)
-    exp10 = math.floor(log10)
-    mantissa = 10.0 ** (log10 - exp10)
-    if mantissa >= 10.0:
-        mantissa /= 10.0
-        exp10 += 1
-    if mantissa < 1.0:
-        mantissa *= 10.0
-        exp10 -= 1
-    text = f"{mantissa:.16f}"
-    if text.startswith("10"):
-        # rounding in the formatter pushed the mantissa to 10.0...
-        text = "1.0000000000000000"
-        exp10 += 1
-    return f"{text}e{exp10:+d}"
+    return _fmt_logs((prob.log_value,))[0]
+
+
+def _fmt_logs(logs) -> list[str]:
+    """fmt_log's text for each natural log in logs; -inf prints as 0."""
+    out = []
+    ln10 = math.log(10.0)
+    floor = math.floor
+    for log_value in logs:
+        if log_value == -math.inf:
+            out.append("0")
+            continue
+        log10 = log_value / ln10
+        exp10 = floor(log10)
+        mantissa = 10.0 ** (log10 - exp10)
+        if mantissa >= 10.0:
+            mantissa /= 10.0
+            exp10 += 1
+        if mantissa < 1.0:
+            mantissa *= 10.0
+            exp10 -= 1
+        text = f"{mantissa:.16f}"
+        if text.startswith("10"):
+            # rounding in the formatter pushed the mantissa to 10.0...
+            text = "1.0000000000000000"
+            exp10 += 1
+        out.append(f"{text}e{exp10:+d}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -336,32 +347,29 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # curve sweeps
 
-def _pfa_cell(photons: int, modes: int, noise_spec) -> dict[str, str]:
-    """Formatted values of one (N, M) cell by series name.
-
-    Exact-region values print as the library's floats; past the crossover
-    every value of the cell prints from the log scale.
-    """
-    coefficients, _, total = false_alarm_series(photons, modes, make_noise(noise_spec, modes))
-    baselines = single_photon_baselines(photons, modes)
-    entries = {f"term:{k}": c for k, c in enumerate(coefficients, start=1)}
-    entries["total"] = total
-    entries["baseline:1_over_M"] = baselines.single_copy
-    entries["baseline:N_over_M"] = baselines.repeated_copies
-    if isinstance(total, LogProb):
-        return {name: fmt_log(v if isinstance(v, LogProb) else LogProb.from_value(v))
-                for name, v in entries.items()}
-    return {name: fmt_sci(float(v)) for name, v in entries.items()}
-
-
 def pfa_rows(n_values, grid_for, noise_spec):
-    """Long-format rows (series, N, M, formatted value), ordered by (N, M, series)."""
+    """Long-format rows (series, N, M, formatted value), ordered by (N, M, series).
+
+    A cell's values come laid out as term:1..term:N, total and the two
+    baselines; the sorted series order depends on N alone, so it is worked
+    out once per N.  Exact-region values print as the library's floats;
+    past the crossover every value of the cell prints from the log scale.
+    """
     rows = []
     for photons in sorted(set(n_values)):
+        names = [f"term:{k}" for k in range(1, photons + 1)]
+        names += ["total", "baseline:1_over_M", "baseline:N_over_M"]
+        order = sorted(range(len(names)), key=names.__getitem__)
         for modes in grid_for(photons):
-            entries = _pfa_cell(photons, modes, noise_spec)
-            for series in sorted(entries):
-                rows.append((series, photons, modes, entries[series]))
+            coefficients, _, total = false_alarm_series(
+                photons, modes, make_noise(noise_spec, modes))
+            baselines = single_photon_baselines(photons, modes)[:2]
+            if isinstance(total, LogProb):
+                baseline_logs = [math.log(b) if b else -math.inf for b in baselines]
+                values = _fmt_logs(coefficients + [total.log_value] + baseline_logs)
+            else:
+                values = [fmt_sci(float(v)) for v in (*coefficients, total, *baselines)]
+            rows.extend((names[i], photons, modes, values[i]) for i in order)
     return rows
 
 

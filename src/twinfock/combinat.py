@@ -87,15 +87,13 @@ class LogProb:
             return cls(-math.inf)
         return cls(math.log(value))
 
-    def __mul__(self, other: "LogProb") -> "LogProb":
-        if not isinstance(other, LogProb):
-            return NotImplemented
-        return LogProb(self.log_value + other.log_value)
 
+def sum_log_probs(logs: Iterable[float]) -> LogProb:
+    """Sum of the values whose natural logs are given, via a max-shifted log-sum-exp.
 
-def sum_log_probs(items: Iterable[LogProb]) -> LogProb:
-    """Sum of log-scale values via a max-shifted log-sum-exp."""
-    logs = [item.log_value for item in items if not item.is_zero]
+    A log of -inf stands for an exact zero and drops out of the sum.
+    """
+    logs = [x for x in logs if x != -math.inf]
     if not logs:
         return LogProb(-math.inf)
     peak = max(logs)
@@ -119,15 +117,16 @@ def falling_ratio_exact(photons: int, modes: int, picked: int) -> Fraction:
     )
 
 
-def falling_ratio_logs(photons: int, modes: int) -> list[LogProb]:
-    """Log-space falling ratios for picked = 1..photons, by prefix accumulation.
+def falling_ratio_logs(photons: int, modes: int) -> list[float]:
+    """Natural logs of the falling ratios for picked = 1..photons, by prefix accumulation.
 
-    Entry k-1 is prod_{j<k} (photons - j) / (photons + modes - 1 - j), the
-    detector coefficient weighting the probability of picking up exactly k
-    noise photons; safe at photons = 1000, modes = 1e5, where the plain float
-    value underflows.  Each factor's log is taken of the rounded ratio, which
-    keeps its error near one rounding, and the prefix sums are Neumaier-
-    compensated so the error does not grow with the number of factors.
+    Entry k-1 is the log of prod_{j<k} (photons - j) / (photons + modes - 1 - j),
+    the detector coefficient weighting the probability of picking up exactly
+    k noise photons; safe at photons = 1000, modes = 1e5, where the plain
+    float value underflows.  Each factor's log is taken of the rounded ratio,
+    which keeps its error near one rounding, and the prefix sums are
+    Neumaier-compensated so the error does not grow with the number of
+    factors.
     """
     if modes < 1:
         raise ValueError("modes must be at least 1")
@@ -144,5 +143,5 @@ def falling_ratio_logs(photons: int, modes: int) -> list[LogProb]:
         else:
             carry += (factor - summed) + acc
         acc = summed
-        out.append(LogProb(acc + carry))
+        out.append(acc + carry)
     return out

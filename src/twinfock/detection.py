@@ -46,16 +46,25 @@ class ThermalNoise:
         if self.modes < 1:
             raise ValueError("modes must be at least 1")
 
-    def arrangement_log(self, k: int) -> LogProb:
+    def _log_parts(self) -> tuple[float, float]:
+        """(M log(1 - x), log x): the k-photon log probability is base + k * step."""
+        x = self.nbar / (1.0 + self.nbar)
+        return self.modes * math.log1p(-x), math.log(x)
+
+    def arrangement_logs(self, count: int) -> list[float]:
+        """Natural logs of arrangement_prob(k) for k = 1..count; -inf stands for zero."""
+        if self.nbar == 0:
+            return [-math.inf] * count
+        base, step = self._log_parts()
+        return [base + k * step for k in range(1, count + 1)]
+
+    def arrangement_prob(self, k: int) -> float:
         if k < 0:
             raise ValueError("photon count must be non-negative")
         if self.nbar == 0:
-            return LogProb(0.0) if k == 0 else LogProb(-math.inf)
-        x = self.nbar / (1.0 + self.nbar)
-        return LogProb(self.modes * math.log1p(-x) + k * math.log(x))
-
-    def arrangement_prob(self, k: int) -> float:
-        return self.arrangement_log(k).value
+            return 1.0 if k == 0 else 0.0
+        base, step = self._log_parts()
+        return math.exp(base + k * step)
 
 
 @dataclass(frozen=True)
@@ -89,8 +98,10 @@ class TableNoise:
             return 0.0
         return self.values[k - 1]
 
-    def arrangement_log(self, k: int) -> LogProb:
-        return LogProb.from_value(self.arrangement_prob(k))
+    def arrangement_logs(self, count: int) -> list[float]:
+        """Natural logs of arrangement_prob(k) for k = 1..count; -inf stands for zero."""
+        logs = [math.log(v) if v > 0 else -math.inf for v in self.values[:count]]
+        return logs + [-math.inf] * (count - len(logs))
 
 
 @dataclass(frozen=True)
@@ -147,33 +158,35 @@ def false_alarm_series(photons: int, modes: int, noise) -> tuple[list, list, Fra
     coefficient times the noise model's k-photon arrangement probability,
     and total, their sum, is the false-alarm probability.  With photons +
     modes up to EXACT_CROSSOVER every value is an exact Fraction; beyond it
-    every value is a LogProb, so nothing underflows.
+    the coefficients and contributions are natural-log floats (-inf for
+    zero) and the total is a LogProb, so nothing underflows.
     """
     if photons < 0:
         raise ValueError("photons must be non-negative")
     if modes < 1:
         raise ValueError("modes must be at least 1")
     _check_noise_modes(noise, modes)
-    counts = range(1, photons + 1)
     if photons + modes <= EXACT_CROSSOVER:
+        counts = range(1, photons + 1)
         coefficients = [falling_ratio_exact(photons, modes, k) for k in counts]
         contributions = [c * Fraction(noise.arrangement_prob(k))
                          for k, c in zip(counts, coefficients)]
         return coefficients, contributions, sum(contributions, Fraction(0))
     coefficients = falling_ratio_logs(photons, modes)
-    contributions = [c * noise.arrangement_log(k) for k, c in zip(counts, coefficients)]
+    contributions = [c + x for c, x in zip(coefficients, noise.arrangement_logs(photons))]
     return coefficients, contributions, sum_log_probs(contributions)
 
 
-def _terms(coefficients, contributions) -> list[FalseAlarmTerm]:
-    return [FalseAlarmTerm(k, float(c), float(x))
+def _terms(coefficients, contributions, total) -> list[FalseAlarmTerm]:
+    # log-region series hold natural logs; exp(-inf) reads back as 0.0
+    to_float = math.exp if isinstance(total, LogProb) else float
+    return [FalseAlarmTerm(k, to_float(c), to_float(x))
             for k, (c, x) in enumerate(zip(coefficients, contributions), start=1)]
 
 
 def false_alarm_terms(photons: int, modes: int, noise) -> list[FalseAlarmTerm]:
     """Per-count breakdown of the closed-form false-alarm rate, as floats."""
-    coefficients, contributions, _ = false_alarm_series(photons, modes, noise)
-    return _terms(coefficients, contributions)
+    return _terms(*false_alarm_series(photons, modes, noise))
 
 
 def p_fa_closed(photons: int, modes: int, noise) -> float:
@@ -280,7 +293,7 @@ def detection_report(
         modes=modes,
         eta=eta,
         p_fa_closed=float(total),
-        p_fa_terms=_terms(coefficients, contributions),
+        p_fa_terms=_terms(coefficients, contributions, total),
         p_md_closed=p_md_closed(photons, eta),
     )
     if include_oracle:

@@ -3,6 +3,7 @@ import math
 from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twinfock.combinat import LogProb
 from twinfock.cli import (
@@ -10,11 +11,19 @@ from twinfock.cli import (
     EXIT_INVALID,
     EXIT_OK,
     fmt_log,
+    fmt_sci,
     log_grid,
     main,
+    make_noise,
     parse_noise_spec,
+    pfa_rows,
 )
-from twinfock.detection import ThermalNoise, p_fa_closed
+from twinfock.detection import (
+    ThermalNoise,
+    false_alarm_series,
+    p_fa_closed,
+    single_photon_baselines,
+)
 
 
 def run(args, capsys):
@@ -199,6 +208,39 @@ def test_pfa_log_region_term_accuracy(capsys):
         for k in range(1, photons + 1):
             exact *= Decimal(photons - k + 1) / Decimal(photons + modes - k)
             assert abs(printed[f"term:{k}"] / exact - 1) < Decimal("2e-12")
+
+
+def reference_cell_rows(photons, modes, noise_spec):
+    """One cell's rows rendered value by value, with the series sorted per cell."""
+    coefficients, _, total = false_alarm_series(photons, modes, make_noise(noise_spec, modes))
+    log_region = isinstance(total, LogProb)
+    entries = {f"term:{k}": LogProb(c) if log_region else c
+               for k, c in enumerate(coefficients, start=1)}
+    entries["total"] = total
+    baselines = single_photon_baselines(photons, modes)
+    entries["baseline:1_over_M"] = baselines.single_copy
+    entries["baseline:N_over_M"] = baselines.repeated_copies
+    if log_region:
+        render = lambda v: fmt_log(v if isinstance(v, LogProb) else LogProb.from_value(v))
+    else:
+        render = lambda v: fmt_sci(float(v))
+    return [(name, photons, modes, render(entries[name])) for name in sorted(entries)]
+
+
+noise_specs = st.one_of(
+    st.tuples(st.just("thermal"), st.floats(0.0, 1e3)),
+    st.tuples(st.just("table"), st.lists(st.floats(0.0, 1.0), max_size=45).map(tuple)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(photons=st.integers(0, 40), modes=st.lists(st.integers(1, 400), min_size=1, max_size=3),
+       noise_spec=noise_specs)
+def test_pfa_rows_match_per_value_rendering(photons, modes, noise_spec):
+    # mode counts up to 400 put cells on both sides of the N + M = 200 crossover
+    grid = sorted(set(modes))
+    expected = [row for m in grid for row in reference_cell_rows(photons, m, noise_spec)]
+    assert pfa_rows([photons], lambda n: grid, noise_spec) == expected
 
 
 def test_pfa_rejects_bad_noise_values(capsys, tmp_path):

@@ -71,6 +71,18 @@ def test_table_noise_from_file(tmp_path):
     assert noise.values == (0.25, 0.125, 0.0625)
 
 
+def test_arrangement_logs_match_probabilities():
+    for noise in (ThermalNoise(0.0, 4), ThermalNoise(0.7, 4), ThermalNoise(100.0, 150)):
+        logs = noise.arrangement_logs(6)
+        # one expression for both, so exp reads each log back bit for bit
+        assert [math.exp(x) for x in logs] == [noise.arrangement_prob(k) for k in range(1, 7)]
+    table = TableNoise((0.1, 0.0, 0.05))
+    assert table.arrangement_logs(5) == [
+        math.log(0.1), -math.inf, math.log(0.05), -math.inf, -math.inf]
+    assert table.arrangement_logs(1) == [math.log(0.1)]
+    assert table.arrangement_logs(0) == []
+
+
 def test_p_md_closed_examples():
     assert p_md_closed(5, 1.0) == 0.0
     assert p_md_closed(2, 0.5) == pytest.approx(0.25)
