@@ -10,6 +10,7 @@ brute-force trace oracles over explicitly materialized states.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -25,6 +26,9 @@ from .combinat import (
 )
 from .fock import SparseState, combine
 from .loss import absorption_weight, loss_component
+
+#: Smallest positive normal float; below it a float keeps fewer than 53 bits.
+_FLOAT_MIN = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -167,14 +171,33 @@ def false_alarm_series(photons: int, modes: int, noise) -> tuple[list, list, Fra
         raise ValueError("modes must be at least 1")
     _check_noise_modes(noise, modes)
     if photons + modes <= EXACT_CROSSOVER:
-        counts = range(1, photons + 1)
-        coefficients = [falling_ratio_exact(photons, modes, k) for k in counts]
-        contributions = [c * Fraction(noise.arrangement_prob(k))
-                         for k, c in zip(counts, coefficients)]
-        return coefficients, contributions, sum(contributions, Fraction(0))
+        exact = _exact_series(photons, modes, noise)
+        if exact is not None:
+            return exact
     coefficients = falling_ratio_logs(photons, modes)
     contributions = [c + x for c, x in zip(coefficients, noise.arrangement_logs(photons))]
     return coefficients, contributions, sum_log_probs(contributions)
+
+
+def _exact_series(photons: int, modes: int, noise):
+    """The exact-region series of false_alarm_series, or None where floats fail it.
+
+    A noise factor that is positive but below the normal float range has
+    lost digits, or underflowed to zero, before the exact arithmetic sees
+    it, and a total below that range cannot be returned as a float with its
+    digits; the log route carries both to full precision.
+    """
+    counts = range(1, photons + 1)
+    probs = [noise.arrangement_prob(k) for k in counts]
+    if any(p < _FLOAT_MIN and log != -math.inf
+           for p, log in zip(probs, noise.arrangement_logs(photons))):
+        return None
+    coefficients = [falling_ratio_exact(photons, modes, k) for k in counts]
+    contributions = [c * Fraction(p) for c, p in zip(coefficients, probs)]
+    total = sum(contributions, Fraction(0))
+    if 0 < total < _FLOAT_MIN:
+        return None
+    return coefficients, contributions, total
 
 
 def _terms(coefficients, contributions, total) -> list[FalseAlarmTerm]:

@@ -197,6 +197,25 @@ def test_pfa_exact_region_prints_library_floats(capsys):
             assert float(text) == p_fa_closed(photons, modes, ThermalNoise(0.3, modes))
 
 
+def test_pfa_exact_region_below_float_range(capsys):
+    # thermal:100 noise factors underflow at M = 190, and at M = 154 the
+    # exact total is subnormal: both cells print from the log scale
+    photons = 10
+    code, out, _ = run(["pfa-curves", "--n", str(photons), "--m-list", "154,190",
+                        "--noise", "thermal:100"], capsys)
+    assert code == EXIT_OK
+    totals = {int(row[2]): Decimal(row[3]) for row in parse_csv(out)[1] if row[0] == "total"}
+    assert sorted(totals) == [154, 190]
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = Decimal(100) / Decimal(101)
+        for modes, printed in totals.items():
+            exact = sum(Decimal(math.comb(photons - k + modes - 1, modes - 1))
+                        * (1 - x) ** modes * x ** k for k in range(1, photons + 1))
+            exact /= math.comb(photons + modes - 1, modes - 1)
+            assert abs(printed / exact - 1) < Decimal("1e-12")
+
+
 def test_pfa_log_region_term_accuracy(capsys):
     photons, modes = 1000, 100_000
     code, out, _ = run(["pfa-curves", "--n", str(photons), "--m-list", str(modes)], capsys)

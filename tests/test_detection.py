@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from twinfock.combinat import binomial, count_compositions, falling_ratio_exact
+from twinfock.combinat import LogProb, binomial, count_compositions, falling_ratio_exact
 from twinfock.detection import (
     TableNoise,
     ThermalNoise,
     apply_projector,
     detection_report,
+    false_alarm_series,
     false_alarm_terms,
     p_fa_closed,
     p_fa_oracle,
@@ -234,6 +235,20 @@ def test_baselines():
     assert not in_regime
     one = single_photon_baselines(1, 7)
     assert one.single_copy == one.repeated_copies == pytest.approx(1 / 7)
+
+
+def test_exact_region_below_float_range_takes_log_route():
+    # normal noise factors, but a total below the normal float range
+    _, _, total = false_alarm_series(1, 199, TableNoise((1e-306,)))
+    assert isinstance(total, LogProb)
+    assert total.log_value == pytest.approx(math.log(1e-306) - math.log(199), rel=1e-15)
+    # noise factors that are subnormal or underflow to zero as floats
+    for noise in (TableNoise((1e-310,)), ThermalNoise(100.0, 190)):
+        assert isinstance(false_alarm_series(1, 190, noise)[2], LogProb)
+    # exact zeros stay on the exact route
+    assert false_alarm_series(3, 10, ThermalNoise(0.0, 10))[2] == 0
+    _, _, total = false_alarm_series(2, 3, TableNoise((0.0, 0.5)))
+    assert total == Fraction(1, 2) * falling_ratio_exact(2, 3, 2)
 
 
 def test_detection_report_consistency():
