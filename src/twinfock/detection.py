@@ -25,7 +25,7 @@ from .combinat import (
     sum_log_probs,
 )
 from .fock import SparseState, combine
-from .loss import absorption_weight, loss_component
+from .loss import absorption_weight, conditional_state
 
 #: Smallest positive normal float; below it a float keeps fewer than 53 bits.
 _FLOAT_MIN = sys.float_info.min
@@ -236,8 +236,7 @@ def projector_components(
     out = []
     for returned in range(high, low - 1, -1):
         for absorbed in compositions(photons - returned, modes):
-            # component states do not depend on eta, only the discarded weights do
-            out.append(loss_component(photons, modes, 0.5, absorbed).state)
+            out.append(conditional_state(photons, modes, absorbed))
     return out
 
 

@@ -33,12 +33,16 @@ class LossComponent:
 
 
 def _check_loss_args(photons: int, modes: int, eta: float, absorbed) -> int:
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("eta must lie in [0, 1]")
+    return _check_arrangement(photons, modes, absorbed)
+
+
+def _check_arrangement(photons: int, modes: int, absorbed) -> int:
     if photons < 0:
         raise ValueError("photons must be non-negative")
     if modes < 1:
         raise ValueError("modes must be at least 1")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
     absorbed = tuple(absorbed)
     if len(absorbed) != modes:
         raise ValueError(f"absorbed needs one count per mode ({modes})")
@@ -69,22 +73,29 @@ def absorption_weight(photons: int, modes: int, eta: float, absorbed) -> float:
     return (eta ** (photons - lost)) * ((1.0 - eta) ** lost) * float(ratio)
 
 
-def loss_component(photons: int, modes: int, eta: float, absorbed) -> LossComponent:
-    """Weight and normalized conditional state for one absorption arrangement.
+def conditional_state(photons: int, modes: int, absorbed) -> SparseState:
+    """Normalized idler/signal state left when the given arrangement is absorbed.
 
-    The state adds the absorbed arrangement back onto the idler side of the
-    smaller pair state and normalizes; it does not depend on eta, which only
-    enters the weight.
+    Adds the absorbed arrangement back onto the idler side of the smaller
+    pair state and normalizes; it does not depend on eta.
     """
-    lost = _check_loss_args(photons, modes, eta, absorbed)
     absorbed = tuple(absorbed)
-    weight = absorption_weight(photons, modes, eta, absorbed)
+    lost = _check_arrangement(photons, modes, absorbed)
     state = pair_state_direct(photons - lost, modes)
     for mode, count in enumerate(absorbed):
         for _ in range(count):
             state = state.create(IDLER, mode)
-    state = state.scaled(1.0 / state.norm())
-    return LossComponent(absorbed, weight, state)
+    return state.scaled(1.0 / state.norm())
+
+
+def loss_component(photons: int, modes: int, eta: float, absorbed) -> LossComponent:
+    """Weight and normalized conditional state for one absorption arrangement.
+
+    Eta enters only the weight; the state is conditional_state's.
+    """
+    absorbed = tuple(absorbed)
+    weight = absorption_weight(photons, modes, eta, absorbed)
+    return LossComponent(absorbed, weight, conditional_state(photons, modes, absorbed))
 
 
 def returned_mixture(photons: int, modes: int, eta: float) -> list[LossComponent]:

@@ -19,6 +19,7 @@ from twinfock.detection import (
     projector_components,
     single_photon_baselines,
 )
+from twinfock import detection, loss
 from twinfock.fock import IDLER, SIGNAL, SparseState, combine
 
 
@@ -171,6 +172,16 @@ def test_projector_rank():
             components = projector_components(photons, modes)
             expected = sum(count_compositions(k, modes) for k in range(photons))
             assert len(components) == expected
+
+
+def test_projector_components_compute_no_weights(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("absorption_weight called")
+
+    monkeypatch.setattr(loss, "absorption_weight", refuse)
+    monkeypatch.setattr(detection, "absorption_weight", refuse)
+    # C(N+M, M) arrangements of 0..N absorbed photons, less the C(N+M-1, M-1) absorbing all
+    assert len(projector_components(3, 2)) == 10 - 4
 
 
 def test_projector_idempotent_on_random_states():
