@@ -83,18 +83,28 @@ def fmt_log(prob: LogProb) -> str:
     return _fmt_logs((prob.log_value,))[0]
 
 
+#: ln 10 split Cody-Waite style: _LN10_HI has 31 significant bits, so
+#: exp10 * _LN10_HI is exact for any |exp10| below 2**22.
+_LN10_HI = float.fromhex("0x1.26bb1bbcp+1")
+_LN10_LO = float.fromhex("-0x1.555d4fa456a4ap-32")
+
+
 def _fmt_logs(logs) -> list[str]:
-    """fmt_log's text for each natural log in logs; -inf prints as 0."""
+    """fmt_log's text for each natural log in logs; -inf prints as 0.
+
+    The decimal exponent comes from the log itself; the mantissa is exp of
+    the remainder, log - exp10 * ln 10, reduced with the two-part constant
+    so that the reduction adds no error growing with the exponent.
+    """
     out = []
-    ln10 = math.log(10.0)
-    floor = math.floor
+    ln10 = _LN10_HI + _LN10_LO
+    floor, exp = math.floor, math.exp
     for log_value in logs:
         if log_value == -math.inf:
             out.append("0")
             continue
-        log10 = log_value / ln10
-        exp10 = floor(log10)
-        mantissa = 10.0 ** (log10 - exp10)
+        exp10 = floor(log_value / ln10)
+        mantissa = exp((log_value - exp10 * _LN10_HI) - exp10 * _LN10_LO)
         if mantissa >= 10.0:
             mantissa /= 10.0
             exp10 += 1

@@ -226,7 +226,7 @@ def test_pfa_log_region_term_accuracy(capsys):
         exact = Decimal(1)
         for k in range(1, photons + 1):
             exact *= Decimal(photons - k + 1) / Decimal(photons + modes - k)
-            assert abs(printed[f"term:{k}"] / exact - 1) < Decimal("2e-12")
+            assert abs(printed[f"term:{k}"] / exact - 1) < Decimal("6e-13")
 
 
 def reference_cell_rows(photons, modes, noise_spec):
