@@ -97,7 +97,7 @@ def _fmt_logs(logs) -> list[str]:
     so that the reduction adds no error growing with the exponent.
     """
     out = []
-    ln10 = _LN10_HI + _LN10_LO
+    ln10 = math.log(10.0)
     floor, exp = math.floor, math.exp
     for log_value in logs:
         if log_value == -math.inf:
@@ -373,7 +373,8 @@ def pfa_rows(n_values, grid_for, noise_spec):
         for modes in grid_for(photons):
             coefficients, _, total = false_alarm_series(
                 photons, modes, make_noise(noise_spec, modes))
-            baselines = single_photon_baselines(photons, modes)[:2]
+            reference = single_photon_baselines(photons, modes)
+            baselines = (reference.single_copy, reference.repeated_copies)
             if isinstance(total, LogProb):
                 baseline_logs = [math.log(b) if b else -math.inf for b in baselines]
                 values = _fmt_logs(coefficients + [total.log_value] + baseline_logs)

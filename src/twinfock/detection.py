@@ -161,9 +161,10 @@ def false_alarm_series(photons: int, modes: int, noise) -> tuple[list, list, Fra
     prod_{j<k} (N - j) / (N + M - 1 - j), entry k-1 of contributions is that
     coefficient times the noise model's k-photon arrangement probability,
     and total, their sum, is the false-alarm probability.  With photons +
-    modes up to EXACT_CROSSOVER every value is an exact Fraction; beyond it
-    the coefficients and contributions are natural-log floats (-inf for
-    zero) and the total is a LogProb, so nothing underflows.
+    modes up to EXACT_CROSSOVER every value is an exact Fraction, unless a
+    positive noise factor or the total lies below the normal float range.
+    Otherwise the coefficients and contributions are natural-log floats
+    (-inf for zero) and the total is a LogProb, so nothing underflows.
     """
     if photons < 0:
         raise ValueError("photons must be non-negative")
