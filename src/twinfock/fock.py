@@ -268,3 +268,26 @@ def combine(terms: Iterable[tuple[complex, SparseState]]) -> SparseState:
     result = SparseState(first.modes, first.registers, pruned)
     result._check_caps()
     return result
+
+
+def orthonormality_residual(states: Sequence[SparseState]) -> float:
+    """Largest |<a|b> - delta_ab| over every pair of the given states.
+
+    Each basis key is indexed to the (state, amplitude) pairs holding it, so
+    only pairs that share a key are multiplied; every other pair overlaps in
+    an exact zero, which is what inner() returns for it.  Cost follows the
+    total amplitude count rather than the number of pairs.
+    """
+    worst = 0.0
+    index: dict[bytes, list[tuple[int, complex]]] = {}
+    for i, state in enumerate(states):
+        states[0]._check_compatible(state)
+        worst = max(worst, abs(state.inner(state) - 1.0))
+        for key, amp in state._amps.items():
+            index.setdefault(key, []).append((i, amp))
+    overlaps: dict[tuple[int, int], complex] = {}
+    for holders in index.values():
+        for pos, (a, amp_a) in enumerate(holders):
+            for b, amp_b in holders[pos + 1:]:
+                overlaps[a, b] = overlaps.get((a, b), 0j) + amp_a.conjugate() * amp_b
+    return max(worst, max(map(abs, overlaps.values()), default=0.0))

@@ -3,19 +3,20 @@
 A target of reflectivity eta returns each signal photon with amplitude
 sqrt(eta) and leaks it to the environment with amplitude sqrt(1 - eta).
 The returned light decomposes into mutually orthogonal pure components
-labeled by the exact arrangement of absorbed photons; the component weights
-follow from exact combinatorics.  A brute-force tripartite oracle that
-tracks the environment register explicitly is provided as the independent
-cross-check for the whole decomposition.
+labeled by the exact arrangement of absorbed photons.  Chu-Vandermonde
+fixes every component in closed form: summed over the kept arrangements,
+the per-arrangement multiplicities give C(N+M-1, N-k) whatever the absorbed
+arrangement of k photons, so each weight is one binomial ratio and each
+state's amplitudes are written down directly.  A brute-force tripartite
+oracle that tracks the environment register explicitly is provided as the
+independent cross-check for the whole decomposition.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .combinat import binomial, compositions, count_compositions
+from .combinat import compositions, count_compositions
 from .fock import BACKGROUND, IDLER, SIGNAL, SparseState, check_sector_size, combine
-from .states import pair_state_direct
 
 
 @dataclass(frozen=True)
@@ -57,35 +58,38 @@ def _check_arrangement(photons: int, modes: int, absorbed) -> int:
 def absorption_weight(photons: int, modes: int, eta: float, absorbed) -> float:
     """Probability that the environment holds exactly the given arrangement.
 
-    Evaluates eta^(N-k) (1-eta)^k times an exact big-integer sum of
-    per-arrangement multiplicities over the C(N+M-1, N) pair-state terms,
-    converting to float only once at the end.
+    Evaluates eta^(N-k) (1-eta)^k C(N+M-1, N-k) / C(N+M-1, N) for k absorbed
+    photons; the ratio is the exact integer quotient rounded once to float,
+    and the arrangement enters only through its total k.
     """
     lost = _check_loss_args(photons, modes, eta, absorbed)
-    absorbed = tuple(absorbed)
-    acc = 0
-    for kept in compositions(photons - lost, modes):
-        prod = 1
-        for n_kept, n_lost in zip(kept, absorbed):
-            prod *= binomial(n_kept + n_lost, n_lost)
-        acc += prod
-    ratio = Fraction(acc, count_compositions(photons, modes))
-    return (eta ** (photons - lost)) * ((1.0 - eta) ** lost) * float(ratio)
+    top = photons + modes - 1
+    ratio = math.comb(top, photons - lost) / math.comb(top, photons)
+    return (eta ** (photons - lost)) * ((1.0 - eta) ** lost) * ratio
 
 
 def conditional_state(photons: int, modes: int, absorbed) -> SparseState:
     """Normalized idler/signal state left when the given arrangement is absorbed.
 
-    Adds the absorbed arrangement back onto the idler side of the smaller
-    pair state and normalizes; it does not depend on eta.
+    Holds |n + a, n> for every arrangement n of the N - k kept photons, with
+    amplitude sqrt(prod_i C(n_i + a_i, a_i) / C(N+M-1, N-k)); it does not
+    depend on eta.  Refuses, as pair_state_direct(N - k, M) does, a kept
+    sector too large to materialize.
     """
     absorbed = tuple(absorbed)
     lost = _check_arrangement(photons, modes, absorbed)
-    state = pair_state_direct(photons - lost, modes)
-    for mode, count in enumerate(absorbed):
-        for _ in range(count):
-            state = state.create(IDLER, mode)
-    return state.scaled(1.0 / state.norm())
+    kept = photons - lost
+    check_sector_size(f"pair state with N={kept}, M={modes}", kept, modes, modes, 2)
+    norm = math.comb(photons + modes - 1, kept)
+    loaded = [(mode, count) for mode, count in enumerate(absorbed) if count]
+    terms = []
+    for arrangement in compositions(kept, modes):
+        weight = 1
+        for mode, count in loaded:
+            weight *= math.comb(arrangement[mode] + count, count)
+        idler = tuple(n + a for n, a in zip(arrangement, absorbed))
+        terms.append(((idler, arrangement), math.sqrt(weight / norm)))
+    return SparseState.from_terms(modes, (IDLER, SIGNAL), terms)
 
 
 def loss_component(photons: int, modes: int, eta: float, absorbed) -> LossComponent:

@@ -11,6 +11,7 @@ from twinfock.fock import (
     AmplitudeCapError,
     SparseState,
     combine,
+    orthonormality_residual,
 )
 
 IS = (IDLER, SIGNAL)
@@ -196,3 +197,29 @@ def test_dump_roundtrip_file(tmp_path):
     path = tmp_path / "state.tsv"
     state.dump(path)
     assert path.read_text() == "1,1\t0,2\t1\t0\n"
+
+
+def test_orthonormality_residual_reports_shared_key_overlap():
+    a = SparseState.basis(2, IS, ((1, 0), (0, 1)))
+    b = SparseState.from_terms(2, IS, [(((1, 0), (0, 1)), 0.6), (((0, 1), (1, 0)), 0.8)])
+    assert b.norm_sq() == 1.0
+    assert orthonormality_residual([a, b]) == abs(a.inner(b)) == 0.6
+    disjoint = SparseState.basis(2, IS, ((0, 1), (0, 1)))
+    assert orthonormality_residual([a, disjoint]) == 0.0
+
+
+def test_orthonormality_residual_reports_unnormalized_state():
+    a = SparseState.basis(2, IS, ((1, 0), (0, 1)))
+    doubled = SparseState.basis(2, IS, ((0, 0), (2, 0))).scaled(2.0)
+    assert orthonormality_residual([a, doubled]) == abs(doubled.norm_sq() - 1.0) == 3.0
+    assert orthonormality_residual([SparseState(2, IS)]) == 1.0
+    assert orthonormality_residual([]) == 0.0
+
+
+def test_orthonormality_residual_rejects_mixed_layouts():
+    # same key width (2 registers x 3 modes vs 3 registers x 2 modes), different layouts
+    with pytest.raises(ValueError):
+        orthonormality_residual([
+            SparseState.vacuum(3, IS),
+            SparseState.vacuum(2, (IDLER, SIGNAL, fock.BACKGROUND)),
+        ])

@@ -1,12 +1,14 @@
 import math
+from fractions import Fraction
 
 import pytest
 
-from twinfock.combinat import binomial, compositions
-from twinfock.fock import combine
+from twinfock.combinat import binomial, compositions, count_compositions
+from twinfock.fock import IDLER, AmplitudeCapError, combine, orthonormality_residual
 from twinfock.loss import (
     absorption_weight,
     beamsplitter_oracle,
+    conditional_state,
     loss_component,
     returned_mixture,
     split_by_environment,
@@ -18,6 +20,47 @@ ETAS = (0.1, 0.3, 0.5, 0.9)
 
 def amp_diff(a, b):
     return combine([(1.0, a), (-1.0, b)]).max_abs()
+
+
+def arrangements(photons, modes):
+    for lost in range(photons + 1):
+        yield from compositions(lost, modes)
+
+
+def enumerated_multiplicity(photons, modes, absorbed):
+    """Sum over kept arrangements n of prod_i C(n_i + a_i, a_i), term by term."""
+    acc = 0
+    for kept in compositions(photons - sum(absorbed), modes):
+        prod = 1
+        for n_kept, n_lost in zip(kept, absorbed):
+            prod *= binomial(n_kept + n_lost, n_lost)
+        acc += prod
+    return acc
+
+
+def enumerated_weight(photons, modes, eta, absorbed):
+    """Reference weight from the enumerated multiplicity sum, one rounding at the end."""
+    lost = sum(absorbed)
+    ratio = Fraction(enumerated_multiplicity(photons, modes, absorbed),
+                     count_compositions(photons, modes))
+    return (eta ** (photons - lost)) * ((1.0 - eta) ** lost) * float(ratio)
+
+
+def laddered_state(photons, modes, absorbed):
+    """Reference state: the smaller pair state raised by idler creations, normalized."""
+    state = pair_state_direct(photons - sum(absorbed), modes)
+    for mode, count in enumerate(absorbed):
+        for _ in range(count):
+            state = state.create(IDLER, mode)
+    return state.scaled(1.0 / state.norm())
+
+
+def term_gap(a, b):
+    """Largest amplitude difference, unpruned; inf when the supports differ."""
+    left, right = dict(a.terms()), dict(b.terms())
+    if left.keys() != right.keys():
+        return math.inf
+    return max((abs(left[k] - right[k]) for k in left), default=0.0)
 
 
 def test_weight_single_photon_example():
@@ -39,6 +82,41 @@ def test_weight_all_absorbed_sums_to_survival_complement():
                     for absorbed in compositions(photons, modes)
                 )
                 assert total == pytest.approx((1 - eta) ** photons, rel=1e-12)
+
+
+def test_multiplicity_sum_is_chu_vandermonde():
+    # the sum no longer enumerated in production: C(N+M-1, N-k) for any arrangement
+    for photons in range(0, 7):
+        for modes in range(1, 5):
+            for absorbed in arrangements(photons, modes):
+                kept = photons - sum(absorbed)
+                assert (enumerated_multiplicity(photons, modes, absorbed)
+                        == binomial(photons + modes - 1, kept))
+
+
+def test_weight_matches_enumerated_sum():
+    for photons in range(0, 7):
+        for modes in range(1, 5):
+            for eta in ETAS + (0.0, 1.0):
+                for absorbed in arrangements(photons, modes):
+                    closed = absorption_weight(photons, modes, eta, absorbed)
+                    assert abs(closed - enumerated_weight(photons, modes, eta, absorbed)) <= 1e-15
+
+
+def test_conditional_state_matches_laddered_pair_state():
+    for photons in range(0, 7):
+        for modes in range(1, 5):
+            for absorbed in arrangements(photons, modes):
+                closed = conditional_state(photons, modes, absorbed)
+                assert term_gap(closed, laddered_state(photons, modes, absorbed)) <= 1e-15
+
+
+def test_conditional_state_refuses_like_pair_state():
+    # keeps 40 photons over 12 modes, the sector pair_state_direct(40, 12) refuses
+    with pytest.raises(AmplitudeCapError, match="N=40, M=12"):
+        conditional_state(41, 12, (1,) + (0,) * 11)
+    with pytest.raises(ValueError):
+        conditional_state(1, 2, (1, 1))
 
 
 def test_weight_validation():
@@ -80,6 +158,16 @@ def test_component_orthonormality():
                 for j, b in enumerate(states):
                     target = 1.0 if i == j else 0.0
                     assert abs(a.inner(b) - target) < 1e-12
+
+
+def test_orthonormality_residual_matches_pairwise_inner():
+    for eta in (0.3, 0.7):
+        states = [c.state for c in returned_mixture(4, 3, eta)]
+        pairwise = max(
+            abs(a.inner(b) - (1.0 if i == j else 0.0))
+            for i, a in enumerate(states) for j, b in enumerate(states) if i <= j
+        )
+        assert orthonormality_residual(states) == pairwise
 
 
 def test_mixture_completeness():
