@@ -25,7 +25,7 @@ from .combinat import (
     sum_log_probs,
 )
 from .fock import SparseState, combine
-from .loss import absorption_weight, conditional_state
+from .loss import absorption_weight, check_oracle_size, conditional_state
 
 #: Smallest positive normal float; below it a float keeps fewer than 53 bits.
 _FLOAT_MIN = sys.float_info.min
@@ -260,9 +260,12 @@ def p_fa_oracle(photons: int, modes: int, noise) -> float:
     ensemble probability; basis states absent from a component overlap it
     with zero, so walking the component amplitudes covers the whole sum (a
     component term meets the ensemble state whose environment equals the
-    term's returned-signal arrangement).  Intended for small instances.
+    term's returned-signal arrangement).  Intended for small instances: the
+    components hold C(N + 2M - 1, N) amplitudes in total, the beamsplitter
+    oracle's size, and larger requests raise AmplitudeCapError up front.
     """
     _check_noise_modes(noise, modes)
+    check_oracle_size(photons, modes)
     components = projector_components(photons, modes)
     uniform = 1.0 / count_compositions(photons, modes)
     probs = {k: noise.arrangement_prob(k) for k in range(1, photons + 1)}
@@ -279,8 +282,11 @@ def p_md_oracle(photons: int, modes: int, eta: float) -> float:
     """Brute-force missed-detection probability from the mixture weights.
 
     One minus the total weight of every component with at least one
-    returned photon; equals (1 - eta)^N, which the tests pin.
+    returned photon; equals (1 - eta)^N, which the tests pin.  Walks the
+    components of an oracle-sized instance, so sizes past the beamsplitter
+    oracle's caps raise AmplitudeCapError before any enumeration.
     """
+    check_oracle_size(photons, modes)
     accepted = 0.0
     for lost in range(photons):
         for absorbed in compositions(lost, modes):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from twinfock.detection import (
     single_photon_baselines,
 )
 from twinfock import detection, loss
-from twinfock.fock import IDLER, SIGNAL, SparseState, combine
+from twinfock.fock import IDLER, SIGNAL, AmplitudeCapError, SparseState, combine
 
 
 def test_thermal_noiseless():
@@ -164,6 +165,17 @@ def test_p_md_oracle_matches_closed_form():
     assert p_md_oracle(1, 2, 0.5) == pytest.approx(0.5)
     assert p_md_oracle(3, 2, 0.4) == pytest.approx(0.216, abs=1e-12)
     assert p_md_oracle(2, 2, 0.0) == pytest.approx(1.0)
+
+
+def test_oracles_refuse_hostile_sizes_up_front():
+    # the oracle at (60, 60) needs about 10^48 amplitudes; p_md_oracle builds no
+    # state, so only the up-front check stops its enumeration
+    start = time.perf_counter()
+    with pytest.raises(AmplitudeCapError, match="N=60, M=60"):
+        p_md_oracle(60, 60, 0.5)
+    with pytest.raises(AmplitudeCapError, match="N=60, M=60"):
+        p_fa_oracle(60, 60, ThermalNoise(0.5, 60))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_projector_rank():
