@@ -81,11 +81,29 @@ def test_parse_noise_spec():
 
 # -- verify -------------------------------------------------------------------
 
+VERIFY_CHECKS = [
+    "pair-creation commutator (signal)",
+    "pair-creation commutator (idler)",
+    "signal-loss identity",
+    "direct vs recursive build",
+    "amplitude uniformity",
+    "mixture completeness",
+    "component orthonormality",
+    "beamsplitter decomposition",
+    "false alarm: closed vs oracle",
+    "missed detection: closed vs oracle",
+]
+
+
 def test_verify_passes(capsys):
-    code, out, _ = run(["verify", "--max-n", "2", "--max-m", "2"], capsys)
-    assert code == EXIT_OK
-    assert "all checks passed" in out
-    assert "FAIL" not in out
+    code, out, err = run(["verify", "--max-n", "4", "--max-m", "3"], capsys)
+    assert code == EXIT_OK and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "verification up to N=4, M=3"
+    assert lines[-1] == "all checks passed"
+    checks = lines[1:-1]
+    assert [line.split("  worst=")[0].rstrip() for line in checks] == VERIFY_CHECKS
+    assert all(line.endswith("  PASS") for line in checks)
 
 
 def test_verify_degenerate_vacuum_run(capsys):
