@@ -261,8 +261,9 @@ def p_fa_oracle(photons: int, modes: int, noise) -> float:
     with zero, so walking the component amplitudes covers the whole sum (a
     component term meets the ensemble state whose environment equals the
     term's returned-signal arrangement).  Intended for small instances: the
-    components hold C(N + 2M - 1, N) amplitudes in total, the beamsplitter
-    oracle's size, and larger requests raise AmplitudeCapError up front.
+    components hold at most C(N + 2M - 1, N) amplitudes in total, the
+    beamsplitter oracle's size, so sizes past its caps raise
+    AmplitudeCapError up front.
     """
     _check_noise_modes(noise, modes)
     check_oracle_size(photons, modes)

@@ -273,21 +273,25 @@ def combine(terms: Iterable[tuple[complex, SparseState]]) -> SparseState:
 def orthonormality_residual(states: Sequence[SparseState]) -> float:
     """Largest |<a|b> - delta_ab| over every pair of the given states.
 
-    Each basis key is indexed to the (state, amplitude) pairs holding it, so
-    only pairs that share a key are multiplied; every other pair overlaps in
-    an exact zero, which is what inner() returns for it.  Cost follows the
-    total amplitude count rather than the number of pairs.
+    Each basis key is indexed to the states holding it, so only pairs that
+    share a key are multiplied; every other pair overlaps in an exact zero,
+    which is what inner() returns for it.  Cost follows the total amplitude
+    count rather than the number of pairs.
     """
     worst = 0.0
-    index: dict[bytes, list[tuple[int, complex]]] = {}
+    # a key held by one state maps to its index; a list starts at the second holder
+    holders: dict[bytes, int | list[int]] = {}
+    overlaps: dict[tuple[int, int], complex] = {}
     for i, state in enumerate(states):
         states[0]._check_compatible(state)
         worst = max(worst, abs(state.inner(state) - 1.0))
         for key, amp in state._amps.items():
-            index.setdefault(key, []).append((i, amp))
-    overlaps: dict[tuple[int, int], complex] = {}
-    for holders in index.values():
-        for pos, (a, amp_a) in enumerate(holders):
-            for b, amp_b in holders[pos + 1:]:
-                overlaps[a, b] = overlaps.get((a, b), 0j) + amp_a.conjugate() * amp_b
+            earlier = holders.setdefault(key, i)
+            if earlier == i:
+                continue
+            if isinstance(earlier, int):
+                earlier = holders[key] = [earlier]
+            for j in earlier:
+                overlaps[j, i] = overlaps.get((j, i), 0j) + states[j]._amps[key].conjugate() * amp
+            earlier.append(i)
     return max(worst, max(map(abs, overlaps.values()), default=0.0))

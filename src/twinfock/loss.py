@@ -80,7 +80,7 @@ def conditional_state(photons: int, modes: int, absorbed) -> SparseState:
     lost = _check_arrangement(photons, modes, absorbed)
     kept = photons - lost
     check_sector_size(f"pair state with N={kept}, M={modes}", kept, modes, modes, 2)
-    norm = math.comb(photons + modes - 1, kept)
+    multiplicity = math.comb(photons + modes - 1, kept)
     loaded = [(mode, count) for mode, count in enumerate(absorbed) if count]
     terms = []
     for arrangement in compositions(kept, modes):
@@ -88,7 +88,7 @@ def conditional_state(photons: int, modes: int, absorbed) -> SparseState:
         for mode, count in loaded:
             weight *= math.comb(arrangement[mode] + count, count)
         idler = tuple(n + a for n, a in zip(arrangement, absorbed))
-        terms.append(((idler, arrangement), math.sqrt(weight / norm)))
+        terms.append(((idler, arrangement), math.sqrt(weight / multiplicity)))
     return SparseState.from_terms(modes, (IDLER, SIGNAL), terms)
 
 

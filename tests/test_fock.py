@@ -206,6 +206,11 @@ def test_orthonormality_residual_reports_shared_key_overlap():
     assert orthonormality_residual([a, b]) == abs(a.inner(b)) == 0.6
     disjoint = SparseState.basis(2, IS, ((0, 1), (0, 1)))
     assert orthonormality_residual([a, disjoint]) == 0.0
+    # a third holder of the key meets both earlier ones: <b|c> = 0, <a|c> = 0.8
+    c = SparseState.from_terms(2, IS, [(((1, 0), (0, 1)), 0.8), (((0, 1), (1, 0)), -0.6)])
+    assert b.inner(c) == 0
+    assert orthonormality_residual([b, c]) == abs(c.norm_sq() - 1.0) < 1e-15
+    assert orthonormality_residual([b, a, c]) == 0.8
 
 
 def test_orthonormality_residual_reports_unnormalized_state():
