@@ -224,6 +224,21 @@ class CheckResult:
         return self.worst <= self.tolerance
 
 
+#: Reflectivities at which every loss and missed-detection check runs.
+_VERIFY_ETAS = (0.3, 0.7)
+
+
+@dataclass(frozen=True)
+class VerifyCase:
+    """One (N, M) point of the battery and the states that several checks read."""
+
+    photons: int
+    modes: int
+    probe: SparseState   # random idler/signal state for the operator identities
+    direct: SparseState  # pair_state_direct(photons, modes)
+    mixtures: dict       # eta -> returned_mixture(photons, modes, eta), for each verify eta
+
+
 def _random_state(rng: random.Random, modes: int, registers, max_count: int) -> SparseState:
     terms = []
     for _ in range(3):
@@ -238,99 +253,94 @@ def _max_amp_diff(a: SparseState, b: SparseState) -> float:
     return combine([(1.0, a), (-1.0, b)]).max_abs()
 
 
-def run_verification(max_n: int, max_m: int) -> list[CheckResult]:
-    """Cross-check every identity the package relies on, up to the given sizes."""
-    rng = random.Random(20240901)
-    etas = (0.3, 0.7)
-    table = TableNoise(tuple(0.12 / (k + 1) for k in range(max(max_n, 1))))
-    worst = {
-        "pair-creation commutator (signal)": 0.0,
-        "pair-creation commutator (idler)": 0.0,
-        "signal-loss identity": 0.0,
-        "direct vs recursive build": 0.0,
-        "amplitude uniformity": 0.0,
-        "mixture completeness": 0.0,
-        "component orthonormality": 0.0,
-        "beamsplitter decomposition": 0.0,
-        "false alarm: closed vs oracle": 0.0,
-        "missed detection: closed vs oracle": 0.0,
-    }
+def _commutator(case: VerifyCase, register: str, partner: str) -> float:
+    """[a_{register,j}, pair creation] = a+_{partner,j}, on the random probe."""
+    probe = case.probe
+    raised = pair_create(probe)
+    return max(
+        combine([
+            (1.0, raised.annihilate(register, j)),
+            (-1.0, pair_create(probe.annihilate(register, j))),
+            (-1.0, probe.create(partner, j)),
+        ]).max_abs()
+        for j in range(case.modes)
+    )
 
+
+def _signal_loss(case: VerifyCase) -> float:
+    if case.photons < 1:
+        return 0.0
+    return max(loss_identity_residual(case.photons, case.modes, j) for j in range(case.modes))
+
+
+def _uniformity(case: VerifyCase) -> float:
+    expected = 1.0 / math.sqrt(count_compositions(case.photons, case.modes))
+    return max(abs(amp - expected) for _, amp in case.direct.terms())
+
+
+def _decomposition(case: VerifyCase) -> float:
+    worst = 0.0
+    for eta, mixture in case.mixtures.items():
+        oracle = split_by_environment(beamsplitter_oracle(case.photons, case.modes, eta))
+        by_label = {c.absorbed: c for c in oracle}
+        for component in mixture:
+            other = by_label.get(component.absorbed)
+            if other is None:
+                worst = max(worst, component.weight)
+            else:
+                worst = max(worst, abs(component.weight - other.weight),
+                            _max_amp_diff(component.state, other.state))
+    return worst
+
+
+def _false_alarm(case: VerifyCase) -> float:
+    photons, modes = case.photons, case.modes
+    table = TableNoise(tuple(0.12 / (k + 1) for k in range(photons)))
+    return max(
+        abs(p_fa_closed(photons, modes, noise) - p_fa_oracle(photons, modes, noise))
+        for noise in (ThermalNoise(0.5, modes), table)
+    )
+
+
+#: The battery, one (name, tolerance, residual of one case) entry per printed
+#: line, in print order; a check passes when its worst residual is within tolerance.
+CHECKS = (
+    ("pair-creation commutator (signal)", 1e-12, lambda c: _commutator(c, SIGNAL, IDLER)),
+    ("pair-creation commutator (idler)", 1e-12, lambda c: _commutator(c, IDLER, SIGNAL)),
+    ("signal-loss identity", 1e-12, _signal_loss),
+    ("direct vs recursive build", 1e-12,
+     lambda c: _max_amp_diff(c.direct, pair_state_recursive(c.photons, c.modes))),
+    ("amplitude uniformity", 1e-12, _uniformity),
+    ("mixture completeness", 1e-10,
+     lambda c: max(abs(sum(x.weight for x in m) - 1.0) for m in c.mixtures.values())),
+    # the normalized component states carry no eta dependence
+    ("component orthonormality", 1e-12,
+     lambda c: orthonormality_residual([x.state for x in c.mixtures[_VERIFY_ETAS[0]]])),
+    ("beamsplitter decomposition", 1e-12, _decomposition),
+    ("false alarm: closed vs oracle", 1e-10, _false_alarm),
+    ("missed detection: closed vs oracle", 1e-10,
+     lambda c: max(abs(p_md_oracle(c.photons, c.modes, eta) - p_md_closed(c.photons, eta))
+                   for eta in _VERIFY_ETAS)),
+)
+
+
+def run_verification(max_n: int, max_m: int) -> list[CheckResult]:
+    """Run every entry of CHECKS on each case N <= max_n, 1 <= M <= max_m."""
+    rng = random.Random(20240901)
+    worst = [0.0] * len(CHECKS)
     for modes in range(1, max_m + 1):
         for photons in range(0, max_n + 1):
-            # operator identities on a random state
-            probe = _random_state(rng, modes, (IDLER, SIGNAL), max_count=2)
-            for j in range(modes):
-                raised = pair_create(probe)
-                left = raised.annihilate(SIGNAL, j)
-                right = pair_create(probe.annihilate(SIGNAL, j))
-                expected = probe.create(IDLER, j)
-                diff = combine([(1.0, left), (-1.0, right), (-1.0, expected)]).max_abs()
-                worst["pair-creation commutator (signal)"] = max(
-                    worst["pair-creation commutator (signal)"], diff)
-                left_i = raised.annihilate(IDLER, j)
-                right_i = pair_create(probe.annihilate(IDLER, j))
-                expected_i = probe.create(SIGNAL, j)
-                diff_i = combine([(1.0, left_i), (-1.0, right_i), (-1.0, expected_i)]).max_abs()
-                worst["pair-creation commutator (idler)"] = max(
-                    worst["pair-creation commutator (idler)"], diff_i)
-
-            if photons >= 1:
-                for j in range(modes):
-                    worst["signal-loss identity"] = max(
-                        worst["signal-loss identity"],
-                        loss_identity_residual(photons, modes, j))
-
-            direct = pair_state_direct(photons, modes)
-            recursive = pair_state_recursive(photons, modes)
-            worst["direct vs recursive build"] = max(
-                worst["direct vs recursive build"], _max_amp_diff(direct, recursive))
-            expected_amp = 1.0 / math.sqrt(count_compositions(photons, modes))
-            for _, amp in direct.terms():
-                worst["amplitude uniformity"] = max(
-                    worst["amplitude uniformity"], abs(amp - expected_amp))
-
-            for index, eta in enumerate(etas):
-                mixture = returned_mixture(photons, modes, eta)
-                worst["mixture completeness"] = max(
-                    worst["mixture completeness"],
-                    abs(sum(c.weight for c in mixture) - 1.0))
-                if index == 0:
-                    # the normalized component states carry no eta dependence
-                    worst["component orthonormality"] = max(
-                        worst["component orthonormality"],
-                        orthonormality_residual([c.state for c in mixture]))
-                grouped = split_by_environment(beamsplitter_oracle(photons, modes, eta))
-                by_label = {c.absorbed: c for c in grouped}
-                for component in mixture:
-                    other = by_label.get(component.absorbed)
-                    if other is None:
-                        worst["beamsplitter decomposition"] = max(
-                            worst["beamsplitter decomposition"], component.weight)
-                        continue
-                    worst["beamsplitter decomposition"] = max(
-                        worst["beamsplitter decomposition"],
-                        abs(component.weight - other.weight),
-                        _max_amp_diff(component.state, other.state))
-
-                worst["missed detection: closed vs oracle"] = max(
-                    worst["missed detection: closed vs oracle"],
-                    abs(p_md_oracle(photons, modes, eta) - p_md_closed(photons, eta)))
-
-            for noise in (ThermalNoise(0.5, modes), table):
-                worst["false alarm: closed vs oracle"] = max(
-                    worst["false alarm: closed vs oracle"],
-                    abs(p_fa_closed(photons, modes, noise)
-                        - p_fa_oracle(photons, modes, noise)))
-
-    tolerances = {
-        "mixture completeness": 1e-10,
-        "false alarm: closed vs oracle": 1e-10,
-        "missed detection: closed vs oracle": 1e-10,
-    }
+            case = VerifyCase(
+                photons, modes,
+                probe=_random_state(rng, modes, (IDLER, SIGNAL), max_count=2),
+                direct=pair_state_direct(photons, modes),
+                mixtures={eta: returned_mixture(photons, modes, eta) for eta in _VERIFY_ETAS},
+            )
+            for index, (_, _, residual) in enumerate(CHECKS):
+                worst[index] = max(worst[index], residual(case))
     return [
-        CheckResult(name, value, tolerances.get(name, 1e-12))
-        for name, value in worst.items()
+        CheckResult(name, value, tolerance)
+        for (name, tolerance, _), value in zip(CHECKS, worst)
     ]
 
 

@@ -1,39 +1,21 @@
 """Acceptance suite: every release gate in one module, one line of output each.
 
+The paper's identities (pair creation, the loss identity, the beamsplitter
+decomposition, the closed-form P_FA and P_MD against their oracles) are
+gated by running the verify battery, twinfock.cli.CHECKS, up to N = 6 and
+M = 5; the unit modules check the same identities input by input.  The
+remaining criteria gate the pfa-curves sweep and the log-space kernel.
+
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 pass/fail lines and timings.
 """
 
 import math
-import random
 import time
 from decimal import Decimal
-from fractions import Fraction
 
-from twinfock.cli import main
-from twinfock.combinat import (
-    binomial,
-    count_compositions,
-    falling_ratio_exact,
-    falling_ratio_logs,
-)
-from twinfock.detection import (
-    TableNoise,
-    ThermalNoise,
-    detection_report,
-    p_fa_closed,
-    p_fa_oracle,
-    p_md_oracle,
-)
-from twinfock.fock import combine
-from twinfock.loss import beamsplitter_oracle, returned_mixture, split_by_environment
-from twinfock.states import (
-    loss_identity_residual,
-    pair_state_direct,
-    pair_state_recursive,
-)
-
-ETAS = (0.2, 0.5, 0.8)
+from twinfock.cli import main, run_verification
+from twinfock.combinat import falling_ratio_exact, falling_ratio_logs
 
 
 def _finish(name, failures, elapsed, budget):
@@ -43,119 +25,14 @@ def _finish(name, failures, elapsed, budget):
     assert elapsed < budget, f"{name} exceeded {budget}s budget ({elapsed:.2f}s)"
 
 
-def test_criterion_1_annihilation_identity():
+def test_verify_battery_gate():
     start = time.perf_counter()
-    failures = []
-    for photons in range(1, 7):
-        for modes in range(1, 6):
-            for mode in range(modes):
-                residual = loss_identity_residual(photons, modes, mode)
-                if residual >= 1e-12:
-                    failures.append(f"residual {residual:.2e} at N={photons} M={modes} j={mode}")
-    _finish("criterion 1 (annihilation identity)", failures,
-            time.perf_counter() - start, 10.0)
-
-
-def test_criterion_2_construction_equivalence():
-    start = time.perf_counter()
-    failures = []
-    for photons in range(0, 7):
-        for modes in range(1, 6):
-            direct = dict(pair_state_direct(photons, modes).terms())
-            recursive = dict(pair_state_recursive(photons, modes).terms())
-            expected = 1 / math.sqrt(count_compositions(photons, modes))
-            if set(direct) != set(recursive):
-                failures.append(f"key mismatch at N={photons} M={modes}")
-                continue
-            for key, amp in direct.items():
-                if abs(amp - recursive[key]) >= 1e-12:
-                    failures.append(f"amplitude gap at N={photons} M={modes}")
-                if abs(amp - expected) >= 1e-12:
-                    failures.append(f"non-uniform amplitude at N={photons} M={modes}")
-    _finish("criterion 2 (construction equivalence)", failures,
-            time.perf_counter() - start, 10.0)
-
-
-def test_criterion_3_beamsplitter_decomposition():
-    start = time.perf_counter()
-    failures = []
-    for photons in range(0, 4):
-        for modes in range(1, 4):
-            for eta in ETAS:
-                mixture = returned_mixture(photons, modes, eta)
-                grouped = {c.absorbed: c for c in split_by_environment(
-                    beamsplitter_oracle(photons, modes, eta))}
-                tag = f"N={photons} M={modes} eta={eta}"
-                weight_sum = sum(c.weight for c in mixture)
-                if abs(weight_sum - 1.0) >= 1e-10:
-                    failures.append(f"weights sum {weight_sum} at {tag}")
-                for component in mixture:
-                    other = grouped.get(component.absorbed)
-                    if other is None:
-                        failures.append(f"missing arrangement {component.absorbed} at {tag}")
-                        continue
-                    if abs(other.weight - component.weight) >= 1e-12:
-                        failures.append(f"weight gap at {tag}")
-                    gap = combine([(1.0, other.state), (-1.0, component.state)]).max_abs()
-                    if gap >= 1e-12:
-                        failures.append(f"state gap {gap:.2e} at {tag}")
-                states = [c.state for c in mixture]
-                for i, a in enumerate(states):
-                    for j, b in enumerate(states):
-                        target = 1.0 if i == j else 0.0
-                        if abs(a.inner(b) - target) >= 1e-12:
-                            failures.append(f"Gram defect at {tag}")
-    _finish("criterion 3 (beamsplitter decomposition)", failures,
-            time.perf_counter() - start, 60.0)
-
-
-def test_criterion_4_missed_detection():
-    start = time.perf_counter()
-    failures = []
-    for photons in range(0, 4):
-        for modes in range(1, 4):
-            for eta in ETAS:
-                oracle = p_md_oracle(photons, modes, eta)
-                closed = (1 - eta) ** photons
-                if abs(oracle - closed) >= 1e-10:
-                    failures.append(f"oracle gap at N={photons} M={modes} eta={eta}")
-    noise = TableNoise((0.1,))
-    for photons in range(0, 4):
-        for eta in ETAS:
-            values = {detection_report(photons, modes, eta, noise).p_md_closed
-                      for modes in (1, 2, 5)}
-            if len(values) != 1:
-                failures.append(f"mode dependence at N={photons} eta={eta}")
-    _finish("criterion 4 (missed detection)", failures,
-            time.perf_counter() - start, 30.0)
-
-
-def test_criterion_5_false_alarm():
-    start = time.perf_counter()
-    failures = []
-    rng = random.Random(777)
-    for photons in range(0, 4):
-        for modes in range(1, 4):
-            models = [
-                TableNoise(tuple(rng.uniform(0.0, 0.1) for _ in range(max(photons, 1))))
-                for _ in range(10)
-            ]
-            models += [ThermalNoise(nbar, modes) for nbar in (0.1, 1.0)]
-            for noise in models:
-                closed = p_fa_closed(photons, modes, noise)
-                oracle = p_fa_oracle(photons, modes, noise)
-                if abs(closed - oracle) >= 1e-10:
-                    failures.append(
-                        f"closed {closed} vs oracle {oracle} at N={photons} M={modes}")
-            if photons >= 1:
-                first = falling_ratio_exact(photons, modes, 1)
-                if first != Fraction(photons, photons + modes - 1):
-                    failures.append(f"first coefficient at N={photons} M={modes}")
-                last = falling_ratio_exact(photons, modes, photons)
-                if last != Fraction(1, binomial(photons + modes - 1, photons)):
-                    failures.append(f"last coefficient at N={photons} M={modes}")
-    _finish("criterion 5 (false alarm closed vs oracle)", failures,
-            time.perf_counter() - start, 60.0)
+    failures = [
+        f"{result.name}: worst {result.worst:.3e} above tol {result.tolerance:.0e}"
+        for result in run_verification(6, 5)
+        if not result.passed
+    ]
+    _finish("verify battery (N <= 6, M <= 5)", failures, time.perf_counter() - start, 60.0)
 
 
 def _curve_table(tmp_path, n_values):

@@ -5,11 +5,13 @@ from decimal import Decimal, localcontext
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twinfock import cli
 from twinfock.combinat import LogProb
 from twinfock.cli import (
     EXIT_CAP,
     EXIT_INVALID,
     EXIT_OK,
+    EXIT_VERIFY_FAILED,
     fmt_log,
     fmt_sci,
     log_grid,
@@ -124,6 +126,21 @@ def test_verify_cap_refusal(capsys):
 def test_verify_invalid_bounds(capsys):
     code, _, _ = run(["verify", "--max-n", "-1", "--max-m", "2"], capsys)
     assert code == EXIT_INVALID
+
+
+def test_verify_failure_marks_only_the_failing_check(capsys, monkeypatch):
+    failing = VERIFY_CHECKS.index("component orthonormality")
+    checks = list(cli.CHECKS)
+    name, tolerance, _ = checks[failing]
+    checks[failing] = (name, tolerance, lambda case: 10 * tolerance)
+    monkeypatch.setattr(cli, "CHECKS", tuple(checks))
+    code, out, err = run(["verify", "--max-n", "1", "--max-m", "2"], capsys)
+    assert code == EXIT_VERIFY_FAILED
+    assert err == "verification FAILED\n"
+    lines = out.splitlines()
+    assert lines[0] == "verification up to N=1, M=2"
+    statuses = [line.rsplit("  ", 1)[1] for line in lines[1:]]
+    assert statuses == ["FAIL" if i == failing else "PASS" for i in range(len(VERIFY_CHECKS))]
 
 
 # -- state-dump ---------------------------------------------------------------

@@ -135,7 +135,7 @@ def test_closed_vs_oracle_random_tables():
     rng = random.Random(2024)
     for photons in range(0, 4):
         for modes in range(1, 4):
-            for _ in range(3):
+            for _ in range(10):
                 noise = TableNoise(tuple(rng.uniform(0, 0.1) for _ in range(photons)))
                 closed = p_fa_closed(photons, modes, noise)
                 oracle = p_fa_oracle(photons, modes, noise)
@@ -143,7 +143,7 @@ def test_closed_vs_oracle_random_tables():
 
 
 def test_closed_vs_oracle_thermal():
-    for photons in range(1, 4):
+    for photons in range(0, 4):
         for modes in range(1, 4):
             for nbar in (0.1, 1.0):
                 noise = ThermalNoise(nbar, modes)
