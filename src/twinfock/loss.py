@@ -124,10 +124,13 @@ def check_oracle_size(photons: int, modes: int) -> int:
 def beamsplitter_oracle(photons: int, modes: int, eta: float) -> SparseState:
     """Exact tripartite state after the beamsplitter, built by ladder operators.
 
-    Loads each idler arrangement onto vacuum, then routes every signal
+    Loads each idler arrangement as a basis state, then routes every signal
     photon through the splitter as sqrt(eta) a+_S + sqrt(1-eta) a+_B, one
-    binomial expansion per photon.  Intended for small instances; the result
-    holds C(N + 2M - 1, N) amplitudes.
+    binomial expansion per photon.  The j-th photon routed into a mode is
+    weighted by 1/sqrt(j), which spreads the 1/sqrt(n!) normalisation over
+    the ladder steps: each partial term is a normalized Fock state, so no
+    amplitude exceeds one at any photon number.  Intended for small
+    instances; the result holds C(N + 2M - 1, N) amplitudes.
     """
     _check_loss_args(photons, modes, eta, (0,) * modes)
     check_oracle_size(photons, modes)
@@ -135,21 +138,18 @@ def beamsplitter_oracle(photons: int, modes: int, eta: float) -> SparseState:
     keep = math.sqrt(eta)
     leak = math.sqrt(1.0 - eta)
     scale = 1.0 / math.sqrt(count_compositions(photons, modes))
+    empty = (0,) * modes
     pieces = []
     for arrangement in compositions(photons, modes):
-        term = SparseState.vacuum(modes, registers)
+        term = SparseState.from_terms(modes, registers, [((arrangement, empty, empty), 1.0)])
         for mode, count in enumerate(arrangement):
-            for _ in range(count):
-                term = term.create(IDLER, mode)
-        for mode, count in enumerate(arrangement):
-            for _ in range(count):
+            for j in range(1, count + 1):
+                step = 1.0 / math.sqrt(j)
                 term = combine([
-                    (keep, term.create(SIGNAL, mode)),
-                    (leak, term.create(BACKGROUND, mode)),
+                    (keep * step, term.create(SIGNAL, mode)),
+                    (leak * step, term.create(BACKGROUND, mode)),
                 ])
-        # raw creations contribute sqrt(n!) on the idler side and another
-        # sqrt(n!) through the signal powers, hence one factorial per mode
-        pieces.append((scale / math.prod(math.factorial(c) for c in arrangement), term))
+        pieces.append((scale, term))
     return combine(pieces)
 
 

@@ -251,6 +251,23 @@ def test_oracle_matches_component_decomposition():
                     assert amp_diff(other.state, component.state) < 1e-12
 
 
+@pytest.mark.parametrize("photons", (171, 200))
+def test_oracle_stays_finite_past_factorial_overflow(photons):
+    # 171! is past the float range; no amplitude of the oracle may pass through it
+    for eta in (0.0, 0.5, 1.0):
+        oracle = beamsplitter_oracle(photons, 1, eta)
+        assert oracle.norm() == pytest.approx(1.0, abs=1e-12)
+        by_label = {c.absorbed: c for c in split_by_environment(oracle)}
+        for component in returned_mixture(photons, 1, eta):
+            other = by_label.get(component.absorbed)
+            if other is None:
+                # every amplitude of the component fell below the prune threshold
+                assert component.weight <= 1e-12
+                continue
+            assert abs(other.weight - component.weight) <= 1e-12
+            assert amp_diff(other.state, component.state) <= 1e-12
+
+
 def test_split_requires_environment_register():
     with pytest.raises(ValueError):
         split_by_environment(pair_state_direct(1, 2))
