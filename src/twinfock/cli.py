@@ -64,6 +64,10 @@ _CONFIG_KEYS = {
     "n", "m_min", "m_max", "m_points", "m_list", "noise",
     "eta", "eta_min", "eta_max", "eta_points", "csv", "svg",
 }
+#: Config keys that take text, and keys that also take a list of numbers or a
+#: comma-separated string; every other key takes a number.
+_TEXT_KEYS = {"noise", "csv", "svg"}
+_LIST_KEYS = {"n", "m_list", "eta"}
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +142,23 @@ def load_config(path) -> dict:
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in data.items():
+        if key in _TEXT_KEYS:
+            valid, wanted = isinstance(value, str), "a string"
+        elif key in _LIST_KEYS:
+            valid = (_is_number(value) or isinstance(value, str)
+                     or isinstance(value, list) and all(map(_is_number, value)))
+            wanted = "a number, a list of numbers or a comma-separated string"
+        else:
+            valid, wanted = _is_number(value), "a number"
+        if not valid:
+            raise ValueError(f"config key {key!r} must be {wanted}, not {json.dumps(value)}")
     return data
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; true and false do not count."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def merge_settings(args, defaults: dict) -> dict:
@@ -204,10 +224,14 @@ def parse_int_list(text: str) -> list[int]:
 def as_number_list(value) -> list:
     """Accept a scalar, list, or comma-separated string from flag or config."""
     if isinstance(value, str):
-        return [float(part) for part in value.split(",") if part.strip()]
-    if isinstance(value, (int, float)):
-        return [value]
-    return list(value)
+        values = [float(part) for part in value.split(",") if part.strip()]
+    elif isinstance(value, (int, float)):
+        values = [value]
+    else:
+        values = list(value)
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("list values must be finite numbers")
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from twinfock import cli
 from twinfock.combinat import LogProb
@@ -395,6 +399,93 @@ def test_pfa_rejects_unknown_config_keys(capsys, tmp_path):
     code, _, err = run(["pfa-curves", "--config", str(config)], capsys)
     assert code == EXIT_INVALID
     assert "unknown config keys" in err
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"noise": 5}, "config key 'noise' must be a string, not 5"),
+    ({"csv": 2}, "config key 'csv' must be a string, not 2"),
+    ({"svg": True}, "config key 'svg' must be a string, not true"),
+    ({"m_points": True}, "config key 'm_points' must be a number, not true"),
+    ({"m_max": math.inf}, "config key 'm_max' must be a number, not Infinity"),
+    ({"n": [1, None]}, "config key 'n' must be a number, a list of numbers"),
+    ({"n": "inf"}, "list values must be finite numbers"),
+])
+def test_config_rejects_wrong_value_types(capsys, tmp_path, config, message):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(["pfa-curves", "--m-list", "2", "--config", str(path)], capsys)
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith(f"error: {message}")
+
+
+# -- any arguments --------------------------------------------------------------
+
+small_n = st.integers(-1, 3).map(str)
+hostile = st.integers(100_000, 10**12).map(str)
+text_values = st.sampled_from(["", "thermal:0.5", "thermal:-1", "table:absent.txt", "x"]) | \
+    st.text(alphabet="0123456789,.-", max_size=2)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-3.0, 40.0)
+    | st.sampled_from([math.inf, -math.inf, math.nan]) | text_values,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(text_values, inner, max_size=2),
+    max_leaves=6,
+)
+config_keys = st.sampled_from(sorted(cli._CONFIG_KEYS) + ["modes"])
+config_texts = (st.dictionaries(config_keys, json_values, min_size=1, max_size=4).map(json.dumps)
+                | st.sampled_from(["{", "[]", "3", "{}"]))
+
+
+@st.composite
+def cli_arguments(draw):
+    """A subcommand and flags whose sizes run in milliseconds or are refused up front."""
+    command = draw(st.sampled_from(["verify", "pfa-curves", "pmd-curve", "state-dump", "nope"]))
+    if command == "verify":
+        n, m = draw(st.tuples(small_n, small_n) | st.tuples(hostile, hostile))
+        return [command, "--max-n", n, "--max-m", m]
+    if command == "state-dump":
+        n, m = draw(st.tuples(small_n, small_n) | st.tuples(hostile, hostile))
+        return [command, "--n", n, "--m", m]
+    if command == "nope":
+        return [command]
+    args = [command]
+    for _ in range(draw(st.integers(0, 2))):
+        args += ["--n", draw(small_n | (hostile if command == "pmd-curve" else small_n))]
+    if command == "pfa-curves":
+        # a small upper bound keeps the default photon numbers' grids short or invalid
+        args += ["--m-max", draw(st.integers(-1, 50).map(str))]
+        options = {"--m-min": small_n,
+                   "--m-points": st.integers(-1, 30).map(str),
+                   "--m-list": st.sampled_from(["1", "2,40", "0", "x", ""]),
+                   "--noise": text_values}
+    else:
+        numbers = st.sampled_from(["0", "0.5", "1", "-0.1", "2", "nan", "inf"])
+        options = {"--eta": numbers, "--eta-min": numbers, "--eta-max": numbers,
+                   "--eta-points": st.integers(-1, 30).map(str)}
+    for flag, values in options.items():
+        if draw(st.booleans()):
+            args += [flag, draw(values)]
+    return args
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=cli_arguments(), config=st.none() | config_texts)
+@example(argv=["pfa-curves", "--n", "1"], config='{"noise": 5}')
+def test_any_arguments_exit_with_a_documented_code(argv, config):
+    out, err = io.StringIO(), io.StringIO()
+    previous = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            if config is not None:
+                with open("config.json", "w") as handle:
+                    handle.write(config)
+                argv = argv + ["--config", "config.json"]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(previous)
+    assert code in (EXIT_OK, EXIT_INVALID, EXIT_CAP)
+    assert "Traceback" not in err.getvalue()
 
 
 # -- pmd-curve -------------------------------------------------------------------
