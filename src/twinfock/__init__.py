@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .combinat import (
     LogProb,
-    binomial,
     compositions,
     count_compositions,
     falling_ratio_exact,
@@ -79,7 +78,6 @@ __all__ = [
     "annihilate_signal",
     "apply_projector",
     "beamsplitter_oracle",
-    "binomial",
     "combine",
     "compositions",
     "count_compositions",

@@ -18,13 +18,6 @@ from typing import Iterable, Iterator
 EXACT_CROSSOVER = 200
 
 
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k); zero when k exceeds n."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial requires non-negative arguments")
-    return math.comb(n, k)
-
-
 def count_compositions(total: int, parts: int) -> int:
     """Count length-`parts` vectors of non-negative integers summing to `total`."""
     if parts < 1:

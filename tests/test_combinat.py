@@ -6,7 +6,6 @@ import pytest
 
 from twinfock.combinat import (
     LogProb,
-    binomial,
     compositions,
     count_compositions,
     falling_ratio_exact,
@@ -14,32 +13,6 @@ from twinfock.combinat import (
     sum_log_probs,
 )
 from twinfock.detection import TableNoise, false_alarm_series
-
-
-def pascal_triangle(rows):
-    # independent oracle for binomial values
-    tri = [[1]]
-    for _ in range(rows):
-        prev = tri[-1]
-        tri.append([1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1])
-    return tri
-
-
-def test_binomial_examples():
-    assert binomial(0, 0) == 1
-    # pair-state term count at one photon over two modes
-    assert binomial(1 + 2 - 1, 1) == 2
-    tri = pascal_triangle(11)
-    assert tri[11][3] == 165
-    assert binomial(11, 3) == 165
-    assert binomial(3, 5) == 0
-
-
-def test_binomial_rejects_negative():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-    with pytest.raises(ValueError):
-        binomial(3, -2)
 
 
 def test_count_compositions_examples():

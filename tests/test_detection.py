@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from twinfock.combinat import LogProb, binomial, count_compositions, falling_ratio_exact
+from twinfock.combinat import LogProb, count_compositions, falling_ratio_exact
 from twinfock.detection import (
     TableNoise,
     ThermalNoise,
@@ -120,7 +120,7 @@ def test_first_and_last_coefficients_exact():
             first = falling_ratio_exact(photons, modes, 1)
             assert first == Fraction(photons, photons + modes - 1)
             last = falling_ratio_exact(photons, modes, photons)
-            assert last == Fraction(1, binomial(photons + modes - 1, photons))
+            assert last == Fraction(1, math.comb(photons + modes - 1, photons))
 
 
 def test_zero_noise_oracle():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from twinfock.combinat import binomial, compositions, count_compositions
+from twinfock.combinat import compositions, count_compositions
 from twinfock.fock import IDLER, AmplitudeCapError, combine, orthonormality_residual
 from twinfock.loss import (
     absorption_weight,
@@ -33,7 +33,7 @@ def enumerated_multiplicity(photons, modes, absorbed):
     for kept in compositions(photons - sum(absorbed), modes):
         prod = 1
         for n_kept, n_lost in zip(kept, absorbed):
-            prod *= binomial(n_kept + n_lost, n_lost)
+            prod *= math.comb(n_kept + n_lost, n_lost)
         acc += prod
     return acc
 
@@ -91,7 +91,7 @@ def test_multiplicity_sum_is_chu_vandermonde():
             for absorbed in arrangements(photons, modes):
                 kept = photons - sum(absorbed)
                 assert (enumerated_multiplicity(photons, modes, absorbed)
-                        == binomial(photons + modes - 1, kept))
+                        == math.comb(photons + modes - 1, kept))
 
 
 def test_weight_matches_enumerated_sum():
@@ -212,7 +212,7 @@ def test_total_absorbed_count_is_binomial():
                     by_total[total] = by_total.get(total, 0.0) + component.weight
                 for lost, weight in by_total.items():
                     expected = (
-                        binomial(photons, lost)
+                        math.comb(photons, lost)
                         * (eta ** (photons - lost))
                         * ((1 - eta) ** lost)
                     )
