@@ -132,11 +132,12 @@ def test_verify_invalid_bounds(capsys):
     assert code == EXIT_INVALID
 
 
-def test_verify_failure_marks_only_the_failing_check(capsys, monkeypatch):
+@pytest.mark.parametrize("excess", [10.0, math.nan])
+def test_verify_failure_marks_only_the_failing_check(capsys, monkeypatch, excess):
     failing = VERIFY_CHECKS.index("component orthonormality")
     checks = list(cli.CHECKS)
     name, tolerance, _ = checks[failing]
-    checks[failing] = (name, tolerance, lambda case: 10 * tolerance)
+    checks[failing] = (name, tolerance, lambda case: excess * tolerance)
     monkeypatch.setattr(cli, "CHECKS", tuple(checks))
     code, out, err = run(["verify", "--max-n", "1", "--max-m", "2"], capsys)
     assert code == EXIT_VERIFY_FAILED
