@@ -2,9 +2,11 @@
 
 The paper's identities (pair creation, the loss identity, the beamsplitter
 decomposition, the closed-form P_FA and P_MD against their oracles) are
-gated by running the verify battery, twinfock.cli.CHECKS, up to N = 6 and
-M = 5; the unit modules check the same identities input by input.  The
-remaining criteria gate the pfa-curves sweep and the log-space kernel.
+gated by one run of the verify battery, twinfock.cli.CHECKS, up to N = 6
+and M = 5: criteria 1-5 each gate their own entries of it, and every entry
+belongs to exactly one of them.  The unit modules check the same identities
+input by input.  The remaining criteria gate the pfa-curves sweep and the
+log-space kernel.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 pass/fail lines and timings.
@@ -14,7 +16,9 @@ import math
 import time
 from decimal import Decimal
 
-from twinfock.cli import main, run_verification
+import pytest
+
+from twinfock.cli import CHECKS, main, run_verification
 from twinfock.combinat import falling_ratio_exact, falling_ratio_logs
 
 
@@ -25,14 +29,60 @@ def _finish(name, failures, elapsed, budget):
     assert elapsed < budget, f"{name} exceeded {budget}s budget ({elapsed:.2f}s)"
 
 
-def test_verify_battery_gate():
+#: Criteria 1-5 as views of the verify battery: the CHECKS entries each one gates.
+BATTERY_CRITERIA = {
+    "criterion 1 (annihilation identity)": (
+        "pair-creation commutator (signal)", "pair-creation commutator (idler)",
+        "signal-loss identity"),
+    "criterion 2 (construction equivalence)": ("direct vs recursive build", "amplitude uniformity"),
+    "criterion 3 (beamsplitter decomposition)": (
+        "mixture completeness", "component orthonormality", "beamsplitter decomposition"),
+    "criterion 4 (missed detection)": ("missed detection: closed vs oracle",),
+    "criterion 5 (false alarm closed vs oracle)": ("false alarm: closed vs oracle",),
+}
+
+
+@pytest.fixture(scope="module")
+def battery():
+    """One run of the battery up to (6, 5): results by check name, and its time."""
     start = time.perf_counter()
+    results = {result.name: result for result in run_verification(6, 5)}
+    return results, time.perf_counter() - start
+
+
+def _gate_criterion(battery, criterion):
+    results, elapsed = battery
     failures = [
         f"{result.name}: worst {result.worst:.3e} above tol {result.tolerance:.0e}"
-        for result in run_verification(6, 5)
+        for result in (results[name] for name in BATTERY_CRITERIA[criterion])
         if not result.passed
     ]
-    _finish("verify battery (N <= 6, M <= 5)", failures, time.perf_counter() - start, 60.0)
+    _finish(criterion, failures, elapsed, 60.0)
+
+
+def test_every_check_belongs_to_one_criterion():
+    gated = [name for names in BATTERY_CRITERIA.values() for name in names]
+    assert sorted(gated) == sorted(name for name, _, _ in CHECKS)
+
+
+def test_criterion_1_annihilation_identity(battery):
+    _gate_criterion(battery, "criterion 1 (annihilation identity)")
+
+
+def test_criterion_2_construction_equivalence(battery):
+    _gate_criterion(battery, "criterion 2 (construction equivalence)")
+
+
+def test_criterion_3_beamsplitter_decomposition(battery):
+    _gate_criterion(battery, "criterion 3 (beamsplitter decomposition)")
+
+
+def test_criterion_4_missed_detection(battery):
+    _gate_criterion(battery, "criterion 4 (missed detection)")
+
+
+def test_criterion_5_false_alarm(battery):
+    _gate_criterion(battery, "criterion 5 (false alarm closed vs oracle)")
 
 
 def _curve_table(tmp_path, n_values):
