@@ -54,7 +54,6 @@ from .states import (
     annihilate_signal,
     loss_identity_residual,
     pair_create,
-    pair_norm_constant,
     pair_state_direct,
     pair_state_recursive,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "p_md_closed",
     "p_md_oracle",
     "pair_create",
-    "pair_norm_constant",
     "pair_state_direct",
     "pair_state_recursive",
     "projector_components",

@@ -47,9 +47,10 @@ def check_sector_size(label: str, photons: int, parts: int, modes: int, register
     """Term count C(photons + parts - 1, photons) of photons spread over parts modes.
 
     Raises AmplitudeCapError when a state with that many terms, each over
-    `registers` registers of `modes` modes, would break the caps.  An lgamma
-    estimate refuses hostile sizes before the exact binomial is built, so
-    a refusal stays cheap however large the request.
+    `registers` registers of `modes` modes, would break the caps, and
+    ValueError past a key's per-mode count.  An lgamma estimate refuses
+    hostile sizes before the exact binomial is built, so a refusal stays
+    cheap however large the request.
     """
     if photons < 0:
         raise ValueError("photons must be non-negative")
@@ -64,6 +65,9 @@ def check_sector_size(label: str, photons: int, parts: int, modes: int, register
         )
     terms = math.comb(photons + parts - 1, photons)
     _check_size(label, terms, modes, registers)
+    if photons > _MAX_MODE_COUNT:  # all of them may share one mode
+        raise ValueError(f"{label} may put {photons} photons in one mode "
+                         f"(at most {_MAX_MODE_COUNT})")
     return terms
 
 
@@ -121,10 +125,10 @@ class SparseState:
             if len(vector) != self.modes:
                 raise ValueError(f"each register needs {self.modes} mode counts")
             flat.extend(vector)
-        for c in flat:
-            if not 0 <= c <= _MAX_MODE_COUNT:
-                raise ValueError("mode counts must be in [0, 65535]")
-        return struct.pack(f">{len(flat)}H", *flat)
+        try:
+            return struct.pack(f">{len(flat)}H", *flat)
+        except struct.error:
+            raise ValueError(f"mode counts must be integers in [0, {_MAX_MODE_COUNT}]") from None
 
     def _unpack(self, key: bytes) -> tuple[tuple[int, ...], ...]:
         flat = struct.unpack(f">{len(key) // 2}H", key)
@@ -221,30 +225,6 @@ class SparseState:
     def amplitude(self, counts) -> complex:
         """Amplitude of one basis arrangement; zero when absent."""
         return self._amps.get(self._pack(counts), 0j)
-
-    # -- serialization ---------------------------------------------------------
-
-    def dump_lines(self) -> list[str]:
-        """One line per basis term, heaviest arrangement first.
-
-        Tab-separated fields: comma-joined counts for each register in
-        canonical order, then real and imaginary amplitude parts with 17
-        significant digits.
-        """
-        lines = []
-        for key in sorted(self._amps, reverse=True):
-            counts = self._unpack(key)
-            amp = self._amps[key]
-            cols = [",".join(str(c) for c in vector) for vector in counts]
-            cols.append(f"{amp.real:.17g}")
-            cols.append(f"{amp.imag:.17g}")
-            lines.append("\t".join(cols))
-        return lines
-
-    def dump(self, path) -> None:
-        with open(path, "w") as handle:
-            for line in self.dump_lines():
-                handle.write(line + "\n")
 
 
 def combine(terms: Iterable[tuple[complex, SparseState]]) -> SparseState:

@@ -9,36 +9,33 @@ pair creation from vacuum) so each can check the other.
 """
 
 import math
+from typing import Iterator
 
 from .combinat import compositions
 from .fock import IDLER, SIGNAL, SparseState, check_sector_size, combine
-
-
-def pair_norm_constant(photons: int, modes: int) -> int:
-    """Exact squared norm N! (N+M-1)! / (M-1)! of the N-th pair-creation power on vacuum."""
-    if photons < 0:
-        raise ValueError("photons must be non-negative")
-    if modes < 1:
-        raise ValueError("modes must be at least 1")
-    return (
-        math.factorial(photons)
-        * math.factorial(photons + modes - 1)
-        // math.factorial(modes - 1)
-    )
 
 
 def _check_materializable(photons: int, modes: int) -> int:
     return check_sector_size(f"pair state with N={photons}, M={modes}", photons, modes, modes, 2)
 
 
+def pair_terms(photons: int, modes: int) -> tuple[float, Iterator[tuple[int, ...]]]:
+    """Amplitude 1 / sqrt(C(N+M-1, N)) of every term |n, n>, and the n in compositions order.
+
+    The arrangements come lazily; the size check runs at the call, before any
+    is made, and refuses what pair_state_direct could not materialize.
+    """
+    count = _check_materializable(photons, modes)
+    return 1.0 / math.sqrt(count), compositions(photons, modes)
+
+
 def pair_state_direct(photons: int, modes: int) -> SparseState:
     """Equal-weight superposition of |n, n> over all arrangements |n| = photons."""
-    count = _check_materializable(photons, modes)
-    amp = 1.0 / math.sqrt(count)
+    amp, arrangements = pair_terms(photons, modes)
     return SparseState.from_terms(
         modes,
         (IDLER, SIGNAL),
-        (((arrangement, arrangement), amp) for arrangement in compositions(photons, modes)),
+        (((arrangement, arrangement), amp) for arrangement in arrangements),
     )
 
 

@@ -30,6 +30,7 @@ from twinfock.detection import (
     p_fa_closed,
     single_photon_baselines,
 )
+from twinfock.states import pair_state_direct
 
 
 def run(args, capsys):
@@ -125,6 +126,11 @@ def test_verify_cap_refusal(capsys):
     code, _, err = run(["verify", "--max-n", "200000", "--max-m", "200000"], capsys)
     assert code == EXIT_CAP
     assert "N=200000" in err and "cap" in err
+    # every state of these batteries is small; the number of cases or the key width is not
+    for max_n, max_m in (("0", "100000"), ("100000", "1"), ("0", "2000"), ("2000", "1")):
+        code, out, err = run(["verify", "--max-n", max_n, "--max-m", max_m], capsys)
+        assert code == EXIT_CAP and out == ""
+        assert err.startswith("refusing verification:") and f"N={max_n}, M={max_m}" in err
 
 
 def test_verify_invalid_bounds(capsys):
@@ -176,11 +182,37 @@ def test_state_dump_term_count(capsys, tmp_path):
     assert len(amplitudes) == 1
 
 
-def test_state_dump_cap(capsys):
+def test_state_dump_cap(capsys, tmp_path):
+    path = tmp_path / "refused.tsv"
     for n, m in (("40", "12"), ("200000", "200000")):
-        code, _, err = run(["state-dump", "--n", n, "--m", m], capsys)
-        assert code == EXIT_CAP
+        code, out, err = run(["state-dump", "--n", n, "--m", m], capsys)
+        assert code == EXIT_CAP and out == ""
         assert "cap" in err
+        code, out, err = run(["state-dump", "--n", n, "--m", m, "--out", str(path)], capsys)
+        assert code == EXIT_CAP and out == ""
+        assert "cap" in err
+        assert not path.exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(photons=st.integers(0, 5), modes=st.integers(1, 5))
+def test_state_dump_matches_sorted_pair_state(photons, modes):
+    terms = sorted(pair_state_direct(photons, modes).terms(), key=lambda t: t[0], reverse=True)
+    expected = "".join(
+        "\t".join([",".join(map(str, idler)), ",".join(map(str, signal)),
+                   f"{amp.real:.17g}", f"{amp.imag:.17g}"]) + "\n"
+        for (idler, signal), amp in terms
+    )
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["state-dump", "--n", str(photons), "--m", str(modes)]) == EXIT_OK
+    assert out.getvalue() == expected
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "dump.tsv")
+        code = main(["state-dump", "--n", str(photons), "--m", str(modes), "--out", path])
+        assert code == EXIT_OK
+        with open(path, newline="") as handle:
+            assert handle.read() == expected
 
 
 # -- pfa-curves -----------------------------------------------------------------
@@ -441,10 +473,12 @@ def cli_arguments(draw):
     """A subcommand and flags whose sizes run in milliseconds or are refused up front."""
     command = draw(st.sampled_from(["verify", "pfa-curves", "pmd-curve", "state-dump", "nope"]))
     if command == "verify":
-        n, m = draw(st.tuples(small_n, small_n) | st.tuples(hostile, hostile))
+        n, m = draw(st.tuples(small_n, small_n) | st.tuples(hostile, hostile)
+                    | st.tuples(small_n, hostile) | st.tuples(hostile, small_n))
         return [command, "--max-n", n, "--max-m", m]
     if command == "state-dump":
-        n, m = draw(st.tuples(small_n, small_n) | st.tuples(hostile, hostile))
+        n, m = draw(st.tuples(small_n, small_n) | st.tuples(hostile, hostile)
+                    | st.tuples(hostile, small_n))
         return [command, "--n", n, "--m", m]
     if command == "nope":
         return [command]

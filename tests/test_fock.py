@@ -10,6 +10,7 @@ from twinfock.fock import (
     SIGNAL,
     AmplitudeCapError,
     SparseState,
+    check_sector_size,
     combine,
     orthonormality_residual,
 )
@@ -172,31 +173,16 @@ def test_amplitude_cap_enforced(monkeypatch):
 
 
 def test_mode_count_bounds():
-    with pytest.raises(ValueError):
-        SparseState.basis(1, IS, ((70000,), (0,)))
+    for count in (70000, 65536, -1, 1.5):
+        with pytest.raises(ValueError):
+            SparseState.basis(1, IS, ((count,), (0,)))
     top = SparseState.basis(1, IS, ((0xFFFF,), (0,)))
     with pytest.raises(ValueError):
         top.create(IDLER, 0)
-
-
-def test_dump_format_and_order():
-    a = SparseState.from_terms(
-        2, IS,
-        [
-            (((0, 1), (0, 1)), 0.25),
-            (((1, 0), (1, 0)), 0.5),
-        ],
-    )
-    lines = a.dump_lines()
-    # heaviest arrangement first: (1,0) sorts before (0,1)
-    assert lines == ["1,0\t1,0\t0.5\t0", "0,1\t0,1\t0.25\t0"]
-
-
-def test_dump_roundtrip_file(tmp_path):
-    state = SparseState.basis(2, IS, ((1, 1), (0, 2)))
-    path = tmp_path / "state.tsv"
-    state.dump(path)
-    assert path.read_text() == "1,1\t0,2\t1\t0\n"
+    # a sector whose photons could all sit in one mode past the bound is refused unbuilt
+    assert check_sector_size("sector", 0xFFFF, 1, 1, 2) == 1
+    with pytest.raises(ValueError):
+        check_sector_size("sector", 0x10000, 1, 1, 2)
 
 
 def test_orthonormality_residual_reports_shared_key_overlap():

@@ -9,7 +9,6 @@ from twinfock.states import (
     annihilate_signal,
     loss_identity_residual,
     pair_create,
-    pair_norm_constant,
     pair_state_direct,
     pair_state_recursive,
 )
@@ -19,20 +18,6 @@ IS = (IDLER, SIGNAL)
 
 def amp_diff(a, b):
     return combine([(1.0, a), (-1.0, b)]).max_abs()
-
-
-def test_norm_constant_base_cases():
-    for modes in (1, 2, 7):
-        assert pair_norm_constant(0, modes) == 1
-        # 1! * M! / (M-1)! collapses to the mode count
-        assert pair_norm_constant(1, modes) == modes
-
-
-def test_norm_constant_ratio():
-    for photons in range(1, 11):
-        for modes in range(1, 11):
-            ratio = pair_norm_constant(photons, modes) // pair_norm_constant(photons - 1, modes)
-            assert ratio == photons * (photons + modes - 1)
 
 
 def test_vacuum_pair_state():
