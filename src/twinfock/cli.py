@@ -35,6 +35,7 @@ from .fock import (
     AmplitudeCapError,
     SparseState,
     combine,
+    log_sector_size,
     orthonormality_residual,
 )
 from .loss import (
@@ -60,15 +61,22 @@ DEFAULT_M_MAX = 100_000
 DEFAULT_M_POINTS = 50
 DEFAULT_N_VALUES = [10, 100, 1000]
 DEFAULT_NOISE = "thermal:1"
+#: Ceiling on the rows one pfa-curves or pmd-curve run writes: a million
+#: pfa-curves rows take about 4 s and 330 MiB on a 2-core x86-64 VM.
+SWEEP_ROW_CAP = 10 ** 6
+#: Largest mode count of pfa-curves and photon number of pmd-curve: the closed
+#: forms run in floats, which hold no count past about 1.8e308.
+SWEEP_COUNT_MAX = 10 ** 308
 
 _CONFIG_KEYS = {
     "n", "m_min", "m_max", "m_points", "m_list", "noise",
     "eta", "eta_min", "eta_max", "eta_points", "csv", "svg",
 }
 #: Config keys that take text, and keys that also take a list of numbers or a
-#: comma-separated string; every other key takes a number.
+#: comma-separated string; every other key takes a number.  Counts must be integers.
 _TEXT_KEYS = {"noise", "csv", "svg"}
 _LIST_KEYS = {"n", "m_list", "eta"}
+_INTEGER_KEYS = {"n", "m_list", "m_min", "m_max", "m_points", "eta_points"}
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +162,17 @@ def load_config(path) -> dict:
             valid, wanted = _is_number(value), "a number"
         if not valid:
             raise ValueError(f"config key {key!r} must be {wanted}, not {json.dumps(value)}")
+        if key in _INTEGER_KEYS:
+            fractional = [v for v in as_number_list(value) if v != int(v)]
+            if fractional:
+                raise ValueError(f"config key {key!r} must hold integers, not {fractional[0]!r}")
     return data
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number; true and false do not count."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """A JSON number within the float range; true, false and nan do not count."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def merge_settings(args, defaults: dict) -> dict:
@@ -178,8 +191,8 @@ def log_grid(m_min: int, m_max: int, points: int) -> list[int]:
     """Log-spaced integer grid, ascending, deduplicated after rounding."""
     if m_min < 1:
         raise ValueError("m_min must be at least 1")
-    if m_max < m_min:
-        raise ValueError("m_max must not be below m_min")
+    if not m_min <= m_max <= SWEEP_COUNT_MAX:
+        raise ValueError("m_max must lie in [m_min, 10^308]")
     if points < 2:
         raise ValueError("need at least 2 grid points")
     if m_min == m_max:
@@ -230,7 +243,7 @@ def as_number_list(value) -> list:
         values = [value]
     else:
         values = list(value)
-    if not all(math.isfinite(v) for v in values):
+    if not all(isinstance(v, int) or math.isfinite(v) for v in values):
         raise ValueError("list values must be finite numbers")
     return values
 
@@ -384,9 +397,8 @@ def cmd_verify(args) -> int:
         raise ValueError("verify needs --max-n >= 0 and --max-m >= 1")
     # each case is charged as the top corner: the commutator loops' 4 M^2 ladder calls
     # or N + 1 steps per oracle amplitude, whichever is more; logs keep hostile sizes cheap
-    log_oracle = math.lgamma(max_n + 2 * max_m) - math.lgamma(max_n + 1) - math.lgamma(2 * max_m)
     log_work = math.log((max_n + 1) * max_m) + max(
-        math.log(4 * max_m ** 2), math.log(max_n + 1) + log_oracle)
+        math.log(4 * max_m ** 2), math.log(max_n + 1) + log_sector_size(max_n, 2 * max_m))
     if log_work > math.log(VERIFY_WORK_CAP):
         print(f"refusing verification: the battery up to N={max_n}, M={max_m} needs about "
               f"10^{log_work / math.log(10):.1f} ladder steps (cap {VERIFY_WORK_CAP}); "
@@ -419,10 +431,11 @@ def pfa_rows(n_values, grid_for, noise_spec):
     """
     rows = []
     for photons in sorted(set(n_values)):
+        grid = grid_for(photons)  # first, so that a bad grid fails before N names are built
         names = [f"term:{k}" for k in range(1, photons + 1)]
         names += ["total", "baseline:1_over_M", "baseline:N_over_M"]
         order = sorted(range(len(names)), key=names.__getitem__)
-        for modes in grid_for(photons):
+        for modes in grid:
             coefficients, _, total = false_alarm_series(
                 photons, modes, make_noise(noise_spec, modes))
             reference = single_photon_baselines(photons, modes)
@@ -434,6 +447,15 @@ def pfa_rows(n_values, grid_for, noise_spec):
                 values = [fmt_sci(float(v)) for v in (*coefficients, total, *baselines)]
             rows.extend((names[i], photons, modes, values[i]) for i in order)
     return rows
+
+
+def _sweep_refused(command: str, rows: int, lower: str) -> bool:
+    """Print a refusal and return True when a sweep of `rows` rows passes SWEEP_ROW_CAP."""
+    if rows <= SWEEP_ROW_CAP:
+        return False
+    print(f"refusing {command}: the sweep needs about 10^{math.log10(rows):.1f} rows "
+          f"(cap {SWEEP_ROW_CAP}); lower {lower}", file=sys.stderr)
+    return True
 
 
 def _write_text(path, chunks) -> None:
@@ -457,25 +479,30 @@ def cmd_pfa_curves(args) -> int:
         "svg": None,
     }
     settings = merge_settings(args, defaults)
-    n_values = [int(n) for n in as_number_list(settings["n"])]
+    n_values = sorted({int(n) for n in as_number_list(settings["n"])})
     if any(n < 0 for n in n_values):
         raise ValueError("photon numbers must be non-negative")
     noise_spec = parse_noise_spec(settings["noise"])
 
     if settings["m_list"] is not None:
         explicit = sorted({int(m) for m in as_number_list(settings["m_list"])})
-        if not explicit or explicit[0] < 1:
-            raise ValueError("m_list needs positive mode counts")
+        if not explicit or not 1 <= explicit[0] <= explicit[-1] <= SWEEP_COUNT_MAX:
+            raise ValueError("m_list needs mode counts in [1, 10^308]")
+        points = len(explicit)
         grid_for = lambda photons: explicit
     else:
         m_max = int(settings["m_max"])
-        m_points = int(settings["m_points"])
+        points = int(settings["m_points"])
         fixed_min = settings["m_min"]
 
-        def grid_for(photons, _mx=m_max, _pts=m_points, _mn=fixed_min):
+        def grid_for(photons, _mx=m_max, _pts=points, _mn=fixed_min):
             low = int(_mn) if _mn is not None else max(photons, 1)
             return log_grid(low, _mx, _pts)
 
+    # each cell writes N terms, the total and two baselines
+    if _sweep_refused("pfa-curves", sum((n + 3) * points for n in n_values),
+                      "--n or --m-points, or shorten --m-list"):
+        return EXIT_CAP
     rows = pfa_rows(n_values, grid_for, noise_spec)
     text = "series,N,M,value\n" + "".join(
         f"{series},{photons},{modes},{value}\n" for series, photons, modes, value in rows
@@ -497,13 +524,17 @@ def cmd_pmd_curve(args) -> int:
     }
     settings = merge_settings(args, defaults)
     n_values = sorted({int(n) for n in as_number_list(settings["n"])})
-    if any(n < 0 for n in n_values):
-        raise ValueError("photon numbers must be non-negative")
+    if any(not 0 <= n <= SWEEP_COUNT_MAX for n in n_values):
+        raise ValueError("photon numbers must lie in [0, 10^308]")
+    points = (len(as_number_list(settings["eta"])) if settings["eta"] is not None
+              else int(settings["eta_points"]))
+    if _sweep_refused("pmd-curve", len(n_values) * points,
+                      "--eta-points or the number of --n and --eta values"):
+        return EXIT_CAP
     if settings["eta"] is not None:
         etas = sorted({float(e) for e in as_number_list(settings["eta"])})
     else:
-        etas = linear_grid(float(settings["eta_min"]), float(settings["eta_max"]),
-                           int(settings["eta_points"]))
+        etas = linear_grid(float(settings["eta_min"]), float(settings["eta_max"]), points)
     if any(not 0.0 <= eta <= 1.0 for eta in etas):
         raise ValueError("eta values must lie in [0, 1]")
     lines = ["N,eta,p_md\n"]

@@ -8,7 +8,6 @@ dwarf the float64 range.  The test suite pins the two routes against each
 other on the region where both apply.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,11 +37,20 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         raise ValueError("parts must be at least 1")
     if total < 0:
         raise ValueError("total must be non-negative")
-    for occupied in itertools.combinations_with_replacement(range(parts), total):
-        counts = [0] * parts
-        for mode in occupied:
-            counts[mode] += 1
+    counts = [total] + [0] * (parts - 1)
+    while True:
         yield tuple(counts)
+        # O(parts) step: move one photon right from the last occupied non-final mode,
+        # gathering the final mode's photons in with it
+        mode = parts - 2
+        while mode >= 0 and not counts[mode]:
+            mode -= 1
+        if mode < 0:
+            return
+        counts[mode] -= 1
+        tail = counts[-1] + 1
+        counts[-1] = 0
+        counts[mode + 1] = tail
 
 
 @dataclass(frozen=True)
@@ -55,30 +63,9 @@ class LogProb:
 
     log_value: float
 
-    @property
-    def is_zero(self) -> bool:
-        return self.log_value == -math.inf
-
-    @property
-    def value(self) -> float:
-        """Plain float value; underflows to 0.0 when too small to represent."""
-        if self.is_zero:
-            return 0.0
-        try:
-            return math.exp(self.log_value)
-        except OverflowError:
-            return math.inf
-
     def __float__(self) -> float:
-        return self.value
-
-    @classmethod
-    def from_value(cls, value: float) -> "LogProb":
-        if value < 0:
-            raise ValueError("negative values have no log representation")
-        if value == 0:
-            return cls(-math.inf)
-        return cls(math.log(value))
+        """Plain float value; underflows to 0.0 when too small to represent."""
+        return math.exp(self.log_value)
 
 
 def sum_log_probs(logs: Iterable[float]) -> LogProb:

@@ -24,7 +24,7 @@ from .combinat import (
     falling_ratio_logs,
     sum_log_probs,
 )
-from .fock import SparseState, combine
+from .fock import SparseState
 from .loss import absorption_weight, check_oracle_size, conditional_state
 
 #: Smallest positive normal float; below it a float keeps fewer than 53 bits.
@@ -239,15 +239,6 @@ def projector_components(
         for absorbed in compositions(photons - returned, modes):
             out.append(conditional_state(photons, modes, absorbed))
     return out
-
-
-def apply_projector(components: list[SparseState], state: SparseState) -> SparseState:
-    """Project a state onto the span of the given orthonormal components."""
-    terms = [(comp.inner(state), comp) for comp in components]
-    terms = [(c, s) for c, s in terms if c != 0]
-    if not terms:
-        return SparseState(state.modes, state.registers)
-    return combine(terms)
 
 
 def p_fa_oracle(photons: int, modes: int, noise) -> float:

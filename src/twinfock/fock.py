@@ -43,20 +43,39 @@ def _check_size(label: str, terms: int, modes: int, registers: int) -> None:
         )
 
 
+def log_sector_size(photons: int, parts: int) -> float:
+    """Natural log of C(photons + parts - 1, photons), from lgamma below 2^53 photons + parts.
+
+    Past that, where lgamma's operands lose digits or overflow, it is the lower
+    bound k log(top / k) of log C(top, k), at least 36 and so past every cap;
+    math.log takes integers of any size.  Inf when even the bound overflows.
+    """
+    top = photons + parts - 1
+    smaller = min(photons, parts - 1)
+    if smaller == 0:
+        return 0.0
+    if top < 2 ** 53:
+        return math.lgamma(photons + parts) - math.lgamma(photons + 1) - math.lgamma(parts)
+    try:
+        return float(smaller) * (math.log(top) - math.log(smaller))
+    except OverflowError:
+        return math.inf
+
+
 def check_sector_size(label: str, photons: int, parts: int, modes: int, registers: int) -> int:
     """Term count C(photons + parts - 1, photons) of photons spread over parts modes.
 
     Raises AmplitudeCapError when a state with that many terms, each over
     `registers` registers of `modes` modes, would break the caps, and
-    ValueError past a key's per-mode count.  An lgamma estimate refuses
-    hostile sizes before the exact binomial is built, so a refusal stays
-    cheap however large the request.
+    ValueError past a key's per-mode count.  The log_sector_size estimate
+    refuses hostile sizes before the exact binomial is built, so a refusal
+    stays cheap however large the request.
     """
     if photons < 0:
         raise ValueError("photons must be non-negative")
     if parts < 1:
         raise ValueError("modes must be at least 1")
-    log_terms = math.lgamma(photons + parts) - math.lgamma(photons + 1) - math.lgamma(parts)
+    log_terms = log_sector_size(photons, parts)
     # the margin of one covers lgamma's rounding; sizes within it get the exact test
     if log_terms > math.log(AMPLITUDE_CAP) + 1.0:
         raise AmplitudeCapError(

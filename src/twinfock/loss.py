@@ -92,27 +92,18 @@ def conditional_state(photons: int, modes: int, absorbed) -> SparseState:
     return SparseState.from_terms(modes, (IDLER, SIGNAL), terms)
 
 
-def loss_component(photons: int, modes: int, eta: float, absorbed) -> LossComponent:
-    """Weight and normalized conditional state for one absorption arrangement.
-
-    Eta enters only the weight; the state is conditional_state's.
-    """
-    absorbed = tuple(absorbed)
-    weight = absorption_weight(photons, modes, eta, absorbed)
-    return LossComponent(absorbed, weight, conditional_state(photons, modes, absorbed))
-
-
 def returned_mixture(photons: int, modes: int, eta: float) -> list[LossComponent]:
     """All components of the returned state, in canonical arrangement order.
 
     Orders by total absorbed count, then descending-lex arrangement; the
     weights sum to one.
     """
-    out = []
-    for lost in range(photons + 1):
-        for absorbed in compositions(lost, modes):
-            out.append(loss_component(photons, modes, eta, absorbed))
-    return out
+    return [
+        LossComponent(absorbed, absorption_weight(photons, modes, eta, absorbed),
+                      conditional_state(photons, modes, absorbed))
+        for lost in range(photons + 1)
+        for absorbed in compositions(lost, modes)
+    ]
 
 
 def check_oracle_size(photons: int, modes: int) -> int:

@@ -61,14 +61,6 @@ def pair_state_recursive(photons: int, modes: int) -> SparseState:
     return state
 
 
-def annihilate_signal(photons: int, modes: int, mode: int) -> SparseState:
-    """Remove one signal photon from the N-pair state in the given mode.
-
-    Annihilating the vacuum (photons = 0) yields the empty state.
-    """
-    return pair_state_direct(photons, modes).annihilate(SIGNAL, mode)
-
-
 def loss_identity_residual(photons: int, modes: int, mode: int) -> float:
     """Residual norm of the single-photon-loss identity.
 
@@ -78,7 +70,7 @@ def loss_identity_residual(photons: int, modes: int, mode: int) -> float:
     """
     if photons < 1:
         raise ValueError("photons must be at least 1")
-    lhs = annihilate_signal(photons, modes, mode)
+    lhs = pair_state_direct(photons, modes).annihilate(SIGNAL, mode)
     rhs = pair_state_direct(photons - 1, modes).create(IDLER, mode)
     scale = math.sqrt(photons / (photons + modes - 1))
     return combine([(1.0, lhs), (-scale, rhs)]).norm()

@@ -33,6 +33,9 @@ from twinfock.detection import (
 from twinfock.states import pair_state_direct
 
 
+HUGE = str(10**400)
+
+
 def run(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -49,7 +52,7 @@ def parse_csv(text):
 
 def test_fmt_log_matches_plain_floats():
     for value in (0.5, 1.0, 2.0, 1e-5, 0.123456789, 3.0):
-        rendered = Decimal(fmt_log(LogProb.from_value(value)))
+        rendered = Decimal(fmt_log(LogProb(math.log(value))))
         assert abs(rendered - Decimal(repr(value))) <= Decimal(repr(value)) * Decimal("1e-14")
 
 
@@ -127,7 +130,8 @@ def test_verify_cap_refusal(capsys):
     assert code == EXIT_CAP
     assert "N=200000" in err and "cap" in err
     # every state of these batteries is small; the number of cases or the key width is not
-    for max_n, max_m in (("0", "100000"), ("100000", "1"), ("0", "2000"), ("2000", "1")):
+    for max_n, max_m in (("0", "100000"), ("100000", "1"), ("0", "2000"), ("2000", "1"),
+                         (HUGE, "1"), (HUGE, HUGE)):
         code, out, err = run(["verify", "--max-n", max_n, "--max-m", max_m], capsys)
         assert code == EXIT_CAP and out == ""
         assert err.startswith("refusing verification:") and f"N={max_n}, M={max_m}" in err
@@ -184,7 +188,7 @@ def test_state_dump_term_count(capsys, tmp_path):
 
 def test_state_dump_cap(capsys, tmp_path):
     path = tmp_path / "refused.tsv"
-    for n, m in (("40", "12"), ("200000", "200000")):
+    for n, m in (("40", "12"), ("200000", "200000"), (HUGE, "2"), ("1", HUGE)):
         code, out, err = run(["state-dump", "--n", n, "--m", m], capsys)
         assert code == EXIT_CAP and out == ""
         assert "cap" in err
@@ -192,6 +196,14 @@ def test_state_dump_cap(capsys, tmp_path):
         assert code == EXIT_CAP and out == ""
         assert "cap" in err
         assert not path.exists()
+
+
+def test_state_dump_photon_bound(capsys):
+    # all photons may share the one mode, past a key's per-mode count
+    for n in ("70000", HUGE):
+        code, out, err = run(["state-dump", "--n", n, "--m", "1"], capsys)
+        assert code == EXIT_INVALID and out == ""
+        assert err.startswith("error: pair state with N=") and err.count("\n") == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -312,7 +324,8 @@ def reference_cell_rows(photons, modes, noise_spec):
     entries["baseline:1_over_M"] = baselines.single_copy
     entries["baseline:N_over_M"] = baselines.repeated_copies
     if log_region:
-        render = lambda v: fmt_log(v if isinstance(v, LogProb) else LogProb.from_value(v))
+        render = lambda v: fmt_log(
+            v if isinstance(v, LogProb) else LogProb(math.log(v) if v else -math.inf))
     else:
         render = lambda v: fmt_sci(float(v))
     return [(name, photons, modes, render(entries[name])) for name in sorted(entries)]
@@ -361,6 +374,11 @@ def test_pfa_invalid_grid(capsys):
     assert code == EXIT_INVALID
     code, _, _ = run(["pfa-curves", "--n", "2", "--m-points", "1"], capsys)
     assert code == EXIT_INVALID
+    # mode counts past the float range, and a grid too short for any photon number
+    for grid in (["--m-max", HUGE, "--m-points", "3"], ["--m-list", HUGE]):
+        code, out, err = run(["pfa-curves", "--n", "1", *grid], capsys)
+        assert code == EXIT_INVALID and out == "" and err.count("\n") == 1
+    assert run(["pfa-curves", "--n", HUGE, "--m-points", "0"], capsys)[0] == EXIT_INVALID
 
 
 def test_pfa_table_noise(capsys, tmp_path):
@@ -424,6 +442,12 @@ def test_config_accepts_scalar_values(capsys, tmp_path):
     assert code == EXIT_OK
     _, rows = parse_csv(out)
     assert rows == [["2", "0.5", "0.25"]]
+    # integral floats are counts
+    config.write_text(json.dumps({"n": [1.0], "m_min": 2.0, "m_max": 8.0, "m_points": 2.0}))
+    code, out, _ = run(["pfa-curves", "--config", str(config)], capsys)
+    assert code == EXIT_OK
+    _, rows = parse_csv(out)
+    assert {(row[1], row[2]) for row in rows} == {("1", "2"), ("1", "8")}
 
 
 def test_pfa_rejects_unknown_config_keys(capsys, tmp_path):
@@ -442,6 +466,14 @@ def test_pfa_rejects_unknown_config_keys(capsys, tmp_path):
     ({"m_max": math.inf}, "config key 'm_max' must be a number, not Infinity"),
     ({"n": [1, None]}, "config key 'n' must be a number, a list of numbers"),
     ({"n": "inf"}, "list values must be finite numbers"),
+    ({"n": 10**400}, "config key 'n' must be a number, a list of numbers"),
+    ({"n": 2.7}, "config key 'n' must hold integers, not 2.7"),
+    ({"n": "3,2.5"}, "config key 'n' must hold integers, not 2.5"),
+    ({"m_list": [4.5]}, "config key 'm_list' must hold integers, not 4.5"),
+    ({"m_min": 1.5}, "config key 'm_min' must hold integers, not 1.5"),
+    ({"m_max": 99.9}, "config key 'm_max' must hold integers, not 99.9"),
+    ({"m_points": 2.5}, "config key 'm_points' must hold integers, not 2.5"),
+    ({"eta_points": 3.25}, "config key 'eta_points' must hold integers, not 3.25"),
 ])
 def test_config_rejects_wrong_value_types(capsys, tmp_path, config, message):
     path = tmp_path / "typed.json"
@@ -451,15 +483,36 @@ def test_config_rejects_wrong_value_types(capsys, tmp_path, config, message):
     assert err.startswith(f"error: {message}")
 
 
+def test_sweep_row_refusal(capsys, tmp_path):
+    # pfa-curves writes N + 3 rows per cell, pmd-curve one per (N, eta); both count first
+    cap = cli.SWEEP_ROW_CAP
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"n": 1e300, "m_list": 5}))
+    for argv in (["pfa-curves", "--n", str(cap - 2), "--m-list", "1"],
+                 ["pfa-curves", "--n", "20000000", "--m-list", "1"],
+                 ["pfa-curves", "--n", "1", "--m-points", "1000000000"],
+                 ["pfa-curves", "--m-points", HUGE],
+                 ["pfa-curves", "--config", str(config)],
+                 ["pmd-curve", "--n", "1", "--n", "2", "--eta-points", str(cap // 2 + 1)],
+                 ["pmd-curve", "--n", "1", "--eta-points", "1000000000"],
+                 ["pmd-curve", "--eta-points", HUGE]):
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_CAP and out == ""
+        assert err.startswith(f"refusing {argv[0]}: the sweep needs about 10^")
+        assert f"rows (cap {cap})" in err and err.count("\n") == 1
+
+
 # -- any arguments --------------------------------------------------------------
 
 small_n = st.integers(-1, 3).map(str)
-hostile = st.integers(100_000, 10**12).map(str)
+hostile = (st.integers(100_000, 10**12) | st.just(10**400)).map(str)
+# past the row cap on a single mode count or eta value, so refused whatever else is drawn
+sweep_hostile = (st.integers(cli.SWEEP_ROW_CAP, 10**12) | st.just(10**400)).map(str)
 text_values = st.sampled_from(["", "thermal:0.5", "thermal:-1", "table:absent.txt", "x"]) | \
     st.text(alphabet="0123456789,.-", max_size=2)
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-3.0, 40.0)
-    | st.sampled_from([math.inf, -math.inf, math.nan]) | text_values,
+    | st.sampled_from([math.inf, -math.inf, math.nan, 1e300, 10**400]) | text_values,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(text_values, inner, max_size=2),
     max_leaves=6,
 )
@@ -484,20 +537,20 @@ def cli_arguments(draw):
         return [command]
     args = [command]
     # P_MD is O(1) in N, so pmd-curve takes hostile photon numbers in milliseconds
-    photons = small_n | hostile if command == "pmd-curve" else small_n
+    photons = small_n | (hostile if command == "pmd-curve" else sweep_hostile)
     for _ in range(draw(st.integers(0, 2))):
         args += ["--n", draw(photons)]
     if command == "pfa-curves":
         # a small upper bound keeps the default photon numbers' grids short or invalid
-        args += ["--m-max", draw(st.integers(-1, 50).map(str))]
-        options = {"--m-min": small_n,
-                   "--m-points": st.integers(-1, 30).map(str),
-                   "--m-list": st.sampled_from(["1", "2,40", "0", "x", ""]),
+        args += ["--m-max", draw((st.integers(-1, 50) | st.just(10**400)).map(str))]
+        options = {"--m-min": small_n | hostile,
+                   "--m-points": st.integers(-1, 30).map(str) | sweep_hostile,
+                   "--m-list": st.sampled_from(["1", "2,40", "0", "x", "", HUGE]),
                    "--noise": text_values}
     else:
-        numbers = st.sampled_from(["0", "0.5", "1", "-0.1", "2", "nan", "inf"])
+        numbers = st.sampled_from(["0", "0.5", "1", "-0.1", "2", "nan", "inf", HUGE])
         options = {"--eta": numbers, "--eta-min": numbers, "--eta-max": numbers,
-                   "--eta-points": st.integers(-1, 30).map(str)}
+                   "--eta-points": st.integers(-1, 30).map(str) | sweep_hostile}
     for flag, values in options.items():
         if draw(st.booleans()):
             args += [flag, draw(values)]
@@ -543,6 +596,11 @@ def test_pmd_large_photon_number(capsys):
     assert code == EXIT_OK
     _, rows = parse_csv(out)
     assert float(rows[0][2]) == pytest.approx(math.exp(100 * math.log(0.9)), rel=1e-12)
+    code, out, _ = run(["pmd-curve", "--n", str(10**12), "--eta", "0.5"], capsys)
+    assert code == EXIT_OK and out == f"N,eta,p_md\n{10**12},0.5,0\n"
+    # a float holds no larger photon number
+    code, out, err = run(["pmd-curve", "--n", HUGE, "--eta", "0.5"], capsys)
+    assert code == EXIT_INVALID and out == "" and err.count("\n") == 1
 
 
 def test_pmd_eta_out_of_range(capsys):

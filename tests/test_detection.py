@@ -9,7 +9,6 @@ from twinfock.combinat import LogProb, count_compositions, falling_ratio_exact
 from twinfock.detection import (
     TableNoise,
     ThermalNoise,
-    apply_projector,
     detection_report,
     false_alarm_series,
     false_alarm_terms,
@@ -208,8 +207,8 @@ def test_projector_idempotent_on_random_states():
             )
             entries.append((counts, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))))
         state = SparseState.from_terms(2, (IDLER, SIGNAL), entries)
-        once = apply_projector(components, state)
-        twice = apply_projector(components, once)
+        once = combine((comp.inner(state), comp) for comp in components)
+        twice = combine((comp.inner(once), comp) for comp in components)
         assert combine([(1.0, once), (-1.0, twice)]).max_abs() < 1e-12
 
 

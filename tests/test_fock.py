@@ -12,6 +12,7 @@ from twinfock.fock import (
     SparseState,
     check_sector_size,
     combine,
+    log_sector_size,
     orthonormality_residual,
 )
 
@@ -181,8 +182,24 @@ def test_mode_count_bounds():
         top.create(IDLER, 0)
     # a sector whose photons could all sit in one mode past the bound is refused unbuilt
     assert check_sector_size("sector", 0xFFFF, 1, 1, 2) == 1
-    with pytest.raises(ValueError):
-        check_sector_size("sector", 0x10000, 1, 1, 2)
+    for photons in (0x10000, 10**400):
+        with pytest.raises(ValueError):
+            check_sector_size("sector", photons, 1, 1, 2)
+
+
+def test_log_sector_size_at_any_size():
+    for photons in range(0, 30):
+        for parts in range(1, 30):
+            exact = math.log(math.comb(photons + parts - 1, photons))
+            assert log_sector_size(photons, parts) == pytest.approx(exact, rel=1e-12, abs=1e-12)
+    # past 2^53 a lower bound, beyond every cap; integers of any size cost nothing
+    for photons, parts in ((2**53, 2), (10**400, 2), (1, 10**400), (10**20, 10**20)):
+        estimate = log_sector_size(photons, parts)
+        assert 36 < estimate <= min(photons, parts - 1) * math.log(photons + parts)
+    assert log_sector_size(10**400, 1) == log_sector_size(0, 10**400) == 0.0
+    assert log_sector_size(10**400, 10**400) == math.inf
+    with pytest.raises(AmplitudeCapError):
+        check_sector_size("sector", 10**400, 10**400, 2, 2)
 
 
 def test_orthonormality_residual_reports_shared_key_overlap():

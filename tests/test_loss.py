@@ -9,7 +9,6 @@ from twinfock.loss import (
     absorption_weight,
     beamsplitter_oracle,
     conditional_state,
-    loss_component,
     returned_mixture,
     split_by_environment,
 )
@@ -130,15 +129,14 @@ def test_weight_validation():
 
 def test_component_nothing_absorbed():
     for eta in ETAS:
-        component = loss_component(2, 2, eta, (0, 0))
-        assert component.weight == pytest.approx(eta ** 2, rel=1e-12)
-        assert amp_diff(component.state, pair_state_direct(2, 2)) < 1e-12
+        assert absorption_weight(2, 2, eta, (0, 0)) == pytest.approx(eta ** 2, rel=1e-12)
+        assert amp_diff(conditional_state(2, 2, (0, 0)), pair_state_direct(2, 2)) < 1e-12
 
 
 def test_component_single_photon_fully_absorbed():
-    component = loss_component(1, 2, 0.7, (1, 0))
-    assert len(component.state) == 1
-    assert component.state.amplitude(((1, 0), (0, 0))) == pytest.approx(1.0)
+    state = conditional_state(1, 2, (1, 0))
+    assert len(state) == 1
+    assert state.amplitude(((1, 0), (0, 0))) == pytest.approx(1.0)
 
 
 def test_component_states_are_normalized():
@@ -146,8 +144,8 @@ def test_component_states_are_normalized():
         for modes in range(1, 4):
             for lost in range(photons + 1):
                 for absorbed in compositions(lost, modes):
-                    component = loss_component(photons, modes, 0.5, absorbed)
-                    assert component.state.norm() == pytest.approx(1.0, abs=1e-12)
+                    state = conditional_state(photons, modes, absorbed)
+                    assert state.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_component_orthonormality():

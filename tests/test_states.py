@@ -6,7 +6,6 @@ import pytest
 from twinfock.combinat import count_compositions
 from twinfock.fock import IDLER, SIGNAL, AmplitudeCapError, SparseState, combine
 from twinfock.states import (
-    annihilate_signal,
     loss_identity_residual,
     pair_create,
     pair_state_direct,
@@ -69,24 +68,24 @@ def test_amplitude_uniformity():
 
 
 def test_annihilate_signal_single_pair():
-    lowered = annihilate_signal(1, 2, 0)
+    lowered = pair_state_direct(1, 2).annihilate(SIGNAL, 0)
     assert len(lowered) == 1
     assert lowered.amplitude(((1, 0), (0, 0))) == pytest.approx(1 / math.sqrt(2))
 
 
 def test_annihilate_signal_norm():
     for modes in range(1, 7):
-        lowered = annihilate_signal(1, modes, 0)
+        lowered = pair_state_direct(1, modes).annihilate(SIGNAL, 0)
         assert lowered.norm_sq() == pytest.approx(1 / modes, rel=1e-12)
 
 
 def test_annihilate_vacuum_pair_state():
-    assert len(annihilate_signal(0, 3, 1)) == 0
+    assert len(pair_state_direct(0, 3).annihilate(SIGNAL, 1)) == 0
 
 
 def test_annihilate_signal_mode_bounds():
     with pytest.raises(ValueError):
-        annihilate_signal(1, 2, 2)
+        pair_state_direct(1, 2).annihilate(SIGNAL, 2)
 
 
 def test_loss_identity_residual_vanishes():
