@@ -12,8 +12,10 @@ exceeded.
 """
 
 import argparse
+import itertools
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -62,7 +64,7 @@ DEFAULT_M_POINTS = 50
 DEFAULT_N_VALUES = [10, 100, 1000]
 DEFAULT_NOISE = "thermal:1"
 #: Ceiling on the rows one pfa-curves or pmd-curve run writes: a million
-#: pfa-curves rows take about 4 s and 330 MiB on a 2-core x86-64 VM.
+#: pfa-curves rows take about 3 s and 28 MiB on a 2-core x86-64 VM.
 SWEEP_ROW_CAP = 10 ** 6
 #: Largest mode count of pfa-curves and photon number of pmd-curve: the closed
 #: forms run in floats, which hold no count past about 1.8e308.
@@ -212,23 +214,17 @@ def linear_grid(low: float, high: float, points: int) -> list[float]:
 
 
 def parse_noise_spec(text: str):
-    """Parse 'thermal:<nbar>' or 'table:<path>' into a reusable spec."""
+    """Parse 'thermal:<nbar>' or 'table:<path>' into a validated modes -> noise model factory."""
     kind, sep, rest = text.partition(":")
     if not sep:
         raise ValueError(f"noise spec {text!r} needs the form thermal:<nbar> or table:<path>")
     if kind == "thermal":
-        # the model's constructor validates nbar; its mode count is fixed per cell later
-        return ("thermal", ThermalNoise(float(rest), 1).nbar)
+        nbar = ThermalNoise(float(rest), 1).nbar  # the model validates nbar; M comes per cell
+        return lambda modes: ThermalNoise(nbar, modes)
     if kind == "table":
-        return ("table", TableNoise.from_file(rest).values)
+        table = TableNoise.from_file(rest)
+        return lambda modes: table
     raise ValueError(f"unknown noise kind {kind!r}")
-
-
-def make_noise(spec, modes: int):
-    kind, payload = spec
-    if kind == "thermal":
-        return ThermalNoise(payload, modes)
-    return TableNoise(payload)
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -421,23 +417,21 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # curve sweeps
 
-def pfa_rows(n_values, grid_for, noise_spec):
-    """Long-format rows (series, N, M, formatted value), ordered by (N, M, series).
+def pfa_lines(grids: dict, noise_for):
+    """The pfa-curves CSV: the header, then one string per (N, M) cell of grids, N -> Ms.
 
-    A cell's values come laid out as term:1..term:N, total and the two
-    baselines; the sorted series order depends on N alone, so it is worked
-    out once per N.  Exact-region values print as the library's floats;
-    past the crossover every value of the cell prints from the log scale.
+    Rows are ordered by (N, M, series); the sorted series order depends on N
+    alone, so it is worked out once per N.  Exact-region values print as the
+    library's floats; past the crossover every value of the cell prints from
+    the log scale, the baselines too.
     """
-    rows = []
-    for photons in sorted(set(n_values)):
-        grid = grid_for(photons)  # first, so that a bad grid fails before N names are built
+    yield "series,N,M,value\n"
+    for photons, grid in grids.items():
         names = [f"term:{k}" for k in range(1, photons + 1)]
         names += ["total", "baseline:1_over_M", "baseline:N_over_M"]
         order = sorted(range(len(names)), key=names.__getitem__)
         for modes in grid:
-            coefficients, _, total = false_alarm_series(
-                photons, modes, make_noise(noise_spec, modes))
+            coefficients, _, total = false_alarm_series(photons, modes, noise_for(modes))
             reference = single_photon_baselines(photons, modes)
             baselines = (reference.single_copy, reference.repeated_copies)
             if isinstance(total, LogProb):
@@ -445,8 +439,8 @@ def pfa_rows(n_values, grid_for, noise_spec):
                 values = _fmt_logs(coefficients + [total.log_value] + baseline_logs)
             else:
                 values = [fmt_sci(float(v)) for v in (*coefficients, total, *baselines)]
-            rows.extend((names[i], photons, modes, values[i]) for i in order)
-    return rows
+            cell = f",{photons},{modes},"
+            yield "".join([f"{names[i]}{cell}{values[i]}\n" for i in order])
 
 
 def _sweep_refused(command: str, rows: int, lower: str) -> bool:
@@ -482,34 +476,28 @@ def cmd_pfa_curves(args) -> int:
     n_values = sorted({int(n) for n in as_number_list(settings["n"])})
     if any(n < 0 for n in n_values):
         raise ValueError("photon numbers must be non-negative")
-    noise_spec = parse_noise_spec(settings["noise"])
+    noise_for = parse_noise_spec(settings["noise"])
 
+    explicit = None
     if settings["m_list"] is not None:
         explicit = sorted({int(m) for m in as_number_list(settings["m_list"])})
         if not explicit or not 1 <= explicit[0] <= explicit[-1] <= SWEEP_COUNT_MAX:
             raise ValueError("m_list needs mode counts in [1, 10^308]")
-        points = len(explicit)
-        grid_for = lambda photons: explicit
-    else:
-        m_max = int(settings["m_max"])
-        points = int(settings["m_points"])
-        fixed_min = settings["m_min"]
-
-        def grid_for(photons, _mx=m_max, _pts=points, _mn=fixed_min):
-            low = int(_mn) if _mn is not None else max(photons, 1)
-            return log_grid(low, _mx, _pts)
+    points = len(explicit) if explicit else int(settings["m_points"])
 
     # each cell writes N terms, the total and two baselines
     if _sweep_refused("pfa-curves", sum((n + 3) * points for n in n_values),
                       "--n or --m-points, or shorten --m-list"):
         return EXIT_CAP
-    rows = pfa_rows(n_values, grid_for, noise_spec)
-    text = "series,N,M,value\n" + "".join(
-        f"{series},{photons},{modes},{value}\n" for series, photons, modes, value in rows
-    )
-    _write_text(settings["csv"], (text,))
+    m_min, m_max = settings["m_min"], int(settings["m_max"])
+    # every grid is built before the first byte, so that a bad one writes nothing
+    grids = {n: explicit or log_grid(max(n, 1) if m_min is None else int(m_min), m_max, points)
+             for n in n_values}
+    lines = pfa_lines(grids, noise_for)
+    lines = list(lines) if settings["svg"] else lines  # only the chart needs the whole sweep
+    _write_text(settings["csv"], lines)
     if settings["svg"]:
-        render_svg(settings["svg"], rows)
+        render_svg(settings["svg"], lines)
     return EXIT_OK
 
 
@@ -537,11 +525,9 @@ def cmd_pmd_curve(args) -> int:
         etas = linear_grid(float(settings["eta_min"]), float(settings["eta_max"]), points)
     if any(not 0.0 <= eta <= 1.0 for eta in etas):
         raise ValueError("eta values must lie in [0, 1]")
-    lines = ["N,eta,p_md\n"]
-    for photons in n_values:
-        for eta in etas:
-            lines.append(f"{photons},{fmt_float(eta)},{fmt_float(p_md_closed(photons, eta))}\n")
-    _write_text(settings["csv"], lines)
+    rows = (f"{photons},{fmt_float(eta)},{fmt_float(p_md_closed(photons, eta))}\n"
+            for photons in n_values for eta in etas)
+    _write_text(settings["csv"], itertools.chain(["N,eta,p_md\n"], rows))
     return EXIT_OK
 
 
@@ -568,15 +554,17 @@ _PALETTE = (
 )
 
 
-def render_svg(path, rows) -> None:
-    """Minimal static log-log chart of the sweep rows; the CSV is the contract."""
-    series: dict[str, list[tuple[int, LogProb]]] = {}
+def render_svg(path, csv_text) -> None:
+    """Minimal static log-log chart of a pfa-curves CSV, given as strings of whole lines."""
+    rows = (line.split(",") for chunk in csv_text for line in chunk.splitlines())
+    next(rows)  # the header
+    series: dict[str, list[tuple[int, float]]] = {}
     for name, photons, modes, value in rows:
         if value == "0":
             continue
         mantissa, _, exponent = value.partition("e")
         log10 = float(exponent) + math.log10(float(mantissa))
-        series.setdefault(f"N={photons} {name}", []).append((modes, log10))
+        series.setdefault(f"N={photons} {name}", []).append((int(modes), log10))
     points = [p for pts in series.values() for p in pts]
     if not points:
         _write_text(path, ("<svg xmlns='http://www.w3.org/2000/svg'/>\n",))
@@ -677,10 +665,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INVALID
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+        return code
     except AmplitudeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except BrokenPipeError:
+        # the reader wants no more; devnull takes the rest, so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -51,9 +51,14 @@ class ThermalNoise:
             raise ValueError("modes must be at least 1")
 
     def _log_parts(self) -> tuple[float, float]:
-        """(M log(1 - x), log x): the k-photon log probability is base + k * step."""
-        x = self.nbar / (1.0 + self.nbar)
-        return self.modes * math.log1p(-x), math.log(x)
+        """(M log(1 - x), log x): the k-photon log probability is base + k * step.
+
+        From nbar, not the rounded x: log(1 - x) = -log1p(nbar), and log x =
+        -log1p(1 / nbar), or log nbar - log1p(nbar) where 1 / nbar may overflow.
+        """
+        nbar = self.nbar
+        step = -math.log1p(1.0 / nbar) if nbar > 1 else math.log(nbar) - math.log1p(nbar)
+        return -self.modes * math.log1p(nbar), step
 
     def arrangement_logs(self, count: int) -> list[float]:
         """Natural logs of arrangement_prob(k) for k = 1..count; -inf stands for zero."""

@@ -245,6 +245,18 @@ class SparseState:
         """Amplitude of one basis arrangement; zero when absent."""
         return self._amps.get(self._pack(counts), 0j)
 
+    def split_last_register(self) -> dict[tuple[int, ...], "SparseState"]:
+        """Map each count tuple of the last register to the unnormalized state of its terms.
+
+        The terms' keys are cut at the register boundary, not unpacked and packed again.
+        """
+        cut = 2 * self.modes * (len(self.registers) - 1)
+        groups: dict[bytes, dict] = {}
+        for key, amp in self._amps.items():
+            groups.setdefault(key[cut:], {})[key[:cut]] = amp
+        unpack, rest = struct.Struct(f">{self.modes}H").unpack, self.registers[:-1]
+        return {unpack(tail): SparseState(self.modes, rest, amps) for tail, amps in groups.items()}
+
 
 def combine(terms: Iterable[tuple[complex, SparseState]]) -> SparseState:
     """Linear combination sum_i c_i |state_i| with post-prune of tiny amplitudes.

@@ -153,18 +153,7 @@ def split_by_environment(state: SparseState) -> list[LossComponent]:
     """
     if state.registers != (IDLER, SIGNAL, BACKGROUND):
         raise ValueError("expected a state over the idler, signal and background registers")
-    groups: dict[tuple[int, ...], list] = {}
-    for (idler, signal, environment), amp in state.terms():
-        groups.setdefault(environment, []).append(((idler, signal), amp))
-    out = []
-    for environment in sorted(groups, key=lambda e: (sum(e), tuple(-c for c in e))):
-        terms = groups[environment]
-        weight = sum(abs(amp) ** 2 for _, amp in terms)
-        norm = math.sqrt(weight)
-        sub = SparseState.from_terms(
-            state.modes,
-            (IDLER, SIGNAL),
-            ((counts, amp / norm) for counts, amp in terms),
-        )
-        out.append(LossComponent(environment, weight, sub))
-    return out
+    groups = state.split_last_register()
+    weights = {environment: sub.norm_sq() for environment, sub in groups.items()}
+    return [LossComponent(e, weights[e], groups[e].scaled(1.0 / math.sqrt(weights[e])))
+            for e in sorted(groups, key=lambda e: (sum(e), tuple(-c for c in e)))]

@@ -3,7 +3,10 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import pytest
@@ -20,11 +23,11 @@ from twinfock.cli import (
     fmt_sci,
     log_grid,
     main,
-    make_noise,
     parse_noise_spec,
-    pfa_rows,
+    pfa_lines,
 )
 from twinfock.detection import (
+    TableNoise,
     ThermalNoise,
     false_alarm_series,
     p_fa_closed,
@@ -78,8 +81,12 @@ def test_log_grid_properties():
     assert log_grid(7, 7, 5) == [7]
 
 
-def test_parse_noise_spec():
-    assert parse_noise_spec("thermal:0.5") == ("thermal", 0.5)
+def test_parse_noise_spec(tmp_path):
+    assert parse_noise_spec("thermal:0.5")(7) == ThermalNoise(0.5, 7)
+    table = tmp_path / "noise.txt"
+    table.write_text("0.2\n0.1\n")
+    noise_for = parse_noise_spec(f"table:{table}")
+    assert noise_for(3) == noise_for(40) == TableNoise((0.2, 0.1))
     for bad in ("thermal:-1", "thermal:nan", "thermal:inf"):
         with pytest.raises(ValueError):
             parse_noise_spec(bad)
@@ -313,9 +320,9 @@ def test_pfa_log_region_term_accuracy(capsys):
             assert abs(printed[f"term:{k}"] / exact - 1) < Decimal("6e-13")
 
 
-def reference_cell_rows(photons, modes, noise_spec):
+def reference_cell(photons, modes, noise_for):
     """One cell's rows rendered value by value, with the series sorted per cell."""
-    coefficients, _, total = false_alarm_series(photons, modes, make_noise(noise_spec, modes))
+    coefficients, _, total = false_alarm_series(photons, modes, noise_for(modes))
     log_region = isinstance(total, LogProb)
     entries = {f"term:{k}": LogProb(c) if log_region else c
                for k, c in enumerate(coefficients, start=1)}
@@ -328,23 +335,29 @@ def reference_cell_rows(photons, modes, noise_spec):
             v if isinstance(v, LogProb) else LogProb(math.log(v) if v else -math.inf))
     else:
         render = lambda v: fmt_sci(float(v))
-    return [(name, photons, modes, render(entries[name])) for name in sorted(entries)]
+    return "".join(f"{name},{photons},{modes},{render(entries[name])}\n"
+                   for name in sorted(entries))
 
 
-noise_specs = st.one_of(
-    st.tuples(st.just("thermal"), st.floats(0.0, 1e3)),
-    st.tuples(st.just("table"), st.lists(st.floats(0.0, 1.0), max_size=45).map(tuple)),
+def table_factory(values):
+    table = TableNoise(values)
+    return lambda modes: table
+
+
+noise_factories = st.one_of(
+    st.floats(0.0, 1e3).map(lambda nbar: parse_noise_spec(f"thermal:{nbar!r}")),
+    st.lists(st.floats(0.0, 1.0), max_size=45).map(tuple).map(table_factory),
 )
 
 
 @settings(max_examples=60, deadline=None)
 @given(photons=st.integers(0, 40), modes=st.lists(st.integers(1, 400), min_size=1, max_size=3),
-       noise_spec=noise_specs)
-def test_pfa_rows_match_per_value_rendering(photons, modes, noise_spec):
+       noise_for=noise_factories)
+def test_pfa_rows_match_per_value_rendering(photons, modes, noise_for):
     # mode counts up to 400 put cells on both sides of the N + M = 200 crossover
     grid = sorted(set(modes))
-    expected = [row for m in grid for row in reference_cell_rows(photons, m, noise_spec)]
-    assert pfa_rows([photons], lambda n: grid, noise_spec) == expected
+    expected = ["series,N,M,value\n"] + [reference_cell(photons, m, noise_for) for m in grid]
+    assert list(pfa_lines({photons: grid}, noise_for)) == expected
 
 
 def test_pfa_rejects_bad_noise_values(capsys, tmp_path):
@@ -369,7 +382,7 @@ def test_pfa_determinism(capsys, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_pfa_invalid_grid(capsys):
+def test_pfa_invalid_grid(capsys, tmp_path):
     code, _, err = run(["pfa-curves", "--n", "2", "--m-min", "0"], capsys)
     assert code == EXIT_INVALID
     code, _, _ = run(["pfa-curves", "--n", "2", "--m-points", "1"], capsys)
@@ -379,6 +392,39 @@ def test_pfa_invalid_grid(capsys):
         code, out, err = run(["pfa-curves", "--n", "1", *grid], capsys)
         assert code == EXIT_INVALID and out == "" and err.count("\n") == 1
     assert run(["pfa-curves", "--n", HUGE, "--m-points", "0"], capsys)[0] == EXIT_INVALID
+    # the second photon number's default grid starts past --m-max: nothing is written;
+    # two points keep the sweep under the row cap, which 50 would pass
+    path = tmp_path / "out.csv"
+    code, out, err = run(["pfa-curves", "--n", "10", "--n", "200000", "--m-points", "2",
+                          "--csv", str(path)], capsys)
+    assert code == EXIT_INVALID and out == "" and err.count("\n") == 1
+    assert not path.exists()
+
+
+def test_pfa_streams_cell_by_cell(capsys, tmp_path):
+    # 20 cells of 1003 rows each: only one cell is held at a time, never the sweep
+    argv = ["pfa-curves", "--n", "1000", "--m-points", "20", "--csv", str(tmp_path / "a.csv")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < 2 * 2 ** 20
+
+
+def test_pfa_thermal_noise_past_float_occupations(capsys):
+    # 1 / (1 + nbar) is below a float's epsilon here; the logs are taken from nbar
+    code, out, err = run(["pfa-curves", "--n", "2", "--m-list", "3", "--noise", "thermal:1e300"],
+                         capsys)
+    assert code == EXIT_OK and err == ""
+    total = next(Decimal(row[3]) for row in parse_csv(out)[1] if row[0] == "total")
+    with localcontext() as ctx:
+        ctx.prec = 40
+        # (1 - x)^3 (x / 2 + x^2 / 6) with 1 - x = 1 / (1 + 1e300) and x = 1 to 1e-300
+        expected = (Decimal(1) / 2 + Decimal(1) / 6) / (1 + Decimal(10) ** 300) ** 3
+        assert abs(total / expected - 1) < Decimal("1e-12")
 
 
 def test_pfa_table_noise(capsys, tmp_path):
@@ -625,3 +671,16 @@ def test_unknown_subcommand_exits_invalid(capsys):
 
 def test_missing_subcommand_exits_invalid(capsys):
     assert main([]) == EXIT_INVALID
+
+
+@pytest.mark.parametrize("argv", [["state-dump", "--n", "14", "--m", "8"],
+                                  ["pfa-curves", "--n", "1000", "--m-points", "20"]])
+def test_reader_closing_stdout_early_is_not_an_error(argv):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    with subprocess.Popen([sys.executable, "-m", "twinfock.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == EXIT_OK and err == b""

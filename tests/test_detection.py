@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,20 @@ def test_thermal_normalization_over_arrangements():
                 if k > 5 and term < 1e-16:
                     break
             assert total == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("nbar", [1e4, 1e8, 1e12])
+def test_thermal_log_total_keeps_its_digits_at_large_occupation(nbar):
+    photons, modes = 3, 1000
+    total = false_alarm_series(photons, modes, ThermalNoise(nbar, modes))[2]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(nbar) / (1 + Decimal(nbar))
+        weighted = sum(Decimal(math.comb(photons - k + modes - 1, modes - 1)) * x ** k
+                       for k in range(1, photons + 1))
+        exact = (weighted / math.comb(photons + modes - 1, modes - 1)).ln() \
+            - modes * (1 + Decimal(nbar)).ln()
+    assert abs(Decimal(total.log_value) - exact) <= 2 * Decimal(math.ulp(float(exact)))
 
 
 def test_table_noise_zero_extension_and_bounds():

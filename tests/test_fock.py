@@ -231,3 +231,16 @@ def test_orthonormality_residual_rejects_mixed_layouts():
             SparseState.vacuum(3, IS),
             SparseState.vacuum(2, (IDLER, SIGNAL, fock.BACKGROUND)),
         ])
+
+
+def test_split_last_register_groups_by_its_counts():
+    rng = random.Random(11)
+    state = random_state(rng, 3, registers=(IDLER, SIGNAL, fock.BACKGROUND), terms=12)
+    groups = state.split_last_register()
+    assert sum(len(part) for part in groups.values()) == len(state)
+    for (idler, signal, background), amp in state.terms():
+        part = groups[background]
+        assert part.registers == IS and part.modes == 3
+        assert part.amplitude((idler, signal)) == amp
+    with pytest.raises(ValueError):
+        SparseState.vacuum(2, (IDLER,)).split_last_register()
