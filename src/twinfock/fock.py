@@ -3,9 +3,14 @@
 States live on one to three registers (idler, signal, background), each
 holding the same number of modes.  Amplitudes sit in a dict keyed by the
 packed per-mode counts, so memory follows the number of occupied basis
-arrangements rather than the Hilbert-space dimension.  Ladder operators and
-linear combinations return new states; a constructed state is treated as
-immutable, which makes concurrent use of distinct states safe.
+arrangements rather than the Hilbert-space dimension.  Ladder operators,
+pair creation and linear combinations return new states; a constructed state
+is treated as immutable, which makes concurrent use of distinct states safe.
+
+The public constructor validates its registers and copies the dict it is
+given.  The operations here build their results through SparseState._adopt
+instead, which takes ownership of a freshly built dict without copying it or
+validating again; the caller must never touch that dict afterwards.
 """
 
 import math
@@ -97,6 +102,10 @@ class SparseState:
     uint16 words, idler register first, so byte order of keys matches
     lexicographic order of the concatenated count vectors.  Per-mode counts
     are limited to 65535, far above anything reachable at desk scale.
+
+    SparseState(...) validates and copies; _adopt trusts a layout taken from
+    a valid state and owns the dict it is handed, which nothing else may
+    mutate afterwards.
     """
 
     __slots__ = ("modes", "registers", "_amps")
@@ -113,6 +122,35 @@ class SparseState:
         self._amps = dict(amplitudes) if amplitudes else {}
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _adopt(cls, modes: int, registers: tuple, amplitudes: dict) -> "SparseState":
+        """Trusted constructor: keeps the given dict as the state's own, unchecked and uncopied.
+
+        For a layout already validated and a dict that no one else holds or
+        will mutate; caps are the caller's to check.
+        """
+        state = cls.__new__(cls)
+        state.modes = modes
+        state.registers = registers
+        state._amps = amplitudes
+        return state
+
+    @classmethod
+    def _from_flat(cls, modes: int, registers: tuple, terms: Iterable) -> "SparseState":
+        """Trusted build from (every register's counts in one tuple, complex amplitude) pairs.
+
+        One precompiled Struct packs all the keys; a count outside [0, 65535]
+        raises ValueError and a state past the caps AmplitudeCapError.
+        """
+        pack = struct.Struct(f">{modes * len(registers)}H").pack
+        try:
+            amplitudes = {pack(*counts): amp for counts, amp in terms}
+        except struct.error:
+            raise ValueError(f"mode counts must be integers in [0, {_MAX_MODE_COUNT}]") from None
+        state = cls._adopt(modes, registers, amplitudes)
+        state._check_caps()
+        return state
 
     @classmethod
     def vacuum(cls, modes: int, registers: Sequence[str]) -> "SparseState":
@@ -178,7 +216,7 @@ class SparseState:
                 raise ValueError("mode count overflow")
             new_key = key[:off] + (n + 1).to_bytes(2, "big") + key[off + 2:]
             out[new_key] = amp * math.sqrt(n + 1)
-        return SparseState(self.modes, self.registers, out)
+        return SparseState._adopt(self.modes, self.registers, out)
 
     def annihilate(self, register: str, mode: int) -> "SparseState":
         """Lower the photon count of one mode, scaling by sqrt(n); empty modes vanish."""
@@ -190,7 +228,45 @@ class SparseState:
                 continue
             new_key = key[:off] + (n - 1).to_bytes(2, "big") + key[off + 2:]
             out[new_key] = amp * math.sqrt(n)
-        return SparseState(self.modes, self.registers, out)
+        return SparseState._adopt(self.modes, self.registers, out)
+
+    def _create_pairs(self, scale: float) -> "SparseState":
+        """scale * sum_i a+_{I,i} a+_{S,i} in one pass; pruned and cap-checked as combine does.
+
+        Each key becomes an integer and a count tuple once; raising mode i in
+        both registers adds a fixed integer to the key.  Modes run outermost
+        and each term is multiplied in the order create(I).create(S) uses, so
+        the result, amplitudes and key order both, equals
+        combine((1.0, create(I, i).create(S, i)) for i).scaled(scale).
+        """
+        idler, signal = self._offset(IDLER, 0) // 2, self._offset(SIGNAL, 0) // 2
+        width = 2 * self.modes * len(self.registers)
+        unpack = struct.Struct(f">{width // 2}H").unpack
+        entries = [(int.from_bytes(key, "big"), unpack(key), amp) for key, amp in self._amps.items()]
+        top = max((max(counts[idler:idler + self.modes] + counts[signal:signal + self.modes])
+                   for _, counts, _ in entries), default=0)
+        if top >= _MAX_MODE_COUNT:
+            raise ValueError("mode count overflow")
+        root = [math.sqrt(n) for n in range(top + 2)]
+        acc: dict[bytes, complex] = {}
+        get = acc.get
+        for mode in range(self.modes):
+            i, s = idler + mode, signal + mode
+            # word w of a key of width // 2 words carries weight 2^(16 (width // 2 - 1 - w))
+            delta = (1 << 8 * (width - 2 - 2 * i)) + (1 << 8 * (width - 2 - 2 * s))
+            for key, counts, amp in entries:
+                new_key = (key + delta).to_bytes(width, "big")
+                acc[new_key] = get(new_key, 0j) + amp * root[counts[i] + 1] * root[counts[s] + 1]
+        coeff = complex(scale)
+        out = {}
+        for key, amp in acc.items():
+            if abs(amp) >= PRUNE_THRESHOLD:
+                amp = coeff * amp
+                if abs(amp) >= PRUNE_THRESHOLD:
+                    out[key] = amp
+        result = SparseState._adopt(self.modes, self.registers, out)
+        result._check_caps()
+        return result
 
     # -- linear algebra ------------------------------------------------------
 
@@ -250,12 +326,15 @@ class SparseState:
 
         The terms' keys are cut at the register boundary, not unpacked and packed again.
         """
+        if len(self.registers) < 2:
+            raise ValueError("splitting off the last register needs at least two registers")
         cut = 2 * self.modes * (len(self.registers) - 1)
         groups: dict[bytes, dict] = {}
         for key, amp in self._amps.items():
             groups.setdefault(key[cut:], {})[key[:cut]] = amp
         unpack, rest = struct.Struct(f">{self.modes}H").unpack, self.registers[:-1]
-        return {unpack(tail): SparseState(self.modes, rest, amps) for tail, amps in groups.items()}
+        return {unpack(tail): SparseState._adopt(self.modes, rest, amps)
+                for tail, amps in groups.items()}
 
 
 def combine(terms: Iterable[tuple[complex, SparseState]]) -> SparseState:
@@ -276,7 +355,7 @@ def combine(terms: Iterable[tuple[complex, SparseState]]) -> SparseState:
         for key, amp in state._amps.items():
             acc[key] = acc.get(key, 0j) + coeff * amp
     pruned = {key: amp for key, amp in acc.items() if abs(amp) >= PRUNE_THRESHOLD}
-    result = SparseState(first.modes, first.registers, pruned)
+    result = SparseState._adopt(first.modes, first.registers, pruned)
     result._check_caps()
     return result
 

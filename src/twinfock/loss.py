@@ -13,6 +13,7 @@ independent cross-check for the whole decomposition.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .combinat import compositions, count_compositions
@@ -87,9 +88,9 @@ def conditional_state(photons: int, modes: int, absorbed) -> SparseState:
         weight = 1
         for mode, count in loaded:
             weight *= math.comb(arrangement[mode] + count, count)
-        idler = tuple(n + a for n, a in zip(arrangement, absorbed))
-        terms.append(((idler, arrangement), math.sqrt(weight / multiplicity)))
-    return SparseState.from_terms(modes, (IDLER, SIGNAL), terms)
+        idler = tuple(map(operator.add, arrangement, absorbed))
+        terms.append((idler + arrangement, complex(math.sqrt(weight / multiplicity))))
+    return SparseState._from_flat(modes, (IDLER, SIGNAL), terms)
 
 
 def returned_mixture(photons: int, modes: int, eta: float) -> list[LossComponent]:

@@ -39,11 +39,14 @@ def pair_state_direct(photons: int, modes: int) -> SparseState:
     )
 
 
-def pair_create(state: SparseState) -> SparseState:
-    """Apply the pair-creation operator sum_i a+_{I,i} a+_{S,i} (no normalization)."""
-    return combine(
-        (1.0, state.create(IDLER, i).create(SIGNAL, i)) for i in range(state.modes)
-    )
+def pair_create(state: SparseState, scale: float = 1.0) -> SparseState:
+    """Apply the pair-creation operator sum_i a+_{I,i} a+_{S,i}, times scale.
+
+    One pass over the amplitudes, pruned as combine prunes and equal bit for
+    bit to summing the per-mode create calls; ValueError when a mode already
+    holds 65535 photons.
+    """
+    return state._create_pairs(scale)
 
 
 def pair_state_recursive(photons: int, modes: int) -> SparseState:
@@ -57,7 +60,7 @@ def pair_state_recursive(photons: int, modes: int) -> SparseState:
     _check_materializable(photons, modes)
     state = SparseState.vacuum(modes, (IDLER, SIGNAL))
     for step in range(1, photons + 1):
-        state = pair_create(state).scaled(1.0 / math.sqrt(step * (step + modes - 1)))
+        state = pair_create(state, 1.0 / math.sqrt(step * (step + modes - 1)))
     return state
 
 

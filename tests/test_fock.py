@@ -242,5 +242,7 @@ def test_split_last_register_groups_by_its_counts():
         part = groups[background]
         assert part.registers == IS and part.modes == 3
         assert part.amplitude((idler, signal)) == amp
-    with pytest.raises(ValueError):
-        SparseState.vacuum(2, (IDLER,)).split_last_register()
+    # refused by an explicit check, also when there is no term to build a group from
+    for single in (SparseState.vacuum(2, (IDLER,)), SparseState(2, (SIGNAL,))):
+        with pytest.raises(ValueError, match="two registers"):
+            single.split_last_register()

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 
 from twinfock.combinat import compositions, count_compositions
-from twinfock.fock import IDLER, AmplitudeCapError, combine, orthonormality_residual
+from twinfock.fock import (
+    IDLER,
+    SIGNAL,
+    AmplitudeCapError,
+    SparseState,
+    combine,
+    orthonormality_residual,
+)
 from twinfock.loss import (
     absorption_weight,
     beamsplitter_oracle,
@@ -110,12 +117,41 @@ def test_conditional_state_matches_laddered_pair_state():
                 assert term_gap(closed, laddered_state(photons, modes, absorbed)) <= 1e-15
 
 
+def from_terms_conditional_state(photons, modes, absorbed):
+    """Reference: the closed-form amplitudes built through the public SparseState.from_terms."""
+    kept = photons - sum(absorbed)
+    multiplicity = math.comb(photons + modes - 1, kept)
+    terms = []
+    for arrangement in compositions(kept, modes):
+        weight = 1
+        for n, a in zip(arrangement, absorbed):
+            weight *= math.comb(n + a, a)
+        idler = tuple(n + a for n, a in zip(arrangement, absorbed))
+        terms.append(((idler, arrangement), math.sqrt(weight / multiplicity)))
+    return SparseState.from_terms(modes, (IDLER, SIGNAL), terms)
+
+
+def test_conditional_state_equals_public_construction():
+    cases = [(4, 3, absorbed) for absorbed in ((0, 0, 0), (1, 0, 0), (0, 2, 1), (0, 0, 4))]
+    cases += [(7, 6, absorbed) for absorbed in ((0,) * 6, (0, 0, 0, 0, 0, 1),
+                                                 (2, 0, 1, 0, 3, 0), (1, 1, 1, 1, 1, 1))]
+    for photons, modes, absorbed in cases:
+        built = conditional_state(photons, modes, absorbed)
+        reference = from_terms_conditional_state(photons, modes, absorbed)
+        assert (built.modes, built.registers) == (reference.modes, reference.registers)
+        assert list(built.terms()) == list(reference.terms())
+        assert all(type(amp) is complex for _, amp in built.terms())
+
+
 def test_conditional_state_refuses_like_pair_state():
     # keeps 40 photons over 12 modes, the sector pair_state_direct(40, 12) refuses
     with pytest.raises(AmplitudeCapError, match="N=40, M=12"):
         conditional_state(41, 12, (1,) + (0,) * 11)
     with pytest.raises(ValueError):
         conditional_state(1, 2, (1, 1))
+    # nothing kept, but the idler mode would hold more than a key word can
+    with pytest.raises(ValueError, match="65535"):
+        conditional_state(0x10000, 1, (0x10000,))
 
 
 def test_weight_validation():

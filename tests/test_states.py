@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+import twinfock.fock as fock
+import twinfock.states as states
 from twinfock.combinat import count_compositions
-from twinfock.fock import IDLER, SIGNAL, AmplitudeCapError, SparseState, combine
+from twinfock.fock import BACKGROUND, IDLER, SIGNAL, AmplitudeCapError, SparseState, combine
 from twinfock.states import (
     loss_identity_residual,
     pair_create,
@@ -105,14 +107,74 @@ def test_loss_identity_requires_photons():
         loss_identity_residual(0, 2, 0)
 
 
-def _random_state(rng, modes):
+def _random_state(rng, modes, registers=IS, terms=3, max_count=2):
     entries = []
-    for _ in range(3):
+    for _ in range(terms):
         counts = tuple(
-            tuple(rng.randint(0, 2) for _ in range(modes)) for _ in IS
+            tuple(rng.randint(0, max_count) for _ in range(modes)) for _ in registers
         )
         entries.append((counts, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))))
-    return SparseState.from_terms(modes, IS, entries)
+    return SparseState.from_terms(modes, registers, entries)
+
+
+def reference_pair_create(state, scale=None):
+    """Pair creation as per-mode ladder calls: create, create, combine, then scaled."""
+    raised = combine((1.0, state.create(IDLER, i).create(SIGNAL, i)) for i in range(state.modes))
+    return raised if scale is None else raised.scaled(scale)
+
+
+def reference_pair_state_recursive(photons, modes):
+    state = SparseState.vacuum(modes, IS)
+    for step in range(1, photons + 1):
+        state = reference_pair_create(state, 1.0 / math.sqrt(step * (step + modes - 1)))
+    return state
+
+
+def test_pair_create_equals_ladder_reference_exactly():
+    # same amplitudes bit for bit and the same key order, not within a tolerance
+    rng = random.Random(2024)
+    for modes in range(1, 5):
+        for registers in (IS, (IDLER, SIGNAL, BACKGROUND)):
+            for _ in range(6):
+                probe = _random_state(rng, modes, registers, terms=8, max_count=4)
+                assert list(pair_create(probe).terms()) == list(reference_pair_create(probe).terms())
+                scale = rng.uniform(0.1, 2.0)
+                assert (list(pair_create(probe, scale).terms())
+                        == list(reference_pair_create(probe, scale).terms()))
+    empty = SparseState(3, IS)
+    assert len(pair_create(empty)) == 0
+
+
+def test_pair_state_recursive_equals_ladder_reference_exactly():
+    for photons, modes in ((6, 5), (11, 8)):
+        built = list(pair_state_recursive(photons, modes).terms())
+        assert built == list(reference_pair_state_recursive(photons, modes).terms())
+
+
+def test_pair_creation_makes_no_ladder_calls(monkeypatch):
+    def refuse(self, register, mode):
+        raise AssertionError("pair creation went through SparseState.create")
+
+    monkeypatch.setattr(SparseState, "create", refuse)
+    assert len(pair_state_recursive(4, 3)) == count_compositions(4, 3)
+    assert len(pair_create(SparseState.vacuum(3, IS))) == 3
+
+
+def test_pair_create_mode_count_overflow():
+    for full in (((0xFFFF,), (0,)), ((0,), (0xFFFF,))):
+        with pytest.raises(ValueError, match="overflow"):
+            pair_create(SparseState.basis(1, IS, full))
+    top = pair_create(SparseState.basis(1, IS, ((0xFFFE,), (0xFFFE,))))
+    assert top.amplitude(((0xFFFF,), (0xFFFF,))) == 0xFFFF
+
+
+def test_pair_state_recursive_checks_each_step_against_the_cap(monkeypatch):
+    # the up-front sector check is bypassed, so only the per-step check can refuse
+    monkeypatch.setattr(states, "_check_materializable", lambda photons, modes: None)
+    monkeypatch.setattr(fock, "AMPLITUDE_CAP", 5)
+    assert len(pair_state_recursive(1, 3)) == 3
+    with pytest.raises(AmplitudeCapError):
+        pair_state_recursive(3, 3)
 
 
 def test_pair_creation_commutators():
