@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .combinat import (
     EXACT_CROSSOVER,
@@ -24,7 +24,7 @@ from .combinat import (
     falling_ratio_logs,
     sum_log_probs,
 )
-from .fock import SparseState
+from .fock import SIGNAL, SparseState
 from .loss import absorption_weight, check_oracle_size, conditional_state
 
 #: Smallest positive normal float; below it a float keeps fewer than 53 bits.
@@ -246,33 +246,41 @@ def projector_components(
     return out
 
 
-def p_fa_oracle(photons: int, modes: int, noise) -> float:
-    """Brute-force false-alarm probability as a trace against the noise state.
+def p_fa_trace(photons: int, modes: int, noise, components: Iterable[SparseState]) -> float:
+    """Trace of the noise-only ensemble against the projector onto the given components.
 
     The noise-only ensemble is diagonal in the photon-number basis: a
-    uniformly random idler arrangement tensored with environment content
-    carrying its arrangement probability.  The projector trace is the sum of
-    squared overlaps |<basis|component>|^2 weighted by each basis state's
-    ensemble probability; basis states absent from a component overlap it
-    with zero, so walking the component amplitudes covers the whole sum (a
-    component term meets the ensemble state whose environment equals the
-    term's returned-signal arrangement).  Intended for small instances: the
-    components hold at most C(N + 2M - 1, N) amplitudes in total, the
-    beamsplitter oracle's size, so sizes past its caps raise
-    AmplitudeCapError up front.
+    uniformly random idler arrangement of the N photons over M modes,
+    tensored with environment content carrying its arrangement probability.
+    The trace is the sum of squared overlaps |<basis|component>|^2 weighted
+    by each basis state's ensemble probability; basis states absent from a
+    component overlap it with zero, so walking the component amplitudes
+    covers the whole sum (a component term meets the ensemble state whose
+    environment equals the term's returned-signal arrangement).  A term with
+    no returned photon adds nothing, so the components of every absorbed
+    arrangement may be passed: the all-absorbed ones leave the sum as it is.
     """
     _check_noise_modes(noise, modes)
-    check_oracle_size(photons, modes)
-    components = projector_components(photons, modes)
     uniform = 1.0 / count_compositions(photons, modes)
     probs = {k: noise.arrangement_prob(k) for k in range(1, photons + 1)}
     total = 0.0
     for component in components:
-        for (_idler, returned), amp in component.terms():
-            prob = probs.get(sum(returned), 0.0)
+        for returned, amp in component.register_totals(SIGNAL):
+            prob = probs.get(returned, 0.0)
             if prob:
                 total += uniform * prob * abs(amp) ** 2
     return total
+
+
+def p_fa_oracle(photons: int, modes: int, noise) -> float:
+    """Brute-force false-alarm probability: p_fa_trace over projector_components.
+
+    Intended for small instances: the components hold at most
+    C(N + 2M - 1, N) amplitudes in total, the beamsplitter oracle's size, so
+    sizes past its caps raise AmplitudeCapError up front.
+    """
+    check_oracle_size(photons, modes)
+    return p_fa_trace(photons, modes, noise, projector_components(photons, modes))
 
 
 def p_md_oracle(photons: int, modes: int, eta: float) -> float:

@@ -260,9 +260,9 @@ class SparseState:
         coeff = complex(scale)
         out = {}
         for key, amp in acc.items():
-            if abs(amp) >= PRUNE_THRESHOLD:
+            if not abs(amp) < PRUNE_THRESHOLD:
                 amp = coeff * amp
-                if abs(amp) >= PRUNE_THRESHOLD:
+                if not abs(amp) < PRUNE_THRESHOLD:
                     out[key] = amp
         result = SparseState._adopt(self.modes, self.registers, out)
         result._check_caps()
@@ -301,8 +301,22 @@ class SparseState:
         return combine([(coeff, self)])
 
     def max_abs(self) -> float:
-        """Largest amplitude magnitude; zero for the empty state."""
-        return max((abs(amp) for amp in self._amps.values()), default=0.0)
+        """Largest amplitude magnitude; zero for the empty state, NaN if any amplitude is NaN."""
+        return nan_max(map(abs, self._amps.values()))
+
+    def max_abs_diff(self, other: "SparseState") -> float:
+        """Largest |self - other| amplitude, compared key by key; no difference state is built.
+
+        Returns what combine([(1, self), (-1, other)]).max_abs() returns for
+        finite amplitudes: a gap below PRUNE_THRESHOLD counts as zero.  NaN
+        when any compared amplitude is NaN.
+        """
+        self._check_compatible(other)
+        mine, theirs = self._amps, other._amps
+        gaps = [abs(amp - theirs.get(key, 0j)) for key, amp in mine.items()]
+        gaps += [abs(amp) for key, amp in theirs.items() if key not in mine]
+        worst = nan_max(gaps)
+        return 0.0 if worst < PRUNE_THRESHOLD else worst
 
     # -- inspection ----------------------------------------------------------
 
@@ -316,6 +330,18 @@ class SparseState:
         """Iterate (per-register count tuples, amplitude) pairs, unordered."""
         for key, amp in self._amps.items():
             yield self._unpack(key), amp
+
+    def register_totals(self, register: str) -> Iterator[tuple[int, complex]]:
+        """Iterate (photons in the register, amplitude) pairs in storage order.
+
+        The total is read from the register's packed words; no key is unpacked
+        into per-register tuples.
+        """
+        start = self._offset(register, 0)
+        stop = start + 2 * self.modes
+        unpack = struct.Struct(f">{self.modes}H").unpack
+        for key, amp in self._amps.items():
+            yield sum(unpack(key[start:stop])), amp
 
     def amplitude(self, counts) -> complex:
         """Amplitude of one basis arrangement; zero when absent."""
@@ -337,11 +363,23 @@ class SparseState:
                 for tail, amps in groups.items()}
 
 
+def nan_max(values: Iterable[float]) -> float:
+    """Largest of non-negative values, 0.0 when there are none, NaN when any is NaN.
+
+    max() alone keeps or drops a NaN depending on where it stands; the sum of
+    non-negative values is NaN only when one of them is.
+    """
+    values = list(values)
+    if math.isnan(sum(values)):
+        return math.nan
+    return max(values, default=0.0)
+
+
 def combine(terms: Iterable[tuple[complex, SparseState]]) -> SparseState:
     """Linear combination sum_i c_i |state_i| with post-prune of tiny amplitudes.
 
-    Amplitudes below PRUNE_THRESHOLD are dropped; the result must respect
-    the amplitude cap or AmplitudeCapError is raised.
+    Amplitudes below PRUNE_THRESHOLD are dropped, NaN ones kept; the result
+    must respect the amplitude cap or AmplitudeCapError is raised.
     """
     terms = [(complex(c), s) for c, s in terms]
     if not terms:
@@ -354,27 +392,27 @@ def combine(terms: Iterable[tuple[complex, SparseState]]) -> SparseState:
             continue
         for key, amp in state._amps.items():
             acc[key] = acc.get(key, 0j) + coeff * amp
-    pruned = {key: amp for key, amp in acc.items() if abs(amp) >= PRUNE_THRESHOLD}
+    pruned = {key: amp for key, amp in acc.items() if not abs(amp) < PRUNE_THRESHOLD}
     result = SparseState._adopt(first.modes, first.registers, pruned)
     result._check_caps()
     return result
 
 
 def orthonormality_residual(states: Sequence[SparseState]) -> float:
-    """Largest |<a|b> - delta_ab| over every pair of the given states.
+    """Largest |<a|b> - delta_ab| over every pair of the given states; NaN if any is NaN.
 
     Each basis key is indexed to the states holding it, so only pairs that
     share a key are multiplied; every other pair overlaps in an exact zero,
     which is what inner() returns for it.  Cost follows the total amplitude
     count rather than the number of pairs.
     """
-    worst = 0.0
+    residuals = []
     # a key held by one state maps to its index; a list starts at the second holder
     holders: dict[bytes, int | list[int]] = {}
     overlaps: dict[tuple[int, int], complex] = {}
     for i, state in enumerate(states):
         states[0]._check_compatible(state)
-        worst = max(worst, abs(state.inner(state) - 1.0))
+        residuals.append(abs(state.inner(state) - 1.0))
         for key, amp in state._amps.items():
             earlier = holders.setdefault(key, i)
             if earlier == i:
@@ -384,4 +422,4 @@ def orthonormality_residual(states: Sequence[SparseState]) -> float:
             for j in earlier:
                 overlaps[j, i] = overlaps.get((j, i), 0j) + states[j]._amps[key].conjugate() * amp
             earlier.append(i)
-    return max(worst, max(map(abs, overlaps.values()), default=0.0))
+    return nan_max(residuals + list(map(abs, overlaps.values())))

@@ -12,12 +12,21 @@ oracle that tracks the environment register explicitly is provided as the
 independent cross-check for the whole decomposition.
 """
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 
 from .combinat import compositions, count_compositions
-from .fock import BACKGROUND, IDLER, SIGNAL, SparseState, check_sector_size, combine
+from .fock import (
+    BACKGROUND,
+    IDLER,
+    PRUNE_THRESHOLD,
+    SIGNAL,
+    SparseState,
+    check_sector_size,
+    combine,
+)
 
 
 @dataclass(frozen=True)
@@ -116,33 +125,41 @@ def check_oracle_size(photons: int, modes: int) -> int:
 def beamsplitter_oracle(photons: int, modes: int, eta: float) -> SparseState:
     """Exact tripartite state after the beamsplitter, built by ladder operators.
 
-    Loads each idler arrangement as a basis state, then routes every signal
-    photon through the splitter as sqrt(eta) a+_S + sqrt(1-eta) a+_B, one
-    binomial expansion per photon.  The j-th photon routed into a mode is
-    weighted by 1/sqrt(j), which spreads the 1/sqrt(n!) normalisation over
-    the ladder steps: each partial term is a normalized Fock state, so no
-    amplitude exceeds one at any photon number.  Intended for small
+    Each signal mode holding c photons leaves the splitter as
+    (sqrt(eta) a+_S + sqrt(1-eta) a+_B)^c / sqrt(c!) |0>, a product of
+    single-mode outputs.  Those are built once for c = 0..N, by routing one
+    photon at a time, one binomial expansion per photon.  The j-th photon
+    routed into a mode is weighted by 1/sqrt(j), which spreads the 1/sqrt(c!)
+    normalisation over the ladder steps: each partial output is a normalized
+    state, so no amplitude exceeds one at any photon number, and neither does
+    a product of them.  Each amplitude of the product is then written
+    once per idler arrangement, and pruned once.  Intended for small
     instances; the result holds C(N + 2M - 1, N) amplitudes.
     """
     _check_loss_args(photons, modes, eta, (0,) * modes)
     check_oracle_size(photons, modes)
-    registers = (IDLER, SIGNAL, BACKGROUND)
     keep = math.sqrt(eta)
     leak = math.sqrt(1.0 - eta)
+    outputs = [SparseState.vacuum(1, (SIGNAL, BACKGROUND))]
+    for j in range(1, photons + 1):
+        step = 1.0 / math.sqrt(j)
+        outputs.append(combine([
+            (keep * step, outputs[-1].create(SIGNAL, 0)),
+            (leak * step, outputs[-1].create(BACKGROUND, 0)),
+        ]))
+    # factors[c]: (signal count, background count, amplitude) of each term of the c-photon output
+    factors = [[(s, b, amp) for ((s,), (b,)), amp in output.terms()] for output in outputs]
     scale = 1.0 / math.sqrt(count_compositions(photons, modes))
-    empty = (0,) * modes
-    pieces = []
-    for arrangement in compositions(photons, modes):
-        term = SparseState.from_terms(modes, registers, [((arrangement, empty, empty), 1.0)])
-        for mode, count in enumerate(arrangement):
-            for j in range(1, count + 1):
-                step = 1.0 / math.sqrt(j)
-                term = combine([
-                    (keep * step, term.create(SIGNAL, mode)),
-                    (leak * step, term.create(BACKGROUND, mode)),
-                ])
-        pieces.append((scale, term))
-    return combine(pieces)
+
+    def terms():
+        for arrangement in compositions(photons, modes):
+            for picks in itertools.product(*map(factors.__getitem__, arrangement)):
+                signal, background, amps = zip(*picks)
+                amp = scale * math.prod(amps)
+                if not abs(amp) < PRUNE_THRESHOLD:
+                    yield arrangement + signal + background, amp
+
+    return SparseState._from_flat(modes, (IDLER, SIGNAL, BACKGROUND), terms())
 
 
 def split_by_environment(state: SparseState) -> list[LossComponent]:

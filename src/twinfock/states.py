@@ -32,11 +32,9 @@ def pair_terms(photons: int, modes: int) -> tuple[float, Iterator[tuple[int, ...
 def pair_state_direct(photons: int, modes: int) -> SparseState:
     """Equal-weight superposition of |n, n> over all arrangements |n| = photons."""
     amp, arrangements = pair_terms(photons, modes)
-    return SparseState.from_terms(
-        modes,
-        (IDLER, SIGNAL),
-        (((arrangement, arrangement), amp) for arrangement in arrangements),
-    )
+    amp = complex(amp)
+    return SparseState._from_flat(
+        modes, (IDLER, SIGNAL), ((arrangement + arrangement, amp) for arrangement in arrangements))
 
 
 def pair_create(state: SparseState, scale: float = 1.0) -> SparseState:

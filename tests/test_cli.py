@@ -12,7 +12,7 @@ from decimal import Decimal, localcontext
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from twinfock import cli
+from twinfock import cli, states
 from twinfock.combinat import LogProb
 from twinfock.cli import (
     EXIT_CAP,
@@ -31,8 +31,11 @@ from twinfock.detection import (
     ThermalNoise,
     false_alarm_series,
     p_fa_closed,
+    p_fa_oracle,
     single_photon_baselines,
 )
+from twinfock.fock import IDLER, SIGNAL, SparseState
+from twinfock.loss import returned_mixture
 from twinfock.states import pair_state_direct
 
 
@@ -163,6 +166,50 @@ def test_verify_failure_marks_only_the_failing_check(capsys, monkeypatch, excess
     assert lines[0] == "verification up to N=1, M=2"
     statuses = [line.rsplit("  ", 1)[1] for line in lines[1:]]
     assert statuses == ["FAIL" if i == failing else "PASS" for i in range(len(VERIFY_CHECKS))]
+
+
+def test_nan_amplitude_makes_amplitude_residuals_nan(monkeypatch):
+    nan_state = SparseState.from_terms(
+        2, (IDLER, SIGNAL), [(((1, 0), (1, 0)), complex(math.nan)), (((0, 1), (0, 1)), 0.5)])
+    finite = SparseState.from_terms(2, (IDLER, SIGNAL), [(((0, 1), (0, 1)), 0.5)])
+    assert math.isnan(cli._max_amp_diff(nan_state, finite))
+    assert math.isnan(cli._max_amp_diff(finite, nan_state))
+    case = cli.VerifyCase(1, 2, probe=nan_state, direct=finite, components=[], weights={})
+    assert math.isnan(cli._commutator(case, SIGNAL, IDLER))
+    assert math.isnan(cli._commutator(case, IDLER, SIGNAL))
+
+    build = states.pair_state_direct
+
+    def poisoned(photons, modes):
+        terms = list(build(photons, modes).terms())
+        terms[0] = (terms[0][0], complex(math.nan))
+        return SparseState.from_terms(modes, (IDLER, SIGNAL), terms)
+
+    monkeypatch.setattr(states, "pair_state_direct", poisoned)
+    # the first term of the 2-pair state, (2, 0), holds both photons in mode 0
+    assert math.isnan(states.loss_identity_residual(2, 2, 0))
+
+
+def test_verify_residual_maxima_keep_a_nan_in_any_position(monkeypatch):
+    # max() keeps a NaN only when it comes first; here it comes last
+    monkeypatch.setattr(cli, "loss_identity_residual",
+                        lambda photons, modes, mode: math.nan if mode == modes - 1 else 0.0)
+    case = cli.VerifyCase(2, 3, probe=SparseState.vacuum(3, (IDLER, SIGNAL)),
+                          direct=pair_state_direct(2, 3), components=[], weights={})
+    assert math.isnan(cli._signal_loss(case))
+
+
+def test_verify_false_alarm_check_equals_the_oracle_residual():
+    for photons in range(0, 5):
+        for modes in range(1, 4):
+            mixture = returned_mixture(photons, modes, 0.3)
+            case = cli.VerifyCase(photons, modes, probe=SparseState.vacuum(modes, (IDLER, SIGNAL)),
+                                  direct=pair_state_direct(photons, modes),
+                                  components=[(c.absorbed, c.state) for c in mixture], weights={})
+            table = TableNoise(tuple(0.12 / (k + 1) for k in range(photons)))
+            expected = max(abs(p_fa_closed(photons, modes, noise) - p_fa_oracle(photons, modes, noise))
+                           for noise in (ThermalNoise(0.5, modes), table))
+            assert cli._false_alarm(case) == expected
 
 
 # -- state-dump ---------------------------------------------------------------

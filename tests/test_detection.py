@@ -15,6 +15,7 @@ from twinfock.detection import (
     false_alarm_terms,
     p_fa_closed,
     p_fa_oracle,
+    p_fa_trace,
     p_md_closed,
     p_md_oracle,
     projector_components,
@@ -163,6 +164,45 @@ def test_closed_vs_oracle_thermal():
                 noise = ThermalNoise(nbar, modes)
                 assert abs(p_fa_closed(photons, modes, noise)
                            - p_fa_oracle(photons, modes, noise)) < 1e-10
+
+
+def terms_walking_p_fa(photons, modes, noise):
+    """Reference trace: every component term unpacked through terms(), the signal summed."""
+    uniform = 1.0 / count_compositions(photons, modes)
+    probs = {k: noise.arrangement_prob(k) for k in range(1, photons + 1)}
+    total = 0.0
+    for component in projector_components(photons, modes):
+        for (_idler, returned), amp in component.terms():
+            prob = probs.get(sum(returned), 0.0)
+            if prob:
+                total += uniform * prob * abs(amp) ** 2
+    return total
+
+
+def seeded_noise_cases():
+    rng = random.Random(1107)
+    for photons in range(0, 5):
+        for modes in range(1, 4):
+            yield photons, modes, ThermalNoise(rng.uniform(0.05, 3.0), modes)
+            yield photons, modes, TableNoise(tuple(rng.uniform(0, 0.3) for _ in range(photons)))
+
+
+def test_p_fa_oracle_equals_terms_walking_reference():
+    # the same sum in the same order: equal bits, not within a tolerance
+    for photons, modes, noise in seeded_noise_cases():
+        assert p_fa_oracle(photons, modes, noise) == terms_walking_p_fa(photons, modes, noise)
+
+
+def test_trace_over_mixture_components_equals_oracle():
+    # verify traces every returned_mixture component; the all-absorbed ones add exactly zero
+    for photons, modes, noise in seeded_noise_cases():
+        states = [c.state for c in loss.returned_mixture(photons, modes, 0.3)]
+        assert p_fa_trace(photons, modes, noise, states) == p_fa_oracle(photons, modes, noise)
+
+
+def test_trace_rejects_mismatched_noise_modes():
+    with pytest.raises(ValueError):
+        p_fa_trace(2, 3, ThermalNoise(0.5, 2), projector_components(2, 3))
 
 
 def test_noise_modes_mismatch_rejected():

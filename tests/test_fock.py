@@ -246,3 +246,53 @@ def test_split_last_register_groups_by_its_counts():
     for single in (SparseState.vacuum(2, (IDLER,)), SparseState(2, (SIGNAL,))):
         with pytest.raises(ValueError, match="two registers"):
             single.split_last_register()
+
+
+def test_max_abs_diff_equals_max_abs_of_the_difference_state():
+    rng = random.Random(808)
+    pairs = []
+    for modes in range(1, 4):
+        for _ in range(20):
+            a = random_state(rng, modes, terms=6)
+            pairs.append((a, random_state(rng, modes, terms=6)))
+            # same support, gaps near and below the prune threshold
+            nudged = [(counts, amp + complex(rng.choice((0.3, 3.0, 30.0)) * PRUNE_THRESHOLD))
+                      for counts, amp in a.terms()]
+            pairs.append((a, SparseState.from_terms(modes, IS, nudged)))
+            pairs.append((a, a))
+    pairs.append((SparseState(2, IS), SparseState(2, IS)))
+    pairs.append((SparseState(2, IS), SparseState.vacuum(2, IS)))
+    for a, b in pairs:
+        for left, right in ((a, b), (b, a)):
+            assert left.max_abs_diff(right) == combine([(1, left), (-1, right)]).max_abs()
+    with pytest.raises(ValueError):
+        SparseState.vacuum(2, IS).max_abs_diff(SparseState.vacuum(3, IS))
+
+
+def test_nan_amplitudes_survive_prune_and_maxima():
+    nan_term = (((1, 0), (0, 1)), complex(math.nan, 0.0))
+    finite = [(((0, 1), (1, 0)), 0.5), (((2, 0), (0, 2)), 0.25)]
+    for terms in ([nan_term] + finite, finite + [nan_term]):
+        state = SparseState.from_terms(2, IS, terms)
+        assert math.isnan(state.max_abs())
+        assert len(combine([(1.0, state)])) == 3
+        assert len(state.scaled(0.5)) == 3
+        assert math.isnan(fock.SparseState._create_pairs(state, 1.0).max_abs())
+        clean = SparseState.from_terms(2, IS, finite)
+        assert math.isnan(state.max_abs_diff(clean))
+        assert math.isnan(clean.max_abs_diff(state))
+        assert math.isnan(orthonormality_residual([clean.scaled(1 / clean.norm()), state]))
+    assert fock.nan_max([]) == 0.0
+    assert fock.nan_max([0.5, math.inf, 2.0]) == math.inf
+    assert math.isnan(fock.nan_max([3.0, math.nan, 1.0]))
+
+
+def test_register_totals_sum_the_register_counts():
+    rng = random.Random(31)
+    registers = (IDLER, SIGNAL, fock.BACKGROUND)
+    state = random_state(rng, 3, registers=registers, terms=10, max_count=5)
+    for index, register in enumerate(registers):
+        expected = [(sum(counts[index]), amp) for counts, amp in state.terms()]
+        assert list(state.register_totals(register)) == expected
+    with pytest.raises(ValueError):
+        list(SparseState.vacuum(2, IS).register_totals(fock.BACKGROUND))

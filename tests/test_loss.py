@@ -5,6 +5,7 @@ import pytest
 
 from twinfock.combinat import compositions, count_compositions
 from twinfock.fock import (
+    BACKGROUND,
     IDLER,
     SIGNAL,
     AmplitudeCapError,
@@ -307,3 +308,51 @@ def test_oracle_imaginary_parts_stay_tiny():
     oracle = beamsplitter_oracle(3, 2, 0.3)
     for _, amp in oracle.terms():
         assert abs(amp.imag) < 1e-14
+
+
+def ladder_oracle(photons, modes, eta):
+    """Reference: every idler arrangement loaded alone, its signal photons routed one by one."""
+    registers = (IDLER, SIGNAL, BACKGROUND)
+    keep, leak = math.sqrt(eta), math.sqrt(1.0 - eta)
+    scale = 1.0 / math.sqrt(count_compositions(photons, modes))
+    empty = (0,) * modes
+    pieces = []
+    for arrangement in compositions(photons, modes):
+        term = SparseState.from_terms(modes, registers, [((arrangement, empty, empty), 1.0)])
+        for mode, count in enumerate(arrangement):
+            for j in range(1, count + 1):
+                step = 1.0 / math.sqrt(j)
+                term = combine([
+                    (keep * step, term.create(SIGNAL, mode)),
+                    (leak * step, term.create(BACKGROUND, mode)),
+                ])
+        pieces.append((scale, term))
+    return combine(pieces)
+
+
+def test_oracle_matches_per_photon_ladder_reference():
+    cases = [(n, m, eta) for n in range(0, 5) for m in range(1, 4)
+             for eta in (0.0, 0.2, 0.5, 0.8, 1.0)]
+    cases += [(n, 1, eta) for n in (171, 200) for eta in (0.0, 0.2, 0.5, 0.8, 1.0)]
+    for photons, modes, eta in cases:
+        built = dict(beamsplitter_oracle(photons, modes, eta).terms())
+        reference = dict(ladder_oracle(photons, modes, eta).terms())
+        assert built.keys() == reference.keys(), (photons, modes, eta)
+        assert max((abs(built[k] - reference[k]) for k in built), default=0.0) <= 1e-15
+
+
+def test_oracle_routes_each_photon_count_once(monkeypatch):
+    # the single-mode outputs are built once for c = 0..N, whatever the mode count
+    calls = []
+    create = SparseState.create
+
+    def counting(self, register, mode):
+        calls.append(register)
+        return create(self, register, mode)
+
+    monkeypatch.setattr(SparseState, "create", counting)
+    for photons, modes in ((0, 3), (1, 1), (3, 1), (3, 4), (5, 3), (7, 6)):
+        calls.clear()
+        beamsplitter_oracle(photons, modes, 0.4)
+        assert len(calls) == 2 * photons, (photons, modes)
+        assert calls.count(SIGNAL) == calls.count(BACKGROUND) == photons
