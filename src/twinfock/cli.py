@@ -44,7 +44,7 @@ from .fock import (
 from .loss import (
     absorption_weight,
     beamsplitter_oracle,
-    returned_mixture,
+    conditional_states,
     split_by_environment,
 )
 from .states import (
@@ -269,10 +269,11 @@ class VerifyCase:
 
     photons: int
     modes: int
-    probe: SparseState   # random idler/signal state for the operator identities
-    direct: SparseState  # pair_state_direct(photons, modes)
-    components: list     # (absorbed, state) pairs of returned_mixture; states carry no eta
-    weights: dict        # eta -> absorption_weight of each component, for each verify eta
+    probe: SparseState            # random idler/signal state for the operator identities
+    direct: SparseState           # pair_state_direct(photons, modes)
+    previous: SparseState | None  # the previous case's direct, (N-1) pairs; None at N = 0
+    components: list              # (absorbed, state) pairs of conditional_states; no eta
+    weights: dict                 # eta -> absorption_weight of each component, for each verify eta
 
 
 def _random_state(rng: random.Random, modes: int, registers, max_count: int) -> SparseState:
@@ -283,10 +284,6 @@ def _random_state(rng: random.Random, modes: int, registers, max_count: int) -> 
         )
         terms.append((counts, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))))
     return SparseState.from_terms(modes, registers, terms)
-
-
-def _max_amp_diff(a: SparseState, b: SparseState) -> float:
-    return a.max_abs_diff(b)
 
 
 def _commutator(case: VerifyCase, register: str, partner: str) -> float:
@@ -306,7 +303,7 @@ def _commutator(case: VerifyCase, register: str, partner: str) -> float:
 def _signal_loss(case: VerifyCase) -> float:
     if case.photons < 1:
         return 0.0
-    return nan_max(loss_identity_residual(case.photons, case.modes, j) for j in range(case.modes))
+    return loss_identity_residual(case.photons, case.direct, case.previous)
 
 
 def _uniformity(case: VerifyCase) -> float:
@@ -324,15 +321,15 @@ def _decomposition(case: VerifyCase) -> float:
             if other is None:
                 residuals.append(weight)
             else:
-                residuals += [abs(weight - other.weight), _max_amp_diff(state, other.state)]
+                residuals += [abs(weight - other.weight), state.max_abs_diff(other.state)]
     return nan_max(residuals)
 
 
 def _false_alarm(case: VerifyCase) -> float:
     """Closed form against the trace over the case's own components, which carry no eta.
 
-    They are projector_components plus the all-absorbed ones, in the same
-    order; those add exactly zero, so the trace equals p_fa_oracle bit for bit.
+    They are the states p_fa_oracle traces plus the all-absorbed ones, in the
+    same order; those add exactly zero, so the trace equals p_fa_oracle bit for bit.
     """
     photons, modes = case.photons, case.modes
     states = [state for _, state in case.components]
@@ -350,7 +347,7 @@ CHECKS = (
     ("pair-creation commutator (idler)", 1e-12, lambda c: _commutator(c, IDLER, SIGNAL)),
     ("signal-loss identity", 1e-12, _signal_loss),
     ("direct vs recursive build", 1e-12,
-     lambda c: _max_amp_diff(c.direct, pair_state_recursive(c.photons, c.modes))),
+     lambda c: c.direct.max_abs_diff(pair_state_recursive(c.photons, c.modes))),
     ("amplitude uniformity", 1e-12, _uniformity),
     ("mixture completeness", 1e-10,
      lambda c: nan_max(abs(sum(weights) - 1.0) for weights in c.weights.values())),
@@ -369,16 +366,20 @@ def run_verification(max_n: int, max_m: int) -> list[CheckResult]:
     rng = random.Random(20240901)
     worst = [0.0] * len(CHECKS)
     for modes in range(1, max_m + 1):
+        previous = None
         for photons in range(0, max_n + 1):
-            mixture = returned_mixture(photons, modes, _VERIFY_ETAS[0])
+            components = list(conditional_states(photons, modes))
             case = VerifyCase(
                 photons, modes,
                 probe=_random_state(rng, modes, (IDLER, SIGNAL), max_count=2),
                 direct=pair_state_direct(photons, modes),
-                components=[(c.absorbed, c.state) for c in mixture],
-                weights={eta: [absorption_weight(photons, modes, eta, c.absorbed) for c in mixture]
+                previous=previous,
+                components=components,
+                weights={eta: [absorption_weight(photons, modes, eta, absorbed)
+                               for absorbed, _ in components]
                          for eta in _VERIFY_ETAS},
             )
+            previous = case.direct
             for index, (_, _, residual) in enumerate(CHECKS):
                 # a NaN residual stays the worst, so that its check fails
                 worst[index] = nan_max((worst[index], residual(case)))

@@ -9,6 +9,7 @@ falls off as the mode count grows.  Closed forms are paired with
 brute-force trace oracles over explicitly materialized states.
 """
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from .combinat import (
     sum_log_probs,
 )
 from .fock import SIGNAL, SparseState
-from .loss import absorption_weight, check_oracle_size, conditional_state
+from .loss import absorption_weight, check_oracle_size, conditional_states
 
 #: Smallest positive normal float; below it a float keeps fewer than 53 bits.
 _FLOAT_MIN = sys.float_info.min
@@ -223,29 +224,6 @@ def p_fa_closed(photons: int, modes: int, noise) -> float:
     return float(false_alarm_series(photons, modes, noise)[2])
 
 
-def projector_components(
-    photons: int,
-    modes: int,
-    window: tuple[int, int] | None = None,
-) -> list[SparseState]:
-    """Orthonormal acceptance components, one per absorbed arrangement.
-
-    The default window (1, photons) accepts any outcome with at least one
-    returned photon; narrower windows restrict the accepted returned-photon
-    range.
-    """
-    if photons < 0:
-        raise ValueError("photons must be non-negative")
-    low, high = window if window is not None else (1, photons)
-    if window is not None and not (1 <= low <= high <= photons):
-        raise ValueError("window must satisfy 1 <= low <= high <= photons")
-    out = []
-    for returned in range(high, low - 1, -1):
-        for absorbed in compositions(photons - returned, modes):
-            out.append(conditional_state(photons, modes, absorbed))
-    return out
-
-
 def p_fa_trace(photons: int, modes: int, noise, components: Iterable[SparseState]) -> float:
     """Trace of the noise-only ensemble against the projector onto the given components.
 
@@ -273,14 +251,18 @@ def p_fa_trace(photons: int, modes: int, noise, components: Iterable[SparseState
 
 
 def p_fa_oracle(photons: int, modes: int, noise) -> float:
-    """Brute-force false-alarm probability: p_fa_trace over projector_components.
+    """Brute-force false-alarm probability: p_fa_trace over the accepting conditional_states.
 
-    Intended for small instances: the components hold at most
-    C(N + 2M - 1, N) amplitudes in total, the beamsplitter oracle's size, so
-    sizes past its caps raise AmplitudeCapError up front.
+    The acceptance projector spans the components with at least one returned
+    photon, which conditional_states yields first; the trace stops at the
+    first all-absorbed one.  Intended for small instances: the components
+    hold at most C(N + 2M - 1, N) amplitudes in total, the beamsplitter
+    oracle's size, so sizes past its caps raise AmplitudeCapError up front.
     """
     check_oracle_size(photons, modes)
-    return p_fa_trace(photons, modes, noise, projector_components(photons, modes))
+    accepted = itertools.takewhile(lambda item: sum(item[0]) < photons,
+                                   conditional_states(photons, modes))
+    return p_fa_trace(photons, modes, noise, (state for _, state in accepted))
 
 
 def p_md_oracle(photons: int, modes: int, eta: float) -> float:

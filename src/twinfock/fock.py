@@ -7,12 +7,14 @@ arrangements rather than the Hilbert-space dimension.  Ladder operators,
 pair creation and linear combinations return new states; a constructed state
 is treated as immutable, which makes concurrent use of distinct states safe.
 
-The public constructor validates its registers and copies the dict it is
-given.  The operations here build their results through SparseState._adopt
-instead, which takes ownership of a freshly built dict without copying it or
-validating again; the caller must never touch that dict afterwards.
+The public constructors validate their registers and counts: SparseState(...)
+makes an empty state, from_terms packs given terms.  The operations here
+build their results through SparseState._adopt instead, which takes
+ownership of a freshly built dict without copying it or validating again;
+the caller must never touch that dict afterwards.
 """
 
+import itertools
 import math
 import struct
 from typing import Iterable, Iterator, Sequence
@@ -103,14 +105,14 @@ class SparseState:
     lexicographic order of the concatenated count vectors.  Per-mode counts
     are limited to 65535, far above anything reachable at desk scale.
 
-    SparseState(...) validates and copies; _adopt trusts a layout taken from
-    a valid state and owns the dict it is handed, which nothing else may
-    mutate afterwards.
+    SparseState(...) validates the layout of an empty state; _adopt trusts a
+    layout taken from a valid state and owns the dict it is handed, which
+    nothing else may mutate afterwards.
     """
 
     __slots__ = ("modes", "registers", "_amps")
 
-    def __init__(self, modes: int, registers: Sequence[str], amplitudes: dict | None = None):
+    def __init__(self, modes: int, registers: Sequence[str]):
         registers = tuple(registers)
         if modes < 1:
             raise ValueError("modes must be at least 1")
@@ -119,7 +121,7 @@ class SparseState:
             raise ValueError(f"registers must be a non-empty ordered subset of {REGISTER_ORDER}")
         self.modes = modes
         self.registers = registers
-        self._amps = dict(amplitudes) if amplitudes else {}
+        self._amps = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -165,27 +167,23 @@ class SparseState:
 
     @classmethod
     def from_terms(cls, modes: int, registers: Sequence[str], terms: Iterable) -> "SparseState":
-        """Build a state from (per-register count tuples, amplitude) pairs."""
-        state = cls(modes, registers)
-        for counts, amp in terms:
-            state._amps[state._pack(counts)] = complex(amp)
-        state._check_caps()
-        return state
+        """Build a state from (per-register count tuples, amplitude) pairs.
+
+        Checks that each term has one count vector of `modes` counts per
+        register, then packs the keys as _from_flat does; ValueError otherwise.
+        """
+        registers = cls(modes, registers).registers  # validates the layout
+
+        def flat(counts) -> tuple:
+            if len(counts) != len(registers):
+                raise ValueError(f"expected counts for registers {registers}")
+            if any(len(vector) != modes for vector in counts):
+                raise ValueError(f"each register needs {modes} mode counts")
+            return tuple(itertools.chain.from_iterable(counts))
+
+        return cls._from_flat(modes, registers, ((flat(counts), complex(amp)) for counts, amp in terms))
 
     # -- key packing -------------------------------------------------------
-
-    def _pack(self, counts) -> bytes:
-        if len(counts) != len(self.registers):
-            raise ValueError(f"expected counts for registers {self.registers}")
-        flat = []
-        for vector in counts:
-            if len(vector) != self.modes:
-                raise ValueError(f"each register needs {self.modes} mode counts")
-            flat.extend(vector)
-        try:
-            return struct.pack(f">{len(flat)}H", *flat)
-        except struct.error:
-            raise ValueError(f"mode counts must be integers in [0, {_MAX_MODE_COUNT}]") from None
 
     def _unpack(self, key: bytes) -> tuple[tuple[int, ...], ...]:
         flat = struct.unpack(f">{len(key) // 2}H", key)
@@ -344,8 +342,9 @@ class SparseState:
             yield sum(unpack(key[start:stop])), amp
 
     def amplitude(self, counts) -> complex:
-        """Amplitude of one basis arrangement; zero when absent."""
-        return self._amps.get(self._pack(counts), 0j)
+        """Amplitude of one basis arrangement, its key packed as from_terms packs; zero when absent."""
+        (key,) = SparseState.from_terms(self.modes, self.registers, [(counts, 0)])._amps
+        return self._amps.get(key, 0j)
 
     def split_last_register(self) -> dict[tuple[int, ...], "SparseState"]:
         """Map each count tuple of the last register to the unnormalized state of its terms.

@@ -16,6 +16,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from typing import Iterator
 
 from .combinat import compositions, count_compositions
 from .fock import (
@@ -102,18 +103,23 @@ def conditional_state(photons: int, modes: int, absorbed) -> SparseState:
     return SparseState._from_flat(modes, (IDLER, SIGNAL), terms)
 
 
-def returned_mixture(photons: int, modes: int, eta: float) -> list[LossComponent]:
-    """All components of the returned state, in canonical arrangement order.
+def conditional_states(photons: int, modes: int) -> Iterator[tuple[tuple[int, ...], SparseState]]:
+    """Lazily yield (absorbed, conditional_state) for every absorbed arrangement.
 
-    Orders by total absorbed count, then descending-lex arrangement; the
-    weights sum to one.
+    The canonical order: total absorbed count ascending, then descending-lex
+    arrangement.  The states carry no eta, and no weight is computed.
     """
-    return [
-        LossComponent(absorbed, absorption_weight(photons, modes, eta, absorbed),
-                      conditional_state(photons, modes, absorbed))
-        for lost in range(photons + 1)
-        for absorbed in compositions(lost, modes)
-    ]
+    if photons < 0:
+        raise ValueError("photons must be non-negative")
+    for lost in range(photons + 1):
+        for absorbed in compositions(lost, modes):
+            yield absorbed, conditional_state(photons, modes, absorbed)
+
+
+def returned_mixture(photons: int, modes: int, eta: float) -> list[LossComponent]:
+    """All components of the returned state: conditional_states with their weights, which sum to one."""
+    return [LossComponent(absorbed, absorption_weight(photons, modes, eta, absorbed), state)
+            for absorbed, state in conditional_states(photons, modes)]
 
 
 def check_oracle_size(photons: int, modes: int) -> int:

@@ -12,7 +12,7 @@ import math
 from typing import Iterator
 
 from .combinat import compositions
-from .fock import IDLER, SIGNAL, SparseState, check_sector_size, combine
+from .fock import IDLER, SIGNAL, SparseState, check_sector_size, combine, nan_max
 
 
 def _check_materializable(photons: int, modes: int) -> int:
@@ -62,16 +62,20 @@ def pair_state_recursive(photons: int, modes: int) -> SparseState:
     return state
 
 
-def loss_identity_residual(photons: int, modes: int, mode: int) -> float:
-    """Residual norm of the single-photon-loss identity.
+def loss_identity_residual(photons: int, state: SparseState, previous: SparseState) -> float:
+    """Largest residual norm, over the modes, of the single-photon-loss identity.
 
     Losing one signal photon from the N-pair state equals, up to the factor
     sqrt(N / (N + M - 1)), adding one idler photon to the (N-1)-pair state;
-    the returned norm of the difference should be zero to float precision.
+    given those two states, the norm of the difference should be zero to
+    float precision in every mode.  NaN if any mode's residual is.
     """
     if photons < 1:
         raise ValueError("photons must be at least 1")
-    lhs = pair_state_direct(photons, modes).annihilate(SIGNAL, mode)
-    rhs = pair_state_direct(photons - 1, modes).create(IDLER, mode)
+    modes = state.modes
     scale = math.sqrt(photons / (photons + modes - 1))
-    return combine([(1.0, lhs), (-scale, rhs)]).norm()
+    return nan_max(
+        combine([(1.0, state.annihilate(SIGNAL, mode)),
+                  (-scale, previous.create(IDLER, mode))]).norm()
+        for mode in range(modes)
+    )

@@ -35,7 +35,7 @@ from twinfock.detection import (
     single_photon_baselines,
 )
 from twinfock.fock import IDLER, SIGNAL, SparseState
-from twinfock.loss import returned_mixture
+from twinfock.loss import conditional_states
 from twinfock.states import pair_state_direct
 
 
@@ -168,44 +168,62 @@ def test_verify_failure_marks_only_the_failing_check(capsys, monkeypatch, excess
     assert statuses == ["FAIL" if i == failing else "PASS" for i in range(len(VERIFY_CHECKS))]
 
 
-def test_nan_amplitude_makes_amplitude_residuals_nan(monkeypatch):
+def test_nan_amplitude_makes_amplitude_residuals_nan():
     nan_state = SparseState.from_terms(
         2, (IDLER, SIGNAL), [(((1, 0), (1, 0)), complex(math.nan)), (((0, 1), (0, 1)), 0.5)])
     finite = SparseState.from_terms(2, (IDLER, SIGNAL), [(((0, 1), (0, 1)), 0.5)])
-    assert math.isnan(cli._max_amp_diff(nan_state, finite))
-    assert math.isnan(cli._max_amp_diff(finite, nan_state))
-    case = cli.VerifyCase(1, 2, probe=nan_state, direct=finite, components=[], weights={})
+    assert math.isnan(nan_state.max_abs_diff(finite))
+    assert math.isnan(finite.max_abs_diff(nan_state))
+    case = cli.VerifyCase(1, 2, probe=nan_state, direct=finite, previous=None,
+                          components=[], weights={})
     assert math.isnan(cli._commutator(case, SIGNAL, IDLER))
     assert math.isnan(cli._commutator(case, IDLER, SIGNAL))
 
+    # the first term of the 2-pair state, (2, 0), holds both photons in mode 0
+    poisoned = _poison(pair_state_direct(2, 2), lambda arrangement: arrangement == (2, 0))
+    assert math.isnan(states.loss_identity_residual(2, poisoned, pair_state_direct(1, 2)))
+
+
+def _poison(state, where):
+    """The pair state with a NaN amplitude on each term |n, n> whose n satisfies where."""
+    terms = [(counts, complex(math.nan) if where(counts[0]) else amp)
+             for counts, amp in state.terms()]
+    return SparseState.from_terms(state.modes, (IDLER, SIGNAL), terms)
+
+
+def test_verify_residual_maxima_keep_a_nan_in_any_position():
+    # max() keeps a NaN only when it comes first; here only the last mode's residual
+    # is NaN: the poisoned term holds both photons in mode 2, which the other
+    # modes' annihilators send to zero
+    direct = _poison(pair_state_direct(2, 3), lambda arrangement: arrangement == (0, 0, 2))
+    case = cli.VerifyCase(2, 3, probe=SparseState.vacuum(3, (IDLER, SIGNAL)), direct=direct,
+                          previous=pair_state_direct(1, 3), components=[], weights={})
+    assert not any(math.isnan(direct.annihilate(SIGNAL, j).max_abs()) for j in (0, 1))
+    assert math.isnan(cli._signal_loss(case))
+
+
+def test_verify_builds_each_pair_state_once(monkeypatch):
+    built = []
     build = states.pair_state_direct
 
-    def poisoned(photons, modes):
-        terms = list(build(photons, modes).terms())
-        terms[0] = (terms[0][0], complex(math.nan))
-        return SparseState.from_terms(modes, (IDLER, SIGNAL), terms)
+    def counting(photons, modes):
+        built.append((photons, modes))
+        return build(photons, modes)
 
-    monkeypatch.setattr(states, "pair_state_direct", poisoned)
-    # the first term of the 2-pair state, (2, 0), holds both photons in mode 0
-    assert math.isnan(states.loss_identity_residual(2, 2, 0))
-
-
-def test_verify_residual_maxima_keep_a_nan_in_any_position(monkeypatch):
-    # max() keeps a NaN only when it comes first; here it comes last
-    monkeypatch.setattr(cli, "loss_identity_residual",
-                        lambda photons, modes, mode: math.nan if mode == modes - 1 else 0.0)
-    case = cli.VerifyCase(2, 3, probe=SparseState.vacuum(3, (IDLER, SIGNAL)),
-                          direct=pair_state_direct(2, 3), components=[], weights={})
-    assert math.isnan(cli._signal_loss(case))
+    monkeypatch.setattr(cli, "pair_state_direct", counting)
+    monkeypatch.setattr(states, "pair_state_direct", counting)
+    cli.run_verification(6, 5)
+    assert len(built) == 35
+    assert len(set(built)) == 35
 
 
 def test_verify_false_alarm_check_equals_the_oracle_residual():
     for photons in range(0, 5):
         for modes in range(1, 4):
-            mixture = returned_mixture(photons, modes, 0.3)
             case = cli.VerifyCase(photons, modes, probe=SparseState.vacuum(modes, (IDLER, SIGNAL)),
-                                  direct=pair_state_direct(photons, modes),
-                                  components=[(c.absorbed, c.state) for c in mixture], weights={})
+                                  direct=pair_state_direct(photons, modes), previous=None,
+                                  components=list(conditional_states(photons, modes)),
+                                  weights={})
             table = TableNoise(tuple(0.12 / (k + 1) for k in range(photons)))
             expected = max(abs(p_fa_closed(photons, modes, noise) - p_fa_oracle(photons, modes, noise))
                            for noise in (ThermalNoise(0.5, modes), table))

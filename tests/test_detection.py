@@ -18,10 +18,11 @@ from twinfock.detection import (
     p_fa_trace,
     p_md_closed,
     p_md_oracle,
-    projector_components,
     single_photon_baselines,
 )
 from twinfock import detection, loss
+from twinfock.combinat import compositions
+from twinfock.loss import conditional_state, conditional_states
 from twinfock.fock import IDLER, SIGNAL, AmplitudeCapError, SparseState, combine
 
 
@@ -167,11 +168,13 @@ def test_closed_vs_oracle_thermal():
 
 
 def terms_walking_p_fa(photons, modes, noise):
-    """Reference trace: every component term unpacked through terms(), the signal summed."""
+    """Reference trace: every accepting component's terms unpacked through terms(), the signal summed."""
     uniform = 1.0 / count_compositions(photons, modes)
     probs = {k: noise.arrangement_prob(k) for k in range(1, photons + 1)}
     total = 0.0
-    for component in projector_components(photons, modes):
+    accepting = (conditional_state(photons, modes, absorbed)
+                 for lost in range(photons) for absorbed in compositions(lost, modes))
+    for component in accepting:
         for (_idler, returned), amp in component.terms():
             prob = probs.get(sum(returned), 0.0)
             if prob:
@@ -202,7 +205,7 @@ def test_trace_over_mixture_components_equals_oracle():
 
 def test_trace_rejects_mismatched_noise_modes():
     with pytest.raises(ValueError):
-        p_fa_trace(2, 3, ThermalNoise(0.5, 2), projector_components(2, 3))
+        p_fa_trace(2, 3, ThermalNoise(0.5, 2), [state for _, state in conditional_states(2, 3)])
 
 
 def test_noise_modes_mismatch_rejected():
@@ -233,26 +236,36 @@ def test_oracles_refuse_hostile_sizes_up_front():
 
 
 def test_projector_rank():
+    # one component per arrangement of 0..N absorbed photons over M modes
     for photons in range(0, 5):
         for modes in range(1, 4):
-            components = projector_components(photons, modes)
-            expected = sum(count_compositions(k, modes) for k in range(photons))
-            assert len(components) == expected
+            components = list(conditional_states(photons, modes))
+            assert len(components) == math.comb(photons + modes, modes)
 
 
-def test_projector_components_compute_no_weights(monkeypatch):
+def test_p_fa_oracle_builds_only_accepting_states_and_no_weights(monkeypatch):
     def refuse(*args):
         raise AssertionError("absorption_weight called")
 
+    built = []
+    build = loss.conditional_state
+
+    def counting(photons, modes, absorbed):
+        built.append(absorbed)
+        return build(photons, modes, absorbed)
+
     monkeypatch.setattr(loss, "absorption_weight", refuse)
     monkeypatch.setattr(detection, "absorption_weight", refuse)
-    # C(N+M, M) arrangements of 0..N absorbed photons, less the C(N+M-1, M-1) absorbing all
-    assert len(projector_components(3, 2)) == 10 - 4
+    monkeypatch.setattr(loss, "conditional_state", counting)
+    p_fa_oracle(7, 6, ThermalNoise(0.4, 6))
+    # C(13, 6) = 1,716 arrangements, less the C(12, 5) = 792 that absorb all 7 photons,
+    # plus the first of those, which ends the trace
+    assert 0 < len(built) <= 925
 
 
 def test_projector_idempotent_on_random_states():
     rng = random.Random(99)
-    components = projector_components(3, 2)
+    components = [state for _, state in conditional_states(3, 2)]
     for _ in range(5):
         entries = []
         for _ in range(4):
@@ -265,16 +278,6 @@ def test_projector_idempotent_on_random_states():
         once = combine((comp.inner(state), comp) for comp in components)
         twice = combine((comp.inner(once), comp) for comp in components)
         assert combine([(1.0, once), (-1.0, twice)]).max_abs() < 1e-12
-
-
-def test_projector_window():
-    full = projector_components(3, 2)
-    narrowed = projector_components(3, 2, window=(2, 3))
-    expected = sum(count_compositions(3 - r, 2) for r in (2, 3))
-    assert len(narrowed) == expected
-    assert len(narrowed) < len(full)
-    with pytest.raises(ValueError):
-        projector_components(3, 2, window=(0, 3))
 
 
 def test_coefficients_decrease_with_modes():

@@ -100,6 +100,27 @@ def test_register_validation():
         SparseState.vacuum(2, ("X",))
 
 
+def test_constructor_takes_no_raw_amplitudes():
+    # a raw dict would skip key packing: a key of the wrong width breaks terms() and create()
+    with pytest.raises(TypeError):
+        SparseState(2, IS, {b"x": 1})
+    assert len(SparseState(2, IS)) == 0
+
+
+def test_from_terms_and_amplitude_check_the_shape_of_counts():
+    with pytest.raises(ValueError, match="expected counts for registers"):
+        SparseState.from_terms(2, IS, [(((1, 0),), 1.0)])
+    with pytest.raises(ValueError, match="each register needs 2 mode counts"):
+        SparseState.from_terms(2, IS, [(((1, 0), (1,)), 1.0)])
+    with pytest.raises(ValueError, match="each register needs 2 mode counts"):
+        SparseState.vacuum(2, IS).amplitude(((1, 0), (1, 0, 0)))
+    # a repeated arrangement keeps its last amplitude; amplitude() packs keys as from_terms does
+    state = SparseState.from_terms(2, IS, [(((1, 0), (1, 0)), 1.0), (((1, 0), (1, 0)), 0.5)])
+    assert len(state) == 1
+    assert state.amplitude(((1, 0), (1, 0))) == 0.5
+    assert state.amplitude(((0, 1), (1, 0))) == 0j
+
+
 def test_operator_argument_validation():
     vac = SparseState.vacuum(2, IS)
     with pytest.raises(ValueError):

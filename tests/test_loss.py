@@ -17,6 +17,7 @@ from twinfock.loss import (
     absorption_weight,
     beamsplitter_oracle,
     conditional_state,
+    conditional_states,
     returned_mixture,
     split_by_environment,
 )
@@ -212,6 +213,42 @@ def test_mixture_completeness():
                 mixture = returned_mixture(photons, modes, eta)
                 assert sum(c.weight for c in mixture) == pytest.approx(1.0, abs=1e-10)
                 assert all(c.weight >= 0 for c in mixture)
+
+
+def test_conditional_states_are_the_mixture_without_weights(monkeypatch):
+    for photons in range(0, 5):
+        for modes in range(1, 4):
+            mixture = returned_mixture(photons, modes, 0.4)
+            listed = list(conditional_states(photons, modes))
+            assert [absorbed for absorbed, _ in listed] == [c.absorbed for c in mixture]
+            for (_, state), component in zip(listed, mixture):
+                assert list(state._amps.items()) == list(component.state._amps.items())
+
+    def refuse(*args):
+        raise AssertionError("absorption_weight called")
+
+    monkeypatch.setattr("twinfock.loss.absorption_weight", refuse)
+    assert len(list(conditional_states(3, 2))) == math.comb(5, 2)
+
+
+def test_conditional_states_build_lazily(monkeypatch):
+    built = []
+    build = conditional_state
+    monkeypatch.setattr("twinfock.loss.conditional_state",
+                        lambda *args: built.append(args) or build(*args))
+    components = conditional_states(7, 6)
+    assert built == []
+    absorbed, state = next(components)
+    assert absorbed == (0,) * 6 and len(built) == 1
+    assert state.max_abs_diff(pair_state_direct(7, 6)) == 0.0
+
+
+def test_negative_photon_counts_are_refused():
+    # range(photons + 1) alone would enumerate nothing and return an empty mixture
+    with pytest.raises(ValueError):
+        list(conditional_states(-1, 2))
+    with pytest.raises(ValueError):
+        returned_mixture(-1, 2, 0.5)
 
 
 def test_mixture_single_pair_example():

@@ -93,18 +93,35 @@ def test_annihilate_signal_mode_bounds():
 def test_loss_identity_residual_vanishes():
     for photons in range(1, 7):
         for modes in range(1, 6):
-            for mode in range(modes):
-                assert loss_identity_residual(photons, modes, mode) < 1e-12
+            state, previous = pair_state_direct(photons, modes), pair_state_direct(photons - 1, modes)
+            assert loss_identity_residual(photons, state, previous) < 1e-12
 
 
 def test_loss_identity_single_mode():
     # one mode: both sides are proportional to |N, N-1>
-    assert loss_identity_residual(3, 1, 0) < 1e-12
+    assert loss_identity_residual(3, pair_state_direct(3, 1), pair_state_direct(2, 1)) < 1e-12
 
 
 def test_loss_identity_requires_photons():
     with pytest.raises(ValueError):
-        loss_identity_residual(0, 2, 0)
+        loss_identity_residual(0, pair_state_direct(0, 2), pair_state_direct(0, 2))
+
+
+def test_loss_identity_builds_no_state(monkeypatch):
+    state, previous = pair_state_direct(2, 3), pair_state_direct(1, 3)
+
+    def refuse(*args):
+        raise AssertionError("pair state built")
+
+    monkeypatch.setattr(states, "pair_state_direct", refuse)
+    monkeypatch.setattr(states, "pair_state_recursive", refuse)
+    assert loss_identity_residual(2, state, previous) < 1e-12
+
+
+def test_loss_identity_mismatched_states_leave_a_residual():
+    # the 2-pair state against itself as the "previous" state: the identity does not hold
+    state = pair_state_direct(2, 3)
+    assert loss_identity_residual(2, state, state) > 0.1
 
 
 def _random_state(rng, modes, registers=IS, terms=3, max_count=2):
