@@ -49,7 +49,6 @@ from .loss import (
 )
 from .states import (
     loss_identity_residual,
-    pair_create,
     pair_state_direct,
     pair_state_recursive,
     pair_terms,
@@ -60,10 +59,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INVALID = 2
 EXIT_CAP = 3
 
-DEFAULT_M_MAX = 100_000
-DEFAULT_M_POINTS = 50
 DEFAULT_N_VALUES = [10, 100, 1000]
-DEFAULT_NOISE = "thermal:1"
 #: Ceiling on the rows one pfa-curves or pmd-curve run writes: a million
 #: pfa-curves rows take about 3 s and 28 MiB on a 2-core x86-64 VM.
 SWEEP_ROW_CAP = 10 ** 6
@@ -71,15 +67,32 @@ SWEEP_ROW_CAP = 10 ** 6
 #: forms run in floats, which hold no count past about 1.8e308.
 SWEEP_COUNT_MAX = 10 ** 308
 
-_CONFIG_KEYS = {
-    "n", "m_min", "m_max", "m_points", "m_list", "noise",
-    "eta", "eta_min", "eta_max", "eta_points", "csv", "svg",
+#: Kinds of sweep setting: (type of each value, whether it takes many values).  A
+#: many-valued setting is given as a number, a list of numbers or a comma-separated
+#: string, and arrives sorted and deduplicated.
+TEXT, COUNT, NUMBER = (str, False), (int, False), (float, False)
+COUNTS, NUMBERS = (int, True), (float, True)
+
+#: Each sweep subcommand's settings, key -> (kind, default): a key is both a flag
+#: dest and a config key, and None means unset.
+PFA_SETTINGS = {
+    "n": (COUNTS, DEFAULT_N_VALUES),
+    "m_min": (COUNT, None),  # unset: each grid starts at its N
+    "m_max": (COUNT, 100_000),
+    "m_points": (COUNT, 50),
+    "m_list": (COUNTS, None),
+    "noise": (TEXT, "thermal:1"),
+    "csv": (TEXT, None),
+    "svg": (TEXT, None),
 }
-#: Config keys that take text, and keys that also take a list of numbers or a
-#: comma-separated string; every other key takes a number.  Counts must be integers.
-_TEXT_KEYS = {"noise", "csv", "svg"}
-_LIST_KEYS = {"n", "m_list", "eta"}
-_INTEGER_KEYS = {"n", "m_list", "m_min", "m_max", "m_points", "eta_points"}
+PMD_SETTINGS = {
+    "n": (COUNTS, DEFAULT_N_VALUES),
+    "eta": (NUMBERS, None),
+    "eta_min": (NUMBER, 0),
+    "eta_max": (NUMBER, 1),
+    "eta_points": (COUNT, 101),
+    "csv": (TEXT, None),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -146,18 +159,20 @@ def _fmt_logs(logs) -> list[str]:
 # ---------------------------------------------------------------------------
 # config and grids
 
-def load_config(path) -> dict:
+def load_config(path, table: dict) -> dict:
+    """The JSON object at path, checked against the keys and kinds of one settings table."""
     with open(path) as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - set(table)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, value in data.items():
-        if key in _TEXT_KEYS:
+        (kind, many), _ = table[key]
+        if kind is str:
             valid, wanted = isinstance(value, str), "a string"
-        elif key in _LIST_KEYS:
+        elif many:
             valid = (_is_number(value) or isinstance(value, str)
                      or isinstance(value, list) and all(map(_is_number, value)))
             wanted = "a number, a list of numbers or a comma-separated string"
@@ -165,7 +180,7 @@ def load_config(path) -> dict:
             valid, wanted = _is_number(value), "a number"
         if not valid:
             raise ValueError(f"config key {key!r} must be {wanted}, not {json.dumps(value)}")
-        if key in _INTEGER_KEYS:
+        if kind is int:
             fractional = [v for v in as_number_list(value) if v != int(v)]
             if fractional:
                 raise ValueError(f"config key {key!r} must hold integers, not {fractional[0]!r}")
@@ -178,15 +193,17 @@ def _is_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def merge_settings(args, defaults: dict) -> dict:
-    """Defaults, overridden by the config file, overridden by explicit flags."""
-    settings = dict(defaults)
-    if getattr(args, "config", None):
-        settings.update(load_config(args.config))
-    for key in defaults:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            settings[key] = flag
+def merge_settings(args, table: dict) -> dict:
+    """Defaults, overridden by the config file, overridden by flags; each converted to its kind."""
+    config = load_config(args.config, table) if args.config else {}
+    settings = {}
+    for key, ((kind, many), default) in table.items():
+        value = getattr(args, key)
+        if value is None:
+            value = config.get(key, default)
+        if value is not None:
+            value = sorted({kind(v) for v in as_number_list(value)}) if many else kind(value)
+        settings[key] = value
     return settings
 
 
@@ -289,11 +306,11 @@ def _random_state(rng: random.Random, modes: int, registers, max_count: int) -> 
 def _commutator(case: VerifyCase, register: str, partner: str) -> float:
     """[a_{register,j}, pair creation] = a+_{partner,j}, on the random probe."""
     probe = case.probe
-    raised = pair_create(probe)
+    raised = probe.create_pairs()
     return nan_max(
         combine([
             (1.0, raised.annihilate(register, j)),
-            (-1.0, pair_create(probe.annihilate(register, j))),
+            (-1.0, probe.annihilate(register, j).create_pairs()),
             (-1.0, probe.create(partner, j)),
         ]).max_abs()
         for j in range(case.modes)
@@ -471,36 +488,25 @@ def _write_text(path, chunks) -> None:
 
 
 def cmd_pfa_curves(args) -> int:
-    defaults = {
-        "n": DEFAULT_N_VALUES,
-        "m_min": None,
-        "m_max": DEFAULT_M_MAX,
-        "m_points": DEFAULT_M_POINTS,
-        "m_list": None,
-        "noise": DEFAULT_NOISE,
-        "csv": None,
-        "svg": None,
-    }
-    settings = merge_settings(args, defaults)
-    n_values = sorted({int(n) for n in as_number_list(settings["n"])})
+    settings = merge_settings(args, PFA_SETTINGS)
+    n_values = settings["n"]
     if any(n < 0 for n in n_values):
         raise ValueError("photon numbers must be non-negative")
     noise_for = parse_noise_spec(settings["noise"])
 
-    explicit = None
-    if settings["m_list"] is not None:
-        explicit = sorted({int(m) for m in as_number_list(settings["m_list"])})
+    explicit = settings["m_list"]
+    if explicit is not None:
         if not explicit or not 1 <= explicit[0] <= explicit[-1] <= SWEEP_COUNT_MAX:
             raise ValueError("m_list needs mode counts in [1, 10^308]")
-    points = len(explicit) if explicit else int(settings["m_points"])
+    points = len(explicit) if explicit else settings["m_points"]
 
     # each cell writes N terms, the total and two baselines
     if _sweep_refused("pfa-curves", sum((n + 3) * points for n in n_values),
                       "--n or --m-points, or shorten --m-list"):
         return EXIT_CAP
-    m_min, m_max = settings["m_min"], int(settings["m_max"])
+    m_min, m_max = settings["m_min"], settings["m_max"]
     # every grid is built before the first byte, so that a bad one writes nothing
-    grids = {n: explicit or log_grid(max(n, 1) if m_min is None else int(m_min), m_max, points)
+    grids = {n: explicit or log_grid(max(n, 1) if m_min is None else m_min, m_max, points)
              for n in n_values}
     lines = pfa_lines(grids, noise_for)
     lines = list(lines) if settings["svg"] else lines  # only the chart needs the whole sweep
@@ -511,27 +517,16 @@ def cmd_pfa_curves(args) -> int:
 
 
 def cmd_pmd_curve(args) -> int:
-    defaults = {
-        "n": DEFAULT_N_VALUES,
-        "eta": None,
-        "eta_min": 0.0,
-        "eta_max": 1.0,
-        "eta_points": 101,
-        "csv": None,
-    }
-    settings = merge_settings(args, defaults)
-    n_values = sorted({int(n) for n in as_number_list(settings["n"])})
+    settings = merge_settings(args, PMD_SETTINGS)
+    n_values, etas = settings["n"], settings["eta"]
     if any(not 0 <= n <= SWEEP_COUNT_MAX for n in n_values):
         raise ValueError("photon numbers must lie in [0, 10^308]")
-    points = (len(as_number_list(settings["eta"])) if settings["eta"] is not None
-              else int(settings["eta_points"]))
+    points = len(etas) if etas is not None else settings["eta_points"]
     if _sweep_refused("pmd-curve", len(n_values) * points,
                       "--eta-points or the number of --n and --eta values"):
         return EXIT_CAP
-    if settings["eta"] is not None:
-        etas = sorted({float(e) for e in as_number_list(settings["eta"])})
-    else:
-        etas = linear_grid(float(settings["eta_min"]), float(settings["eta_max"]), points)
+    if etas is None:
+        etas = linear_grid(settings["eta_min"], settings["eta_max"], points)
     if any(not 0.0 <= eta <= 1.0 for eta in etas):
         raise ValueError("eta values must lie in [0, 1]")
     rows = (f"{photons},{fmt_float(eta)},{fmt_float(p_md_closed(photons, eta))}\n"
@@ -635,12 +630,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_pfa = sub.add_parser("pfa-curves", help="false-alarm curves over a mode grid (CSV)")
     p_pfa.add_argument("--n", action="append", type=int, help="photon number (repeatable)")
     p_pfa.add_argument("--m-min", dest="m_min", type=int, help="grid lower bound (default: N)")
-    p_pfa.add_argument("--m-max", dest="m_max", type=int, help=f"grid upper bound (default {DEFAULT_M_MAX})")
+    p_pfa.add_argument("--m-max", dest="m_max", type=int,
+                       help=f"grid upper bound (default {PFA_SETTINGS['m_max'][1]})")
     p_pfa.add_argument("--m-points", dest="m_points", type=int,
-                       help=f"log-spaced point count (default {DEFAULT_M_POINTS})")
+                       help=f"log-spaced point count (default {PFA_SETTINGS['m_points'][1]})")
     p_pfa.add_argument("--m-list", dest="m_list", type=parse_int_list,
                        help="explicit comma-separated mode counts (overrides the grid)")
-    p_pfa.add_argument("--noise", help="thermal:<nbar> or table:<path> (default thermal:1)")
+    p_pfa.add_argument("--noise",
+                       help=f"thermal:<nbar> or table:<path> (default {PFA_SETTINGS['noise'][1]})")
     p_pfa.add_argument("--csv", help="CSV output path (default stdout)")
     p_pfa.add_argument("--svg", help="optional SVG chart path")
     p_pfa.add_argument("--config", help="JSON config file; flags override its values")
@@ -650,10 +647,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_pmd.add_argument("--n", action="append", type=int, help="photon number (repeatable)")
     p_pmd.add_argument("--eta", action="append", type=float,
                        help="explicit reflectivity value (repeatable)")
-    p_pmd.add_argument("--eta-min", dest="eta_min", type=float, help="grid lower bound (default 0)")
-    p_pmd.add_argument("--eta-max", dest="eta_max", type=float, help="grid upper bound (default 1)")
+    p_pmd.add_argument("--eta-min", dest="eta_min", type=float,
+                       help=f"grid lower bound (default {PMD_SETTINGS['eta_min'][1]})")
+    p_pmd.add_argument("--eta-max", dest="eta_max", type=float,
+                       help=f"grid upper bound (default {PMD_SETTINGS['eta_max'][1]})")
     p_pmd.add_argument("--eta-points", dest="eta_points", type=int,
-                       help="linear grid point count (default 101)")
+                       help=f"linear grid point count (default {PMD_SETTINGS['eta_points'][1]})")
     p_pmd.add_argument("--csv", help="CSV output path (default stdout)")
     p_pmd.add_argument("--config", help="JSON config file; flags override its values")
     p_pmd.set_defaults(func=cmd_pmd_curve)

@@ -228,14 +228,15 @@ class SparseState:
             out[new_key] = amp * math.sqrt(n)
         return SparseState._adopt(self.modes, self.registers, out)
 
-    def _create_pairs(self, scale: float) -> "SparseState":
+    def create_pairs(self, scale: float = 1.0) -> "SparseState":
         """scale * sum_i a+_{I,i} a+_{S,i} in one pass; pruned and cap-checked as combine does.
 
         Each key becomes an integer and a count tuple once; raising mode i in
         both registers adds a fixed integer to the key.  Modes run outermost
         and each term is multiplied in the order create(I).create(S) uses, so
         the result, amplitudes and key order both, equals
-        combine((1.0, create(I, i).create(S, i)) for i).scaled(scale).
+        combine((1.0, create(I, i).create(S, i)) for i).scaled(scale).  ValueError
+        when a mode already holds 65535 photons.
         """
         idler, signal = self._offset(IDLER, 0) // 2, self._offset(SIGNAL, 0) // 2
         width = 2 * self.modes * len(self.registers)
@@ -295,8 +296,15 @@ class SparseState:
         return math.sqrt(self.norm_sq())
 
     def scaled(self, coeff: complex) -> "SparseState":
-        """Scalar multiple with the standard post-prune."""
-        return combine([(coeff, self)])
+        """Scalar multiple: the values and key order that combine([(coeff, self)]) gives."""
+        coeff = complex(coeff)
+        out = {}
+        if coeff != 0:  # combine skips a zero coefficient, NaN amplitudes and all
+            for key, amp in self._amps.items():
+                amp = coeff * amp
+                if not abs(amp) < PRUNE_THRESHOLD:
+                    out[key] = amp
+        return SparseState._adopt(self.modes, self.registers, out)
 
     def max_abs(self) -> float:
         """Largest amplitude magnitude; zero for the empty state, NaN if any amplitude is NaN."""

@@ -569,6 +569,20 @@ def test_pfa_rejects_unknown_config_keys(capsys, tmp_path):
     assert "unknown config keys" in err
 
 
+@pytest.mark.parametrize("command, config, unknown", [
+    ("pmd-curve", {"noise": "bogus", "m_list": [4]}, "['m_list', 'noise']"),
+    ("pmd-curve", {"n": 2, "svg": "chart.svg"}, "['svg']"),
+    ("pfa-curves", {"n": 1, "eta_points": 3}, "['eta_points']"),
+])
+def test_config_rejects_the_other_sweeps_keys(capsys, tmp_path, command, config, unknown):
+    # each sweep takes only the keys of its own settings table
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run([command, "--config", str(path)], capsys)
+    assert code == EXIT_INVALID and out == ""
+    assert err == f"error: unknown config keys: {unknown}\n"
+
+
 @pytest.mark.parametrize("config, message", [
     ({"noise": 5}, "config key 'noise' must be a string, not 5"),
     ({"csv": 2}, "config key 'csv' must be a string, not 2"),
@@ -587,11 +601,17 @@ def test_pfa_rejects_unknown_config_keys(capsys, tmp_path):
     ({"eta_points": 3.25}, "config key 'eta_points' must hold integers, not 3.25"),
 ])
 def test_config_rejects_wrong_value_types(capsys, tmp_path, config, message):
+    # on each sweep that takes the key
     path = tmp_path / "typed.json"
     path.write_text(json.dumps(config))
-    code, out, err = run(["pfa-curves", "--m-list", "2", "--config", str(path)], capsys)
-    assert code == EXIT_INVALID and out == ""
-    assert err.startswith(f"error: {message}")
+    sweeps = [argv for argv, table in ((["pfa-curves", "--m-list", "2"], cli.PFA_SETTINGS),
+                                       (["pmd-curve", "--eta", "0.5"], cli.PMD_SETTINGS))
+              if config.keys() <= table.keys()]
+    assert sweeps
+    for argv in sweeps:
+        code, out, err = run(argv + ["--config", str(path)], capsys)
+        assert code == EXIT_INVALID and out == ""
+        assert err.startswith(f"error: {message}")
 
 
 def test_sweep_row_refusal(capsys, tmp_path):
@@ -627,7 +647,7 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(text_values, inner, max_size=2),
     max_leaves=6,
 )
-config_keys = st.sampled_from(sorted(cli._CONFIG_KEYS) + ["modes"])
+config_keys = st.sampled_from(sorted(cli.PFA_SETTINGS.keys() | cli.PMD_SETTINGS.keys()) + ["modes"])
 config_texts = (st.dictionaries(config_keys, json_values, min_size=1, max_size=4).map(json.dumps)
                 | st.sampled_from(["{", "[]", "3", "{}"]))
 

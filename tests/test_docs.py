@@ -1,9 +1,12 @@
-"""The README's code examples run as written."""
+"""The README's code examples run as written, and its CLI synopsis matches the parser."""
 
+import argparse
 import contextlib
 import io
 import re
 from pathlib import Path
+
+from twinfock import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -24,3 +27,32 @@ def test_library_example_runs():
     p_fa_closed, p_fa_oracle, p_md_closed = map(float, out.getvalue().split())
     assert abs(p_fa_closed - p_fa_oracle) < 1e-10
     assert p_md_closed == 0.25
+
+
+def _subparsers():
+    """Subcommand name -> its argparse parser, as build_parser defines them."""
+    parser = cli.build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_settings_tables_match_the_sweep_flags():
+    subparsers = _subparsers()
+    for command, table in (("pfa-curves", cli.PFA_SETTINGS), ("pmd-curve", cli.PMD_SETTINGS)):
+        dests = {a.dest for a in subparsers[command]._actions} - {"help", "config"}
+        assert dests == table.keys(), command
+
+
+def test_cli_synopsis_names_every_flag():
+    # each subcommand's lines of the ## CLI block name exactly its parser's flags
+    text = README.read_text()
+    section = text[text.index("\n## CLI\n"):]
+    synopsis = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    documented = {}
+    for line in synopsis.splitlines():
+        if line.startswith("twinfock "):
+            command = line.split()[1]
+        documented.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    defined = {command: {flag for a in sub._actions for flag in a.option_strings}
+               for command, sub in _subparsers().items()}
+    assert documented == {command: flags - {"-h", "--help"} for command, flags in defined.items()}

@@ -183,6 +183,20 @@ def test_prune_norm_drift_is_negligible():
     assert abs(rescaled.norm_sq() - state.norm_sq()) < 1e-12
 
 
+def test_scaled_equals_one_term_combine_exactly():
+    # equal amplitudes in the same key order, not within a tolerance, through the
+    # prune, a zero coefficient and a NaN amplitude; only the sign of a zero part may differ
+    def values(state):
+        return [(key, amp if amp == amp else "nan") for key, amp in state.terms()]
+
+    rng = random.Random(5)
+    nan_state = SparseState.from_terms(2, IS, [(((1, 0), (0, 1)), complex(math.nan, 0.0)),
+                                              (((0, 1), (1, 0)), -0.5)])
+    for state in [random_state(rng, 3, terms=8) for _ in range(4)] + [nan_state]:
+        for coeff in (1.0, -0.3, 2j, complex(0.5, -1.5), PRUNE_THRESHOLD, 0.0):
+            assert values(state.scaled(coeff)) == values(combine([(coeff, state)]))
+
+
 def test_amplitude_cap_enforced(monkeypatch):
     monkeypatch.setattr(fock, "AMPLITUDE_CAP", 3)
     entries = [((( k,), (0,)), 1.0) for k in range(5)]
@@ -298,7 +312,7 @@ def test_nan_amplitudes_survive_prune_and_maxima():
         assert math.isnan(state.max_abs())
         assert len(combine([(1.0, state)])) == 3
         assert len(state.scaled(0.5)) == 3
-        assert math.isnan(fock.SparseState._create_pairs(state, 1.0).max_abs())
+        assert math.isnan(state.create_pairs().max_abs())
         clean = SparseState.from_terms(2, IS, finite)
         assert math.isnan(state.max_abs_diff(clean))
         assert math.isnan(clean.max_abs_diff(state))

@@ -9,7 +9,6 @@ from twinfock.combinat import count_compositions
 from twinfock.fock import BACKGROUND, IDLER, SIGNAL, AmplitudeCapError, SparseState, combine
 from twinfock.states import (
     loss_identity_residual,
-    pair_create,
     pair_state_direct,
     pair_state_recursive,
 )
@@ -154,12 +153,13 @@ def test_pair_create_equals_ladder_reference_exactly():
         for registers in (IS, (IDLER, SIGNAL, BACKGROUND)):
             for _ in range(6):
                 probe = _random_state(rng, modes, registers, terms=8, max_count=4)
-                assert list(pair_create(probe).terms()) == list(reference_pair_create(probe).terms())
+                assert (list(probe.create_pairs().terms())
+                        == list(reference_pair_create(probe).terms()))
                 scale = rng.uniform(0.1, 2.0)
-                assert (list(pair_create(probe, scale).terms())
+                assert (list(probe.create_pairs(scale).terms())
                         == list(reference_pair_create(probe, scale).terms()))
     empty = SparseState(3, IS)
-    assert len(pair_create(empty)) == 0
+    assert len(empty.create_pairs()) == 0
 
 
 def test_pair_state_recursive_equals_ladder_reference_exactly():
@@ -174,14 +174,14 @@ def test_pair_creation_makes_no_ladder_calls(monkeypatch):
 
     monkeypatch.setattr(SparseState, "create", refuse)
     assert len(pair_state_recursive(4, 3)) == count_compositions(4, 3)
-    assert len(pair_create(SparseState.vacuum(3, IS))) == 3
+    assert len(SparseState.vacuum(3, IS).create_pairs()) == 3
 
 
 def test_pair_create_mode_count_overflow():
     for full in (((0xFFFF,), (0,)), ((0,), (0xFFFF,))):
         with pytest.raises(ValueError, match="overflow"):
-            pair_create(SparseState.basis(1, IS, full))
-    top = pair_create(SparseState.basis(1, IS, ((0xFFFE,), (0xFFFE,))))
+            SparseState.basis(1, IS, full).create_pairs()
+    top = SparseState.basis(1, IS, ((0xFFFE,), (0xFFFE,))).create_pairs()
     assert top.amplitude(((0xFFFF,), (0xFFFF,))) == 0xFFFF
 
 
@@ -200,16 +200,16 @@ def test_pair_creation_commutators():
     for modes in range(1, 5):
         for _ in range(4):
             probe = _random_state(rng, modes)
-            raised = pair_create(probe)
+            raised = probe.create_pairs()
             for j in range(modes):
                 signal_comm = combine([
                     (1.0, raised.annihilate(SIGNAL, j)),
-                    (-1.0, pair_create(probe.annihilate(SIGNAL, j))),
+                    (-1.0, probe.annihilate(SIGNAL, j).create_pairs()),
                 ])
                 assert amp_diff(signal_comm, probe.create(IDLER, j)) < 1e-12
                 idler_comm = combine([
                     (1.0, raised.annihilate(IDLER, j)),
-                    (-1.0, pair_create(probe.annihilate(IDLER, j))),
+                    (-1.0, probe.annihilate(IDLER, j).create_pairs()),
                 ])
                 assert amp_diff(idler_comm, probe.create(SIGNAL, j)) < 1e-12
 
