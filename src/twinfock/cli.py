@@ -130,14 +130,16 @@ def _fmt_logs(logs) -> list[str]:
 
     The decimal exponent comes from the log itself; the mantissa is exp of
     the remainder, log - exp10 * ln 10, reduced with the two-part constant
-    so that the reduction adds no error growing with the exponent.
+    so that the reduction adds no error growing with the exponent.  That
+    holds only for |exp10| < 2**22; past it the digits are not trustworthy.
     """
     out = []
+    append = out.append
     ln10 = math.log(10.0)
-    floor, exp = math.floor, math.exp
+    floor, exp, zero = math.floor, math.exp, -math.inf
     for log_value in logs:
-        if log_value == -math.inf:
-            out.append("0")
+        if log_value == zero:
+            append("0")
             continue
         exp10 = floor(log_value / ln10)
         mantissa = exp((log_value - exp10 * _LN10_HI) - exp10 * _LN10_LO)
@@ -147,12 +149,9 @@ def _fmt_logs(logs) -> list[str]:
         if mantissa < 1.0:
             mantissa *= 10.0
             exp10 -= 1
-        text = f"{mantissa:.16f}"
-        if text.startswith("10"):
-            # rounding in the formatter pushed the mantissa to 10.0...
-            text = "1.0000000000000000"
-            exp10 += 1
-        out.append(f"{text}e{exp10:+d}")
+        # mantissa is in [1, 10) while |exp10| < 2**22, and the largest double below 10
+        # prints as 9.9999999999999982, so its 16 decimals never round up to "10."
+        append("%.16fe%+d" % (mantissa, exp10))
     return out
 
 

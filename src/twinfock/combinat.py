@@ -73,11 +73,13 @@ def sum_log_probs(logs: Iterable[float]) -> LogProb:
 
     A log of -inf stands for an exact zero and drops out of the sum.
     """
-    logs = [x for x in logs if x != -math.inf]
+    zero = -math.inf
+    logs = [x for x in logs if x != zero]
     if not logs:
         return LogProb(-math.inf)
     peak = max(logs)
-    return LogProb(peak + math.log(sum(math.exp(x - peak) for x in logs)))
+    exp = math.exp
+    return LogProb(peak + math.log(sum([exp(x - peak) for x in logs])))
 
 
 def falling_ratio_exact(photons: int, modes: int, picked: int) -> Fraction:
@@ -112,16 +114,19 @@ def falling_ratio_logs(photons: int, modes: int) -> list[float]:
         raise ValueError("modes must be at least 1")
     if photons < 0:
         raise ValueError("photons must be non-negative")
+    top = photons + modes - 1
+    log = math.log
     out = []
+    append = out.append
     acc = 0.0
     carry = 0.0
-    for j in range(photons):
-        factor = math.log((photons - j) / (photons + modes - 1 - j))
+    for factor in [log((photons - j) / (top - j)) for j in range(photons)]:
         summed = acc + factor
-        if abs(acc) >= abs(factor):
+        # every factor and prefix sum is <= 0, so this is abs(acc) >= abs(factor)
+        if acc <= factor:
             carry += (acc - summed) + factor
         else:
             carry += (factor - summed) + acc
         acc = summed
-        out.append(acc + carry)
+        append(acc + carry)
     return out

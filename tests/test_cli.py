@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -70,6 +70,90 @@ def test_fmt_log_survives_underflow():
     expected_log10 = Decimal(-2000) / Decimal(repr(math.log(10)))
     assert abs(parsed.log10() - expected_log10) < Decimal("1e-10")
     assert fmt_log(LogProb(-math.inf)) == "0"
+
+
+def reference_fmt_logs(logs):
+    """_fmt_logs written with f-strings and a carry guard for a mantissa printed as "10."."""
+    out = []
+    ln10 = math.log(10.0)
+    for log_value in logs:
+        if log_value == -math.inf:
+            out.append("0")
+            continue
+        exp10 = math.floor(log_value / ln10)
+        mantissa = math.exp((log_value - exp10 * cli._LN10_HI) - exp10 * cli._LN10_LO)
+        if mantissa >= 10.0:
+            mantissa /= 10.0
+            exp10 += 1
+        if mantissa < 1.0:
+            mantissa *= 10.0
+            exp10 -= 1
+        text = f"{mantissa:.16f}"
+        if text.startswith("10"):
+            text = "1.0000000000000000"
+            exp10 += 1
+        out.append(f"{text}e{exp10:+d}")
+    return out
+
+
+LN10 = math.log(10.0)
+
+
+def decade_edges(decades):
+    """k ln 10 for each k in decades, with the float on either side of it."""
+    return [edge for k in decades for x in (k * LN10,)
+            for edge in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
+
+
+def test_fmt_logs_equals_reference_at_decade_edges():
+    logs = decade_edges(range(-400, 401)) + [-math.inf]
+    assert cli._fmt_logs(logs) == reference_fmt_logs(logs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e6, 709.0), max_size=20))
+def test_fmt_logs_equals_reference_exactly(logs):
+    assert cli._fmt_logs(logs) == reference_fmt_logs(logs)
+
+
+def assert_fmt_log_reads_as_exp(x):
+    """fmt_log(LogProb(x)) parses to exp(x) within (|x| + 2) 2^-51, with a mantissa in [1, 10).
+
+    Near x = 0 the constant term is reached: the remainder below ln 10 takes
+    two roundings of up to 2^-52, exp one more, and the normalization and the
+    17-digit text less than 2^-52 between them (-0.153 reads 1.21 2^-51 off).
+    """
+    text = fmt_log(LogProb(x))
+    assert 1 <= Decimal(text.partition("e")[0]) < 10
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ctx.Emin = MIN_EMIN  # exp(x) reaches about 1e-4194304, far past the default range
+        error = abs(Decimal(text) / Decimal(x).exp() - 1)
+        assert error <= (abs(Decimal(x)) + 2) * Decimal(2) ** -51
+
+
+#: the two-part ln 10 reduction is exact while the decimal exponent stays within +-2^22
+FORMATTER_LOGS = st.floats(-2**22 * LN10, 709.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FORMATTER_LOGS)
+@example(-2**22 * LN10)
+@example(709.0)
+@example(0.0)
+@example(-7.785734120351522e-10)
+@example(-0.15319238499614962)
+def test_fmt_log_reads_as_decimal_exp(x):
+    # checked against Decimal, not against the formatter that pfa_lines shares
+    assert_fmt_log_reads_as_exp(x)
+
+
+def test_fmt_log_mantissa_never_prints_ten():
+    # the largest double below 10 keeps 16 decimals short of 10, so no rounding carries
+    assert f"{math.nextafter(10.0, 0.0):.16f}" == "9.9999999999999982"
+    top = 2**22 - 1
+    for x in decade_edges([-top, -top + 1, -100_000, -1, 0, 1, 307]):
+        assert_fmt_log_reads_as_exp(x)
 
 
 def test_log_grid_properties():
@@ -383,6 +467,22 @@ def test_pfa_log_region_term_accuracy(capsys):
         for k in range(1, photons + 1):
             exact *= Decimal(photons - k + 1) / Decimal(photons + modes - k)
             assert abs(printed[f"term:{k}"] / exact - 1) < Decimal("6e-13")
+
+
+@pytest.mark.xfail(strict=True, reason="a decimal exponent past 2^22 leaves the log route "
+                                       "no digits for the mantissa")
+def test_pfa_total_past_the_formatter_range(capsys):
+    modes = 10**18
+    code, out, _ = run(["pfa-curves", "--n", "1", "--m-list", str(modes),
+                        "--noise", "thermal:1"], capsys)
+    assert code == EXIT_OK
+    printed = {row[0]: Decimal(row[3]) for row in parse_csv(out)[1]}
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ctx.Emin, ctx.Emax = MIN_EMIN, MAX_EMAX
+        # thermal:1 puts x = 1/2, so P_FA(1, M) = (1/M) (1 - x)^M x = 2^-(M + 1) / M
+        exact = Decimal(2) ** -(modes + 1) / modes
+        assert abs(printed["total"] / exact - 1) <= Decimal("1e-12")
 
 
 def reference_cell(photons, modes, noise_for):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,47 @@ def test_prefix_logs_match_individual_terms():
         exact = falling_ratio_exact(9, 7, k)
         expected = math.log(exact.numerator) - math.log(exact.denominator)
         assert entry == pytest.approx(expected, rel=0, abs=1e-14)
+
+
+def reference_falling_ratio_logs(photons, modes):
+    """falling_ratio_logs as a plain loop that tests the Neumaier branch with abs()."""
+    out = []
+    acc = 0.0
+    carry = 0.0
+    for j in range(photons):
+        factor = math.log((photons - j) / (photons + modes - 1 - j))
+        summed = acc + factor
+        if abs(acc) >= abs(factor):
+            carry += (acc - summed) + factor
+        else:
+            carry += (factor - summed) + acc
+        acc = summed
+        out.append(acc + carry)
+    return out
+
+
+def reference_sum_log_probs(logs):
+    """sum_log_probs with its shifted exponentials summed from a generator."""
+    logs = [x for x in logs if x != -math.inf]
+    if not logs:
+        return LogProb(-math.inf)
+    peak = max(logs)
+    return LogProb(peak + math.log(sum(math.exp(x - peak) for x in logs)))
+
+
+def test_log_kernels_equal_loop_references_exactly():
+    # the same floats bit for bit, not within a tolerance
+    rng = random.Random(2024)
+    sizes = list(itertools.product((0, 1, 2, 10, 1000, 3000), (1, 2, 199, 10**5, 10**18)))
+    sizes += [(rng.randrange(3001), rng.randrange(1, 10**6)) for _ in range(20)]
+    for photons, modes in sizes:
+        logs = falling_ratio_logs(photons, modes)
+        assert logs == reference_falling_ratio_logs(photons, modes)
+        step = rng.uniform(-3.0, 0.0)
+        contributions = [c + k * step for k, c in enumerate(logs, start=1)]
+        for _ in range(rng.randrange(4)):
+            contributions.insert(rng.randrange(len(contributions) + 1), -math.inf)
+        assert sum_log_probs(contributions) == reference_sum_log_probs(contributions)
 
 
 def test_crossover_dispatch():
