@@ -12,15 +12,17 @@ exceeded.
 """
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
 import os
 import random
+import stat
 import sys
 from dataclasses import dataclass
 
-from .combinat import LogProb, count_compositions
+from .combinat import LogProb, composition_texts, count_compositions
 from .detection import (
     TableNoise,
     ThermalNoise,
@@ -49,9 +51,9 @@ from .loss import (
 )
 from .states import (
     loss_identity_residual,
+    pair_amplitude,
     pair_state_direct,
     pair_state_recursive,
-    pair_terms,
 )
 
 EXIT_OK = 0
@@ -478,12 +480,25 @@ def _sweep_refused(command: str, rows: int, lower: str) -> bool:
 
 
 def _write_text(path, chunks) -> None:
-    """Write the strings of chunks in turn to path, or to stdout when path is None."""
+    """Write the strings of chunks in turn to path, or to stdout when path is None.
+
+    When anything raises after path is opened, a regular file there is
+    deleted before the exception goes on, so a failed run leaves no partial
+    output; stdout, pipes and device files keep what reached them.
+    """
     if path is None:
         sys.stdout.writelines(chunks)
-    else:
+        return
+    regular = False
+    try:
         with open(path, "w", newline="") as handle:
+            regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
             handle.writelines(chunks)
+    except BaseException:
+        if regular:
+            with contextlib.suppress(OSError):  # the first error is the one to report
+                os.remove(path)
+        raise
 
 
 def cmd_pfa_curves(args) -> int:
@@ -539,12 +554,14 @@ def cmd_state_dump(args) -> int:
 
     Tab-separated fields: the comma-joined per-mode counts of the idler and of
     the signal register, then the real and imaginary amplitude with 17 digits.
+    The lines go out in one chunk per head of composition_texts.
     """
-    amp, arrangements = pair_terms(args.n, args.m)
+    amp = pair_amplitude(args.n, args.m)
     # every term has the same, real amplitude
-    tail = f"\t{amp:.17g}\t0\n"
-    counts = (",".join(map(str, arrangement)) for arrangement in arrangements)
-    _write_text(args.out, (f"{text}\t{text}{tail}" for text in counts))
+    end = f"\t{amp:.17g}\t0\n"
+    chunks = ("".join([f"{head}{tail}\t{head}{tail}{end}" for tail in tails])
+              for head, tails in composition_texts(args.n, args.m))
+    _write_text(args.out, chunks)
     return EXIT_OK
 
 

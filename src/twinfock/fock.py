@@ -232,7 +232,9 @@ class SparseState:
         """scale * sum_i a+_{I,i} a+_{S,i} in one pass; pruned and cap-checked as combine does.
 
         Each key becomes an integer and a count tuple once; raising mode i in
-        both registers adds a fixed integer to the key.  Modes run outermost
+        both registers adds a fixed integer to the key.  Contributions add up
+        on those integers, and each surviving term is packed back into bytes
+        once.  Modes run outermost
         and each term is multiplied in the order create(I).create(S) uses, so
         the result, amplitudes and key order both, equals
         combine((1.0, create(I, i).create(S, i)) for i).scaled(scale).  ValueError
@@ -242,27 +244,28 @@ class SparseState:
         width = 2 * self.modes * len(self.registers)
         unpack = struct.Struct(f">{width // 2}H").unpack
         entries = [(int.from_bytes(key, "big"), unpack(key), amp) for key, amp in self._amps.items()]
-        top = max((max(counts[idler:idler + self.modes] + counts[signal:signal + self.modes])
-                   for _, counts, _ in entries), default=0)
+        # canonical register order puts the idler and the signal in the first 2M words
+        top = max((max(counts[:2 * self.modes]) for _, counts, _ in entries), default=0)
         if top >= _MAX_MODE_COUNT:
             raise ValueError("mode count overflow")
         root = [math.sqrt(n) for n in range(top + 2)]
-        acc: dict[bytes, complex] = {}
+        acc: dict[int, complex] = {}
         get = acc.get
         for mode in range(self.modes):
             i, s = idler + mode, signal + mode
             # word w of a key of width // 2 words carries weight 2^(16 (width // 2 - 1 - w))
             delta = (1 << 8 * (width - 2 - 2 * i)) + (1 << 8 * (width - 2 - 2 * s))
             for key, counts, amp in entries:
-                new_key = (key + delta).to_bytes(width, "big")
+                new_key = key + delta
                 acc[new_key] = get(new_key, 0j) + amp * root[counts[i] + 1] * root[counts[s] + 1]
+        del entries
         coeff = complex(scale)
         out = {}
         for key, amp in acc.items():
             if not abs(amp) < PRUNE_THRESHOLD:
                 amp = coeff * amp
                 if not abs(amp) < PRUNE_THRESHOLD:
-                    out[key] = amp
+                    out[key.to_bytes(width, "big")] = amp
         result = SparseState._adopt(self.modes, self.registers, out)
         result._check_caps()
         return result

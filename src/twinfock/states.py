@@ -9,7 +9,6 @@ pair creation from vacuum) so each can check the other.
 """
 
 import math
-from typing import Iterator
 
 from .combinat import compositions
 from .fock import IDLER, SIGNAL, SparseState, check_sector_size, combine, nan_max
@@ -19,22 +18,21 @@ def _check_materializable(photons: int, modes: int) -> int:
     return check_sector_size(f"pair state with N={photons}, M={modes}", photons, modes, modes, 2)
 
 
-def pair_terms(photons: int, modes: int) -> tuple[float, Iterator[tuple[int, ...]]]:
-    """Amplitude 1 / sqrt(C(N+M-1, N)) of every term |n, n>, and the n in compositions order.
+def pair_amplitude(photons: int, modes: int) -> float:
+    """Amplitude 1 / sqrt(C(N+M-1, N)) shared by every term |n, n>, n in compositions(N, M).
 
-    The arrangements come lazily; the size check runs at the call, before any
-    is made, and refuses what pair_state_direct could not materialize.
+    Runs the size check first and refuses what pair_state_direct could not
+    materialize.
     """
-    count = _check_materializable(photons, modes)
-    return 1.0 / math.sqrt(count), compositions(photons, modes)
+    return 1.0 / math.sqrt(_check_materializable(photons, modes))
 
 
 def pair_state_direct(photons: int, modes: int) -> SparseState:
     """Equal-weight superposition of |n, n> over all arrangements |n| = photons."""
-    amp, arrangements = pair_terms(photons, modes)
-    amp = complex(amp)
+    amp = complex(pair_amplitude(photons, modes))
     return SparseState._from_flat(
-        modes, (IDLER, SIGNAL), ((arrangement + arrangement, amp) for arrangement in arrangements))
+        modes, (IDLER, SIGNAL),
+        ((arrangement + arrangement, amp) for arrangement in compositions(photons, modes)))
 
 
 def pair_state_recursive(photons: int, modes: int) -> SparseState:

@@ -3,9 +3,11 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
@@ -363,7 +365,7 @@ def test_state_dump_photon_bound(capsys):
 
 
 @settings(max_examples=40, deadline=None)
-@given(photons=st.integers(0, 5), modes=st.integers(1, 5))
+@given(photons=st.integers(0, 5), modes=st.integers(1, 9))
 def test_state_dump_matches_sorted_pair_state(photons, modes):
     terms = sorted(pair_state_direct(photons, modes).terms(), key=lambda t: t[0], reverse=True)
     expected = "".join(
@@ -381,6 +383,53 @@ def test_state_dump_matches_sorted_pair_state(photons, modes):
         assert code == EXIT_OK
         with open(path, newline="") as handle:
             assert handle.read() == expected
+
+
+@pytest.mark.parametrize("photons, modes", [(14, 8), (16, 10)])
+def test_state_dump_streams_chunk_by_chunk(tmp_path, photons, modes):
+    # 116,280 and 2,042,975 lines: one head's chunk and the cached tail texts are held, never the dump
+    argv = ["state-dump", "--n", str(photons), "--m", str(modes), "--out", str(tmp_path / "d.tsv")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < 2 * 2 ** 20
+
+
+def _failing_after_one(items):
+    def fail(*args, **kwargs):
+        yield from items
+        raise ValueError("failed part way")
+    return fail
+
+
+@pytest.mark.parametrize("argv, name, items", [
+    (["pfa-curves", "--n", "2", "--m-list", "3", "--csv"], "pfa_lines", ["series,N,M,value\n"]),
+    (["state-dump", "--n", "2", "--m", "3", "--out"], "composition_texts", [("2,", ["0,0"])]),
+])
+def test_failed_write_leaves_no_partial_file(capsys, tmp_path, monkeypatch, argv, name, items):
+    monkeypatch.setattr(cli, name, _failing_after_one(items))
+    path = tmp_path / "out.txt"
+    code, out, err = run(argv + [str(path)], capsys)
+    assert code == EXIT_INVALID and out == ""
+    assert err == "error: failed part way\n"
+    assert not path.exists()
+    # a special file is left alone: a FIFO keeps its reader's bytes and stays in place
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        code, _, _ = run(argv + [str(fifo)], capsys)
+    finally:
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert code == EXIT_INVALID
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode) and received[0]
 
 
 # -- pfa-curves -----------------------------------------------------------------

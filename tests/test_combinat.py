@@ -6,14 +6,18 @@ from fractions import Fraction
 import pytest
 
 from twinfock.combinat import (
+    TEXT_CACHE_BOUND,
     LogProb,
+    composition_texts,
     compositions,
     count_compositions,
     falling_ratio_exact,
     falling_ratio_logs,
     sum_log_probs,
+    suffix_depth,
 )
 from twinfock.detection import TableNoise, false_alarm_series
+from twinfock.fock import AmplitudeCapError, check_sector_size
 
 
 def test_count_compositions_examples():
@@ -52,6 +56,47 @@ def test_compositions_enumeration_matches_count():
             assert all(sum(v) == total and min(v) >= 0 for v in seq)
             # descending lexicographic contract
             assert seq == sorted(seq, reverse=True)
+
+
+def _joined_texts(total, parts):
+    return [head + tail for head, tails in composition_texts(total, parts) for tail in tails]
+
+
+def test_composition_texts_join_to_compositions_in_order():
+    depths = set()
+    # the last two need tails of no mode: one-mode tails would pass the cache bound
+    cases = [(total, parts) for total in range(9) for parts in range(1, 11)] + [(4096, 1), (4100, 2)]
+    for total, parts in cases:
+        expected = [",".join(map(str, counts)) for counts in compositions(total, parts)]
+        assert _joined_texts(total, parts) == expected, (total, parts)
+        depths.add((suffix_depth(total, parts), parts))
+    assert {depth for depth, _ in depths} == set(range(11))
+    assert any(0 < depth < parts for depth, parts in depths)  # heads and tails both in use
+
+
+def test_composition_texts_share_one_tail_list_per_photon_count():
+    pairs = list(composition_texts(14, 8))
+    assert suffix_depth(14, 8) == 4
+    assert len(pairs) == count_compositions(14, 5)  # one pair per 4-mode head and its leftover
+    assert len({id(tails) for _, tails in pairs}) == 15
+
+
+def test_suffix_depth_keeps_the_cache_in_bound_wherever_a_pair_state_fits():
+    # C(N + d, d) tail texts for every (N, M <= 200) the state caps admit; no text is built
+    for modes in range(1, 201):
+        photons = 0
+        while True:
+            try:
+                check_sector_size("probe", photons, modes, modes, 2)
+            except (AmplitudeCapError, ValueError):
+                break
+            depth = suffix_depth(photons, modes)
+            assert 0 <= depth <= modes
+            assert math.comb(photons + depth, depth) <= TEXT_CACHE_BOUND
+            # the largest such depth: one more mode would pass the bound
+            assert depth == modes or math.comb(photons + depth + 1, depth + 1) > TEXT_CACHE_BOUND
+            photons += 1
+        assert photons > 0
 
 
 def test_falling_ratio_single_photon_is_one_over_modes():

@@ -146,6 +146,11 @@ def reference_pair_state_recursive(photons, modes):
     return state
 
 
+def _bits(state):
+    """Keys in storage order with each amplitude's exact bits; == alone equates -0.0 and 0.0."""
+    return [(key, amp.real.hex(), amp.imag.hex()) for key, amp in state.terms()]
+
+
 def test_pair_create_equals_ladder_reference_exactly():
     # same amplitudes bit for bit and the same key order, not within a tolerance
     rng = random.Random(2024)
@@ -153,11 +158,10 @@ def test_pair_create_equals_ladder_reference_exactly():
         for registers in (IS, (IDLER, SIGNAL, BACKGROUND)):
             for _ in range(6):
                 probe = _random_state(rng, modes, registers, terms=8, max_count=4)
-                assert (list(probe.create_pairs().terms())
-                        == list(reference_pair_create(probe).terms()))
+                assert _bits(probe.create_pairs()) == _bits(reference_pair_create(probe))
                 scale = rng.uniform(0.1, 2.0)
-                assert (list(probe.create_pairs(scale).terms())
-                        == list(reference_pair_create(probe, scale).terms()))
+                assert (_bits(probe.create_pairs(scale))
+                        == _bits(reference_pair_create(probe, scale)))
     empty = SparseState(3, IS)
     assert len(empty.create_pairs()) == 0
 
@@ -183,6 +187,11 @@ def test_pair_create_mode_count_overflow():
             SparseState.basis(1, IS, full).create_pairs()
     top = SparseState.basis(1, IS, ((0xFFFE,), (0xFFFE,))).create_pairs()
     assert top.amplitude(((0xFFFF,), (0xFFFF,))) == 0xFFFF
+    # a full background mode is never raised, so it is no overflow
+    background = SparseState.basis(2, (IDLER, SIGNAL, BACKGROUND), ((0, 0), (0, 0), (0, 0xFFFF)))
+    raised = background.create_pairs()
+    assert _bits(raised) == _bits(reference_pair_create(background))
+    assert raised.amplitude(((0, 1), (0, 1), (0, 0xFFFF))) == 1.0
 
 
 def test_pair_state_recursive_checks_each_step_against_the_cap(monkeypatch):
