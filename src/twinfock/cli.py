@@ -63,7 +63,7 @@ EXIT_CAP = 3
 
 DEFAULT_N_VALUES = [10, 100, 1000]
 #: Ceiling on the rows one pfa-curves or pmd-curve run writes: a million
-#: pfa-curves rows take about 3 s and 28 MiB on a 2-core x86-64 VM.
+#: pfa-curves rows take about 2 s and 27 MiB peak RSS on a 2-core x86-64 VM.
 SWEEP_ROW_CAP = 10 ** 6
 #: Largest mode count of pfa-curves and photon number of pmd-curve: the closed
 #: forms run in floats, which hold no count past about 1.8e308.
@@ -71,29 +71,29 @@ SWEEP_COUNT_MAX = 10 ** 308
 
 #: Kinds of sweep setting: (type of each value, whether it takes many values).  A
 #: many-valued setting is given as a number, a list of numbers or a comma-separated
-#: string, and arrives sorted and deduplicated.
+#: string, or by repeating its flag, and arrives sorted and deduplicated.
 TEXT, COUNT, NUMBER = (str, False), (int, False), (float, False)
 COUNTS, NUMBERS = (int, True), (float, True)
 
-#: Each sweep subcommand's settings, key -> (kind, default): a key is both a flag
-#: dest and a config key, and None means unset.
+#: Each sweep subcommand's settings, key -> (kind, default, help): a key is both a
+#: config key and, with dashes for underscores, a flag; None means unset.
 PFA_SETTINGS = {
-    "n": (COUNTS, DEFAULT_N_VALUES),
-    "m_min": (COUNT, None),  # unset: each grid starts at its N
-    "m_max": (COUNT, 100_000),
-    "m_points": (COUNT, 50),
-    "m_list": (COUNTS, None),
-    "noise": (TEXT, "thermal:1"),
-    "csv": (TEXT, None),
-    "svg": (TEXT, None),
+    "n": (COUNTS, DEFAULT_N_VALUES, "photon numbers"),
+    "m_min": (COUNT, None, "grid lower bound (default: N)"),
+    "m_max": (COUNT, 100_000, "grid upper bound"),
+    "m_points": (COUNT, 50, "log-spaced point count"),
+    "m_list": (COUNTS, None, "mode counts that replace the grid"),
+    "noise": (TEXT, "thermal:1", "thermal:<nbar> or table:<path>"),
+    "csv": (TEXT, None, "CSV output path (default stdout)"),
+    "svg": (TEXT, None, "optional SVG chart path"),
 }
 PMD_SETTINGS = {
-    "n": (COUNTS, DEFAULT_N_VALUES),
-    "eta": (NUMBERS, None),
-    "eta_min": (NUMBER, 0),
-    "eta_max": (NUMBER, 1),
-    "eta_points": (COUNT, 101),
-    "csv": (TEXT, None),
+    "n": (COUNTS, DEFAULT_N_VALUES, "photon numbers"),
+    "eta": (NUMBERS, None, "reflectivity values that replace the grid"),
+    "eta_min": (NUMBER, 0.0, "grid lower bound"),
+    "eta_max": (NUMBER, 1.0, "grid upper bound"),
+    "eta_points": (COUNT, 101, "linear grid point count"),
+    "csv": (TEXT, None, "CSV output path (default stdout)"),
 }
 
 
@@ -161,7 +161,7 @@ def _fmt_logs(logs) -> list[str]:
 # config and grids
 
 def load_config(path, table: dict) -> dict:
-    """The JSON object at path, checked against the keys and kinds of one settings table."""
+    """The JSON object at path, whose keys must all belong to one settings table."""
     with open(path) as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
@@ -169,9 +169,36 @@ def load_config(path, table: dict) -> dict:
     unknown = set(data) - set(table)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in data.items():
-        (kind, many), _ = table[key]
-        if kind is str:
+    return data
+
+
+def _flag(key: str) -> str:
+    """The sweep flag of a settings key."""
+    return "--" + key.replace("_", "-")
+
+
+def merge_settings(args, table: dict) -> dict:
+    """Defaults, overridden by the config file (each value checked), overridden by flags."""
+    config = load_config(args.config, table) if args.config else {}
+    settings = {key: setting_value(f"config key {key!r}", value, table[key][0], from_json=True)
+                for key, value in config.items()}
+    for key, (kind, default, _) in table.items():
+        flag = getattr(args, key)
+        settings[key] = (settings.get(key, default) if flag is None
+                         else setting_value(_flag(key), flag, kind))
+    return settings
+
+
+def setting_value(name: str, value, kind, from_json: bool = False):
+    """One setting's value, checked and converted to its kind; name is its flag or config key.
+
+    A flag gives text, a list of texts for a many-valued setting; a config file
+    gives JSON, which must first be of a type the kind takes.  Numbers are then
+    read back from their text, so that both sources take the same forms.
+    """
+    type_, many = kind
+    if from_json:
+        if type_ is str:
             valid, wanted = isinstance(value, str), "a string"
         elif many:
             valid = (_is_number(value) or isinstance(value, str)
@@ -180,32 +207,32 @@ def load_config(path, table: dict) -> dict:
         else:
             valid, wanted = _is_number(value), "a number"
         if not valid:
-            raise ValueError(f"config key {key!r} must be {wanted}, not {json.dumps(value)}")
-        if kind is int:
-            fractional = [v for v in as_number_list(value) if v != int(v)]
-            if fractional:
-                raise ValueError(f"config key {key!r} must hold integers, not {fractional[0]!r}")
-    return data
+            raise ValueError(f"{name} must be {wanted}, not {json.dumps(value)}")
+    if type_ is str:
+        return value
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    parts = [part for part in text.split(",") if part.strip()] if many else [text]
+    if not parts:
+        raise ValueError(f"{name} needs at least one value")
+    try:
+        # integer text reads exactly, so that a huge count stays a count for the size caps
+        values = [int(part) if type_ is int and part.strip().lstrip("+-").isdigit()
+                  else float(part) for part in parts]
+    except ValueError:
+        raise ValueError(f"{name} must hold numbers, not {text!r}") from None
+    infinite = [v for v in values if isinstance(v, float) and not math.isfinite(v)]
+    if infinite:
+        raise ValueError(f"list values must be finite numbers, not {infinite[0]!r} in {name}")
+    fractional = [v for v in values if v != int(v)] if type_ is int else []
+    if fractional:
+        raise ValueError(f"{name} must hold integers, not {fractional[0]!r}")
+    return sorted({type_(v) for v in values}) if many else type_(values[0])
 
 
 def _is_number(value) -> bool:
     """A JSON number within the float range; true, false and nan do not count."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
-
-
-def merge_settings(args, table: dict) -> dict:
-    """Defaults, overridden by the config file, overridden by flags; each converted to its kind."""
-    config = load_config(args.config, table) if args.config else {}
-    settings = {}
-    for key, ((kind, many), default) in table.items():
-        value = getattr(args, key)
-        if value is None:
-            value = config.get(key, default)
-        if value is not None:
-            value = sorted({kind(v) for v in as_number_list(value)}) if many else kind(value)
-        settings[key] = value
-    return settings
 
 
 def log_grid(m_min: int, m_max: int, points: int) -> list[int]:
@@ -244,23 +271,6 @@ def parse_noise_spec(text: str):
         table = TableNoise.from_file(rest)
         return lambda modes: table
     raise ValueError(f"unknown noise kind {kind!r}")
-
-
-def parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
-
-
-def as_number_list(value) -> list:
-    """Accept a scalar, list, or comma-separated string from flag or config."""
-    if isinstance(value, str):
-        values = [float(part) for part in value.split(",") if part.strip()]
-    elif isinstance(value, (int, float)):
-        values = [value]
-    else:
-        values = list(value)
-    if not all(isinstance(v, int) or math.isfinite(v) for v in values):
-        raise ValueError("list values must be finite numbers")
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +492,10 @@ def _sweep_refused(command: str, rows: int, lower: str) -> bool:
 def _write_text(path, chunks) -> None:
     """Write the strings of chunks in turn to path, or to stdout when path is None.
 
-    When anything raises after path is opened, a regular file there is
+    When anything raises after path is opened, the regular file written is
     deleted before the exception goes on, so a failed run leaves no partial
-    output; stdout, pipes and device files keep what reached them.
+    output; a symlink to it is left dangling, and stdout, pipes and device
+    files keep what reached them.
     """
     if path is None:
         sys.stdout.writelines(chunks)
@@ -497,7 +508,7 @@ def _write_text(path, chunks) -> None:
     except BaseException:
         if regular:
             with contextlib.suppress(OSError):  # the first error is the one to report
-                os.remove(path)
+                os.remove(os.path.realpath(path))
         raise
 
 
@@ -509,9 +520,8 @@ def cmd_pfa_curves(args) -> int:
     noise_for = parse_noise_spec(settings["noise"])
 
     explicit = settings["m_list"]
-    if explicit is not None:
-        if not explicit or not 1 <= explicit[0] <= explicit[-1] <= SWEEP_COUNT_MAX:
-            raise ValueError("m_list needs mode counts in [1, 10^308]")
+    if explicit is not None and not 1 <= explicit[0] <= explicit[-1] <= SWEEP_COUNT_MAX:
+        raise ValueError("m_list needs mode counts in [1, 10^308]")
     points = len(explicit) if explicit else settings["m_points"]
 
     # each cell writes N terms, the total and two baselines
@@ -643,35 +653,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-m", type=int, default=3, help="largest mode count")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_pfa = sub.add_parser("pfa-curves", help="false-alarm curves over a mode grid (CSV)")
-    p_pfa.add_argument("--n", action="append", type=int, help="photon number (repeatable)")
-    p_pfa.add_argument("--m-min", dest="m_min", type=int, help="grid lower bound (default: N)")
-    p_pfa.add_argument("--m-max", dest="m_max", type=int,
-                       help=f"grid upper bound (default {PFA_SETTINGS['m_max'][1]})")
-    p_pfa.add_argument("--m-points", dest="m_points", type=int,
-                       help=f"log-spaced point count (default {PFA_SETTINGS['m_points'][1]})")
-    p_pfa.add_argument("--m-list", dest="m_list", type=parse_int_list,
-                       help="explicit comma-separated mode counts (overrides the grid)")
-    p_pfa.add_argument("--noise",
-                       help=f"thermal:<nbar> or table:<path> (default {PFA_SETTINGS['noise'][1]})")
-    p_pfa.add_argument("--csv", help="CSV output path (default stdout)")
-    p_pfa.add_argument("--svg", help="optional SVG chart path")
-    p_pfa.add_argument("--config", help="JSON config file; flags override its values")
-    p_pfa.set_defaults(func=cmd_pfa_curves)
-
-    p_pmd = sub.add_parser("pmd-curve", help="missed-detection curve over reflectivity (CSV)")
-    p_pmd.add_argument("--n", action="append", type=int, help="photon number (repeatable)")
-    p_pmd.add_argument("--eta", action="append", type=float,
-                       help="explicit reflectivity value (repeatable)")
-    p_pmd.add_argument("--eta-min", dest="eta_min", type=float,
-                       help=f"grid lower bound (default {PMD_SETTINGS['eta_min'][1]})")
-    p_pmd.add_argument("--eta-max", dest="eta_max", type=float,
-                       help=f"grid upper bound (default {PMD_SETTINGS['eta_max'][1]})")
-    p_pmd.add_argument("--eta-points", dest="eta_points", type=int,
-                       help=f"linear grid point count (default {PMD_SETTINGS['eta_points'][1]})")
-    p_pmd.add_argument("--csv", help="CSV output path (default stdout)")
-    p_pmd.add_argument("--config", help="JSON config file; flags override its values")
-    p_pmd.set_defaults(func=cmd_pmd_curve)
+    sweeps = (
+        ("pfa-curves", "false-alarm curves over a mode grid (CSV)", PFA_SETTINGS, cmd_pfa_curves),
+        ("pmd-curve", "missed-detection curve over reflectivity (CSV)", PMD_SETTINGS,
+         cmd_pmd_curve),
+    )
+    for command, help_text, table, handler in sweeps:
+        p_sweep = sub.add_parser(command, help=help_text)
+        for key, ((_, many), default, text) in table.items():
+            if many:
+                text += ", repeatable and comma-separated"
+            if default is not None:
+                text += f" (default {','.join(map(str, default)) if many else default})"
+            p_sweep.add_argument(_flag(key), dest=key, action="append" if many else "store",
+                                 help=text)
+        p_sweep.add_argument("--config", help="JSON config file; flags override its values")
+        p_sweep.set_defaults(func=handler)
 
     p_dump = sub.add_parser("state-dump", help="serialize a pair state")
     p_dump.add_argument("--n", type=int, required=True, help="photon number")

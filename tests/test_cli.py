@@ -417,6 +417,13 @@ def test_failed_write_leaves_no_partial_file(capsys, tmp_path, monkeypatch, argv
     assert code == EXIT_INVALID and out == ""
     assert err == "error: failed part way\n"
     assert not path.exists()
+    # through a symlink, the file written is deleted and the link is left dangling
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("earlier output\n")
+    link.symlink_to(target)
+    code, out, err = run(argv + [str(link)], capsys)
+    assert code == EXIT_INVALID and err == "error: failed part way\n"
+    assert not target.exists() and link.is_symlink()
     # a special file is left alone: a FIFO keeps its reader's bytes and stays in place
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
@@ -763,12 +770,75 @@ def test_config_rejects_wrong_value_types(capsys, tmp_path, config, message):
         assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("command, key, values, column, rest", [
+    ("pfa-curves", "n", [3, 1, 3], 1, ["--m-list", "5"]),
+    ("pfa-curves", "m_list", [9, 2, 4], 2, ["--n", "2"]),
+    ("pmd-curve", "n", [7, 2, 7], 0, ["--eta", "0.5"]),
+    ("pmd-curve", "eta", [0.75, 0.25], 1, ["--n", "3"]),
+])
+def test_flags_and_config_take_the_same_forms(capsys, tmp_path, command, key, values, column,
+                                              rest):
+    # a repeated flag, one comma-separated flag, a config list and a config string
+    flag, text = "--" + key.replace("_", "-"), ",".join(map(str, values))
+    config = tmp_path / "forms.json"
+    outputs = set()
+    for form in ([arg for v in values for arg in (flag, str(v))], [flag, text],
+                 {key: values}, {key: text}):
+        if isinstance(form, dict):
+            config.write_text(json.dumps(form))
+            form = ["--config", str(config)]
+        code, out, err = run([command, *rest, *form], capsys)
+        assert code == EXIT_OK and err == ""
+        outputs.add(out)
+    (out,) = outputs
+    _, rows = parse_csv(out)
+    assert {row[column] for row in rows} == {str(v) for v in values}
+    # a flag still beats the config
+    code, out, _ = run([command, *rest, "--config", str(config), flag, str(values[1])], capsys)
+    flag_only = run([command, *rest, flag, str(values[1])], capsys)[1]
+    assert code == EXIT_OK and out == flag_only and flag_only not in outputs
+
+
+@pytest.mark.parametrize("command, key", [
+    ("pfa-curves", "n"), ("pfa-curves", "m_list"), ("pmd-curve", "n"), ("pmd-curve", "eta"),
+])
+def test_empty_many_valued_setting_is_refused(capsys, tmp_path, command, key):
+    path, config = tmp_path / "out.csv", tmp_path / "empty.json"
+    flag = "--" + key.replace("_", "-")
+    for value in ([], "", " , "):
+        config.write_text(json.dumps({key: value}))
+        code, out, err = run([command, "--config", str(config), "--csv", str(path)], capsys)
+        assert code == EXIT_INVALID and out == ""
+        assert err == f"error: config key {key!r} needs at least one value\n"
+    for text in ("", ",", " , "):
+        code, out, err = run([command, flag, text, "--csv", str(path)], capsys)
+        assert code == EXIT_INVALID and out == ""
+        assert err == f"error: {flag} needs at least one value\n"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["pfa-curves", "--n", "2.5"], "--n must hold integers, not 2.5"),
+    (["pfa-curves", "--n", "1", "--m-list", "3,x"], "--m-list must hold numbers, not '3,x'"),
+    (["pfa-curves", "--m-points", "1,2"], "--m-points must hold numbers, not '1,2'"),
+    (["pmd-curve", "--eta-min", "inf"],
+     "list values must be finite numbers, not inf in --eta-min"),
+    (["pmd-curve", "--n", "1", "--eta", HUGE],
+     "list values must be finite numbers, not inf in --eta"),
+])
+def test_bad_flag_values_name_their_flag(capsys, argv, message):
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_INVALID and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_sweep_row_refusal(capsys, tmp_path):
     # pfa-curves writes N + 3 rows per cell, pmd-curve one per (N, eta); both count first
     cap = cli.SWEEP_ROW_CAP
     config = tmp_path / "huge.json"
     config.write_text(json.dumps({"n": 1e300, "m_list": 5}))
     for argv in (["pfa-curves", "--n", str(cap - 2), "--m-list", "1"],
+                 ["pfa-curves", "--n", HUGE, "--m-list", "1"],
                  ["pfa-curves", "--n", "20000000", "--m-list", "1"],
                  ["pfa-curves", "--n", "1", "--m-points", "1000000000"],
                  ["pfa-curves", "--m-points", HUGE],
@@ -816,20 +886,25 @@ def cli_arguments(draw):
     if command == "nope":
         return [command]
     args = [command]
+
+    def repeated(flag, values):
+        # the flag 0-2 times, each with one value or several comma-separated ones
+        for _ in range(draw(st.integers(0, 2))):
+            args.extend([flag, ",".join(draw(st.lists(values, min_size=1, max_size=3)))])
+
     # P_MD is O(1) in N, so pmd-curve takes hostile photon numbers in milliseconds
-    photons = small_n | (hostile if command == "pmd-curve" else sweep_hostile)
-    for _ in range(draw(st.integers(0, 2))):
-        args += ["--n", draw(photons)]
+    repeated("--n", small_n | (hostile if command == "pmd-curve" else sweep_hostile))
     if command == "pfa-curves":
         # a small upper bound keeps the default photon numbers' grids short or invalid
         args += ["--m-max", draw((st.integers(-1, 50) | st.just(10**400)).map(str))]
+        repeated("--m-list", st.sampled_from(["1", "2", "40", "0", "x", "", HUGE]))
         options = {"--m-min": small_n | hostile,
                    "--m-points": st.integers(-1, 30).map(str) | sweep_hostile,
-                   "--m-list": st.sampled_from(["1", "2,40", "0", "x", "", HUGE]),
                    "--noise": text_values}
     else:
         numbers = st.sampled_from(["0", "0.5", "1", "-0.1", "2", "nan", "inf", HUGE])
-        options = {"--eta": numbers, "--eta-min": numbers, "--eta-max": numbers,
+        repeated("--eta", numbers)
+        options = {"--eta-min": numbers, "--eta-max": numbers,
                    "--eta-points": st.integers(-1, 30).map(str) | sweep_hostile}
     for flag, values in options.items():
         if draw(st.booleans()):
