@@ -18,6 +18,7 @@ import json
 import math
 import os
 import random
+import re
 import stat
 import sys
 from dataclasses import dataclass
@@ -299,6 +300,7 @@ class VerifyCase:
     modes: int
     probe: SparseState            # random idler/signal state for the operator identities
     direct: SparseState           # pair_state_direct(photons, modes)
+    recursive: SparseState        # pair_state_recursive(photons, modes), the ladder build
     previous: SparseState | None  # the previous case's direct, (N-1) pairs; None at N = 0
     components: list              # (absorbed, state) pairs of conditional_states; no eta
     weights: dict                 # eta -> absorption_weight of each component, for each verify eta
@@ -335,8 +337,9 @@ def _signal_loss(case: VerifyCase) -> float:
 
 
 def _uniformity(case: VerifyCase) -> float:
+    """Ladder-built amplitudes against 1 / sqrt(C(N+M-1, N)), which the direct build copies."""
     expected = 1.0 / math.sqrt(count_compositions(case.photons, case.modes))
-    return nan_max(abs(amp - expected) for _, amp in case.direct.terms())
+    return nan_max(abs(amp - expected) for _, amp in case.recursive.terms())
 
 
 def _decomposition(case: VerifyCase) -> float:
@@ -374,8 +377,7 @@ CHECKS = (
     ("pair-creation commutator (signal)", 1e-12, lambda c: _commutator(c, SIGNAL, IDLER)),
     ("pair-creation commutator (idler)", 1e-12, lambda c: _commutator(c, IDLER, SIGNAL)),
     ("signal-loss identity", 1e-12, _signal_loss),
-    ("direct vs recursive build", 1e-12,
-     lambda c: c.direct.max_abs_diff(pair_state_recursive(c.photons, c.modes))),
+    ("direct vs recursive build", 1e-12, lambda c: c.direct.max_abs_diff(c.recursive)),
     ("amplitude uniformity", 1e-12, _uniformity),
     ("mixture completeness", 1e-10,
      lambda c: nan_max(abs(sum(weights) - 1.0) for weights in c.weights.values())),
@@ -401,6 +403,7 @@ def run_verification(max_n: int, max_m: int) -> list[CheckResult]:
                 photons, modes,
                 probe=_random_state(rng, modes, (IDLER, SIGNAL), max_count=2),
                 direct=pair_state_direct(photons, modes),
+                recursive=pair_state_recursive(photons, modes),
                 previous=previous,
                 components=components,
                 weights={eta: [absorption_weight(photons, modes, eta, absorbed)
@@ -468,7 +471,7 @@ def pfa_lines(grids: dict, noise_for):
         names += ["total", "baseline:1_over_M", "baseline:N_over_M"]
         order = sorted(range(len(names)), key=names.__getitem__)
         for modes in grid:
-            coefficients, _, total = false_alarm_series(photons, modes, noise_for(modes))
+            coefficients, total = false_alarm_series(photons, modes, noise_for(modes))
             reference = single_photon_baselines(photons, modes)
             baselines = (reference.single_copy, reference.repeated_copies)
             if isinstance(total, LogProb):
@@ -641,8 +644,25 @@ def render_svg(path, csv_text) -> None:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every argument led by a negative number as a value.
+
+    argparse takes an argument that starts with '-' for an option unless it
+    matches its own negative-number pattern, which differs between Python
+    versions and matches no comma-separated list such as -0.1,0.5; no option
+    here starts with a digit, so such an argument is always a value.
+    """
+
+    _NUMBER_LED = re.compile(r"-\.?\d")
+
+    def _parse_optional(self, arg_string):
+        if self._NUMBER_LED.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twinfock",
         description="Loss-resilient photon-pair states: verification and detection sweeps.",
     )

@@ -114,35 +114,28 @@ class TableNoise:
         return logs + [-math.inf] * (count - len(logs))
 
 
-@dataclass(frozen=True)
-class FalseAlarmTerm:
-    """Contribution of one detected-photon count to the false-alarm rate."""
-
-    detected: int
-    coefficient: float
-    contribution: float
-
-
 @dataclass
 class DetectionReport:
-    """Closed-form error rates with the per-count breakdown, plus optional oracles."""
+    """Closed-form error rates, plus optional oracles."""
 
     photons: int
     modes: int
     eta: float
     p_fa_closed: float
-    p_fa_terms: list[FalseAlarmTerm]
     p_md_closed: float
     p_fa_oracle: Optional[float] = None
     p_md_oracle: Optional[float] = None
 
 
 class Baselines(NamedTuple):
-    """Single-photon protocol reference rates."""
+    """Single-photon protocol reference rates.
+
+    The repeated-copies figure N / M assumes N well below M; once the photon
+    count reaches the mode count it stops being a probability.
+    """
 
     single_copy: float      # one maximally mode-entangled photon: 1 / M
     repeated_copies: float  # N sequential single-photon probes: N / M
-    in_regime: bool         # the N / M figure assumes N well below M
 
 
 def _check_noise_modes(noise, modes: int) -> None:
@@ -160,17 +153,17 @@ def p_md_closed(photons: int, eta: float) -> float:
     return (1.0 - eta) ** photons
 
 
-def false_alarm_series(photons: int, modes: int, noise) -> tuple[list, list, Fraction | LogProb]:
-    """Closed-form false-alarm rate as (coefficients, contributions, total).
+def false_alarm_series(photons: int, modes: int, noise) -> tuple[list, Fraction | LogProb]:
+    """Closed-form false-alarm rate as (coefficients, total).
 
     Entry k-1 of coefficients is the falling ratio
-    prod_{j<k} (N - j) / (N + M - 1 - j), entry k-1 of contributions is that
-    coefficient times the noise model's k-photon arrangement probability,
-    and total, their sum, is the false-alarm probability.  With photons +
-    modes up to EXACT_CROSSOVER every value is an exact Fraction, unless a
-    positive noise factor or the total lies below the normal float range.
-    Otherwise the coefficients and contributions are natural-log floats
-    (-inf for zero) and the total is a LogProb, so nothing underflows.
+    prod_{j<k} (N - j) / (N + M - 1 - j), and total, the sum of each
+    coefficient times the noise model's k-photon arrangement probability, is
+    the false-alarm probability.  With photons + modes up to EXACT_CROSSOVER
+    every value is an exact Fraction, unless a positive noise factor or the
+    total lies below the normal float range.  Otherwise the coefficients are
+    natural-log floats (-inf for zero) and the total is a LogProb, so
+    nothing underflows.
     """
     if photons < 0:
         raise ValueError("photons must be non-negative")
@@ -182,8 +175,8 @@ def false_alarm_series(photons: int, modes: int, noise) -> tuple[list, list, Fra
         if exact is not None:
             return exact
     coefficients = falling_ratio_logs(photons, modes)
-    contributions = [c + x for c, x in zip(coefficients, noise.arrangement_logs(photons))]
-    return coefficients, contributions, sum_log_probs(contributions)
+    total = sum_log_probs([c + x for c, x in zip(coefficients, noise.arrangement_logs(photons))])
+    return coefficients, total
 
 
 def _exact_series(photons: int, modes: int, noise):
@@ -200,28 +193,15 @@ def _exact_series(photons: int, modes: int, noise):
            for p, log in zip(probs, noise.arrangement_logs(photons))):
         return None
     coefficients = [falling_ratio_exact(photons, modes, k) for k in counts]
-    contributions = [c * Fraction(p) for c, p in zip(coefficients, probs)]
-    total = sum(contributions, Fraction(0))
+    total = sum([c * Fraction(p) for c, p in zip(coefficients, probs)], Fraction(0))
     if 0 < total < _FLOAT_MIN:
         return None
-    return coefficients, contributions, total
-
-
-def _terms(coefficients, contributions, total) -> list[FalseAlarmTerm]:
-    # log-region series hold natural logs; exp(-inf) reads back as 0.0
-    to_float = math.exp if isinstance(total, LogProb) else float
-    return [FalseAlarmTerm(k, to_float(c), to_float(x))
-            for k, (c, x) in enumerate(zip(coefficients, contributions), start=1)]
-
-
-def false_alarm_terms(photons: int, modes: int, noise) -> list[FalseAlarmTerm]:
-    """Per-count breakdown of the closed-form false-alarm rate, as floats."""
-    return _terms(*false_alarm_series(photons, modes, noise))
+    return coefficients, total
 
 
 def p_fa_closed(photons: int, modes: int, noise) -> float:
     """Closed-form false-alarm probability under the given noise model."""
-    return float(false_alarm_series(photons, modes, noise)[2])
+    return float(false_alarm_series(photons, modes, noise)[1])
 
 
 def p_fa_trace(photons: int, modes: int, noise, components: Iterable[SparseState]) -> float:
@@ -282,17 +262,12 @@ def p_md_oracle(photons: int, modes: int, eta: float) -> float:
 
 
 def single_photon_baselines(photons: int, modes: int) -> Baselines:
-    """Reference false-alarm rates of the single-photon protocol.
-
-    Flags the repeated-copies figure as out of regime once the photon count
-    reaches the mode count, where the N / M approximation stops being a
-    probability.
-    """
+    """Reference false-alarm rates of the single-photon protocol."""
     if photons < 0:
         raise ValueError("photons must be non-negative")
     if modes < 1:
         raise ValueError("modes must be at least 1")
-    return Baselines(1.0 / modes, photons / modes, photons < modes)
+    return Baselines(1.0 / modes, photons / modes)
 
 
 def detection_report(
@@ -303,13 +278,11 @@ def detection_report(
     include_oracle: bool = False,
 ) -> DetectionReport:
     """Bundle the closed-form rates, optionally cross-checked by the oracles."""
-    coefficients, contributions, total = false_alarm_series(photons, modes, noise)
     report = DetectionReport(
         photons=photons,
         modes=modes,
         eta=eta,
-        p_fa_closed=float(total),
-        p_fa_terms=_terms(coefficients, contributions, total),
+        p_fa_closed=p_fa_closed(photons, modes, noise),
         p_md_closed=p_md_closed(photons, eta),
     )
     if include_oracle:

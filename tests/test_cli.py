@@ -10,6 +10,7 @@ import tempfile
 import threading
 import tracemalloc
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -38,7 +39,7 @@ from twinfock.detection import (
 )
 from twinfock.fock import IDLER, SIGNAL, SparseState
 from twinfock.loss import conditional_states
-from twinfock.states import pair_state_direct
+from twinfock.states import pair_state_direct, pair_state_recursive
 
 
 HUGE = str(10**400)
@@ -260,7 +261,7 @@ def test_nan_amplitude_makes_amplitude_residuals_nan():
     finite = SparseState.from_terms(2, (IDLER, SIGNAL), [(((0, 1), (0, 1)), 0.5)])
     assert math.isnan(nan_state.max_abs_diff(finite))
     assert math.isnan(finite.max_abs_diff(nan_state))
-    case = cli.VerifyCase(1, 2, probe=nan_state, direct=finite, previous=None,
+    case = cli.VerifyCase(1, 2, probe=nan_state, direct=finite, recursive=finite, previous=None,
                           components=[], weights={})
     assert math.isnan(cli._commutator(case, SIGNAL, IDLER))
     assert math.isnan(cli._commutator(case, IDLER, SIGNAL))
@@ -283,31 +284,53 @@ def test_verify_residual_maxima_keep_a_nan_in_any_position():
     # modes' annihilators send to zero
     direct = _poison(pair_state_direct(2, 3), lambda arrangement: arrangement == (0, 0, 2))
     case = cli.VerifyCase(2, 3, probe=SparseState.vacuum(3, (IDLER, SIGNAL)), direct=direct,
-                          previous=pair_state_direct(1, 3), components=[], weights={})
+                          recursive=direct, previous=pair_state_direct(1, 3), components=[],
+                          weights={})
     assert not any(math.isnan(direct.annihilate(SIGNAL, j).max_abs()) for j in (0, 1))
     assert math.isnan(cli._signal_loss(case))
 
 
 def test_verify_builds_each_pair_state_once(monkeypatch):
-    built = []
-    build = states.pair_state_direct
+    built = {"pair_state_direct": [], "pair_state_recursive": []}
 
-    def counting(photons, modes):
-        built.append((photons, modes))
-        return build(photons, modes)
+    def counting(name):
+        build = getattr(states, name)
 
-    monkeypatch.setattr(cli, "pair_state_direct", counting)
-    monkeypatch.setattr(states, "pair_state_direct", counting)
+        def wrapper(photons, modes):
+            built[name].append((photons, modes))
+            return build(photons, modes)
+        return wrapper
+
+    for name in built:
+        wrapper = counting(name)
+        monkeypatch.setattr(cli, name, wrapper)
+        monkeypatch.setattr(states, name, wrapper)
     cli.run_verification(6, 5)
-    assert len(built) == 35
-    assert len(set(built)) == 35
+    for calls in built.values():
+        assert len(calls) == 35
+        assert len(set(calls)) == 35
+
+
+def test_amplitude_uniformity_reads_the_ladder_build():
+    name, tolerance, residual = next(c for c in cli.CHECKS if c[0] == "amplitude uniformity")
+    direct, recursive = pair_state_direct(2, 3), pair_state_recursive(2, 3)
+    (first, amp), *rest = recursive.terms()
+    wrong = SparseState.from_terms(3, (IDLER, SIGNAL), [(first, amp * (1 + 1e-9)), *rest])
+
+    def case(ladder):
+        return cli.VerifyCase(2, 3, probe=SparseState.vacuum(3, (IDLER, SIGNAL)), direct=direct,
+                              recursive=ladder, previous=None, components=[], weights={})
+
+    assert residual(case(recursive)) <= tolerance
+    assert residual(case(wrong)) > tolerance
 
 
 def test_verify_false_alarm_check_equals_the_oracle_residual():
     for photons in range(0, 5):
         for modes in range(1, 4):
             case = cli.VerifyCase(photons, modes, probe=SparseState.vacuum(modes, (IDLER, SIGNAL)),
-                                  direct=pair_state_direct(photons, modes), previous=None,
+                                  direct=pair_state_direct(photons, modes),
+                                  recursive=pair_state_recursive(photons, modes), previous=None,
                                   components=list(conditional_states(photons, modes)),
                                   weights={})
             table = TableNoise(tuple(0.12 / (k + 1) for k in range(photons)))
@@ -385,18 +408,38 @@ def test_state_dump_matches_sorted_pair_state(photons, modes):
             assert handle.read() == expected
 
 
+#: A child that runs the CLI on its arguments, then prints its exit code and
+#: peak RSS in KiB (Linux units), interpreter included.
+_PEAK_RSS_CHILD = """
+import resource, sys
+from twinfock.cli import main
+code = main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
 @pytest.mark.parametrize("photons, modes", [(14, 8), (16, 10)])
 def test_state_dump_streams_chunk_by_chunk(tmp_path, photons, modes):
     # 116,280 and 2,042,975 lines: one head's chunk and the cached tail texts are held, never the dump
     argv = ["state-dump", "--n", str(photons), "--m", str(modes), "--out", str(tmp_path / "d.tsv")]
-    tracemalloc.start()
-    try:
-        code = main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    if (photons, modes) == (14, 8):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 2 * 2 ** 20
+        return
+    # tracemalloc slows this dump about tenfold, so a child measures its whole peak RSS
+    # instead: about 16 MiB when the dump streams, about 160 MiB when it is held
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    result = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, *argv], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    code, peak_kib = map(int, result.stdout.split())
     assert code == EXIT_OK
-    assert peak < 2 * 2 ** 20
+    assert peak_kib < 64 * 2 ** 10
 
 
 def _failing_after_one(items):
@@ -543,7 +586,7 @@ def test_pfa_total_past_the_formatter_range(capsys):
 
 def reference_cell(photons, modes, noise_for):
     """One cell's rows rendered value by value, with the series sorted per cell."""
-    coefficients, _, total = false_alarm_series(photons, modes, noise_for(modes))
+    coefficients, total = false_alarm_series(photons, modes, noise_for(modes))
     log_region = isinstance(total, LogProb)
     entries = {f"term:{k}": LogProb(c) if log_region else c
                for k, c in enumerate(coefficients, start=1)}
@@ -679,6 +722,19 @@ def test_pfa_svg_written(capsys, tmp_path):
     content = svg.read_text()
     assert content.startswith("<svg")
     assert "polyline" in content
+
+
+@pytest.mark.parametrize("n, m_list", [("2", "20"), ("0", "5")])
+def test_pfa_svg_with_collapsed_axes(capsys, tmp_path, n, m_list):
+    # one mode count leaves the x axis a single value; N = 0 leaves a single point,
+    # the 1/M baseline, so that the y axis collapses as well
+    svg = tmp_path / "chart.svg"
+    code, _, _ = run(["pfa-curves", "--n", n, "--m-list", m_list,
+                      "--csv", str(tmp_path / "out.csv"), "--svg", str(svg)], capsys)
+    assert code == EXIT_OK
+    root = ElementTree.parse(svg).getroot()
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"
+    assert root.findall("{http://www.w3.org/2000/svg}polyline")
 
 
 def test_pfa_config_file_and_flag_precedence(capsys, tmp_path):
@@ -832,6 +888,19 @@ def test_bad_flag_values_name_their_flag(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, flag, value, message", [
+    (["pmd-curve", "--n", "1"], "--eta", "-0.1,0.5", "eta values must lie in [0, 1]"),
+    (["pfa-curves"], "--n", "-1,2", "photon numbers must be non-negative"),
+    (["pfa-curves"], "--m-list", "-1,5", "m_list needs mode counts in [1, 10^308]"),
+])
+def test_negative_led_value_lists_read_as_values(capsys, argv, flag, value, message):
+    # a list led by a negative number reads as the --flag=value form does
+    for form in ([flag, value], [f"{flag}={value}"]):
+        code, out, err = run(argv + form, capsys)
+        assert code == EXIT_INVALID and out == ""
+        assert err == f"error: {message}\n"
+
+
 def test_sweep_row_refusal(capsys, tmp_path):
     # pfa-curves writes N + 3 rows per cell, pmd-curve one per (N, eta); both count first
     cap = cli.SWEEP_ROW_CAP
@@ -961,6 +1030,18 @@ def test_pmd_large_photon_number(capsys):
 def test_pmd_eta_out_of_range(capsys):
     code, _, _ = run(["pmd-curve", "--n", "2", "--eta", "1.5"], capsys)
     assert code == EXIT_INVALID
+
+
+@pytest.mark.parametrize("grid, message", [
+    (["--eta-points", "1"], "need at least 2 grid points"),
+    (["--eta-min", "0.9", "--eta-max", "0.1"], "grid upper bound below lower bound"),
+])
+def test_pmd_invalid_grid(capsys, tmp_path, grid, message):
+    path = tmp_path / "out.csv"
+    code, out, err = run(["pmd-curve", *grid, "--csv", str(path)], capsys)
+    assert code == EXIT_INVALID and out == ""
+    assert err == f"error: {message}\n"
+    assert not path.exists()
 
 
 def test_pmd_grid(capsys):

@@ -203,10 +203,10 @@ def test_log_kernels_equal_loop_references_exactly():
 
 def test_crossover_dispatch():
     noise = TableNoise((0.25,))
-    coefficients, _, total = false_alarm_series(150, 50, noise)
+    coefficients, total = false_alarm_series(150, 50, noise)
     assert coefficients[16] == falling_ratio_exact(150, 50, 17)
     assert total == Fraction(0.25) * falling_ratio_exact(150, 50, 1)
-    coefficients, _, total = false_alarm_series(150, 51, noise)
+    coefficients, total = false_alarm_series(150, 51, noise)
     assert coefficients == falling_ratio_logs(150, 51)
     assert isinstance(total, LogProb)
     assert false_alarm_series(1000, 100_000, noise)[0][2] == falling_ratio_logs(1000, 100_000)[2]

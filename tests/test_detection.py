@@ -12,7 +12,6 @@ from twinfock.detection import (
     ThermalNoise,
     detection_report,
     false_alarm_series,
-    false_alarm_terms,
     p_fa_closed,
     p_fa_oracle,
     p_fa_trace,
@@ -61,7 +60,7 @@ def test_thermal_normalization_over_arrangements():
 @pytest.mark.parametrize("nbar", [1e4, 1e8, 1e12])
 def test_thermal_log_total_keeps_its_digits_at_large_occupation(nbar):
     photons, modes = 3, 1000
-    total = false_alarm_series(photons, modes, ThermalNoise(nbar, modes))[2]
+    total = false_alarm_series(photons, modes, ThermalNoise(nbar, modes))[1]
     with localcontext() as ctx:
         ctx.prec = 60
         x = Decimal(nbar) / (1 + Decimal(nbar))
@@ -113,9 +112,9 @@ def test_p_md_closed_examples():
 
 def test_first_coefficient_single_photon():
     for modes in (1, 2, 10, 57):
-        terms = false_alarm_terms(1, modes, TableNoise((1.0,)))
-        assert len(terms) == 1
-        assert terms[0].coefficient == pytest.approx(1 / modes, rel=1e-14)
+        coefficients, _ = false_alarm_series(1, modes, TableNoise((1.0,)))
+        assert len(coefficients) == 1
+        assert coefficients[0] == pytest.approx(1 / modes, rel=1e-14)
 
 
 def test_single_mode_sums_all_noise():
@@ -309,35 +308,36 @@ def test_every_coefficient_beats_repeated_copies_baseline():
 
 
 def test_baselines():
-    assert single_photon_baselines(10, 100) == (0.01, 0.1, True)
-    low, high, in_regime = single_photon_baselines(1000, 500)
+    assert single_photon_baselines(10, 100) == (0.01, 0.1)
+    low, high = single_photon_baselines(1000, 500)
     assert (low, high) == (1 / 500, 2.0)
-    assert not in_regime
     one = single_photon_baselines(1, 7)
     assert one.single_copy == one.repeated_copies == pytest.approx(1 / 7)
 
 
 def test_exact_region_below_float_range_takes_log_route():
     # normal noise factors, but a total below the normal float range
-    _, _, total = false_alarm_series(1, 199, TableNoise((1e-306,)))
+    _, total = false_alarm_series(1, 199, TableNoise((1e-306,)))
     assert isinstance(total, LogProb)
     assert total.log_value == pytest.approx(math.log(1e-306) - math.log(199), rel=1e-15)
     # noise factors that are subnormal or underflow to zero as floats
     for noise in (TableNoise((1e-310,)), ThermalNoise(100.0, 190)):
-        assert isinstance(false_alarm_series(1, 190, noise)[2], LogProb)
+        assert isinstance(false_alarm_series(1, 190, noise)[1], LogProb)
     # exact zeros stay on the exact route
-    assert false_alarm_series(3, 10, ThermalNoise(0.0, 10))[2] == 0
-    _, _, total = false_alarm_series(2, 3, TableNoise((0.0, 0.5)))
+    assert false_alarm_series(3, 10, ThermalNoise(0.0, 10))[1] == 0
+    _, total = false_alarm_series(2, 3, TableNoise((0.0, 0.5)))
     assert total == Fraction(1, 2) * falling_ratio_exact(2, 3, 2)
 
 
 def test_detection_report_consistency():
     noise = TableNoise((0.1, 0.05, 0.01))
     report = detection_report(3, 2, 0.4, noise, include_oracle=True)
+    coefficients, _ = false_alarm_series(3, 2, noise)
     assert report.p_fa_closed == pytest.approx(
-        sum(term.contribution for term in report.p_fa_terms), rel=1e-14)
+        sum(float(c) * noise.arrangement_prob(k) for k, c in enumerate(coefficients, start=1)),
+        rel=1e-14)
     assert 0.0 <= report.p_fa_closed <= 1.0
-    assert all(0.0 <= term.coefficient <= 1.0 for term in report.p_fa_terms)
+    assert all(0 <= c <= 1 for c in coefficients)
     assert report.p_md_closed == pytest.approx(0.216, abs=1e-12)
     assert report.p_fa_oracle == pytest.approx(report.p_fa_closed, abs=1e-10)
     assert report.p_md_oracle == pytest.approx(report.p_md_closed, abs=1e-10)
@@ -347,8 +347,10 @@ def test_detection_report_consistency():
     thermal = ThermalNoise(0.5, 100)
     far = detection_report(150, 100, 0.4, thermal)
     assert far.p_fa_closed == p_fa_closed(150, 100, thermal)
+    log_coefficients, _ = false_alarm_series(150, 100, thermal)
     assert far.p_fa_closed == pytest.approx(
-        sum(term.contribution for term in far.p_fa_terms), rel=1e-13)
+        sum(math.exp(c) * thermal.arrangement_prob(k)
+            for k, c in enumerate(log_coefficients, start=1)), rel=1e-13)
 
 
 def test_p_md_closed_has_no_mode_dependence():
