@@ -13,6 +13,7 @@ exceeded.
 
 import argparse
 import contextlib
+import decimal
 import itertools
 import json
 import math
@@ -163,8 +164,15 @@ def _fmt_logs(logs) -> list[str]:
 
 def load_config(path, table: dict) -> dict:
     """The JSON object at path, whose keys must all belong to one settings table."""
-    with open(path) as handle:
-        data = json.load(handle)
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        data = json.loads(raw)
+    except UnicodeDecodeError:
+        raise ValueError(f"config file {path} is not UTF-8 text") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config file {path} is not valid JSON: {exc.msg} "
+                         f"at line {exc.lineno} column {exc.colno}") from None
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
     unknown = set(data) - set(table)
@@ -224,9 +232,14 @@ def setting_value(name: str, value, kind, from_json: bool = False):
     infinite = [v for v in values if isinstance(v, float) and not math.isfinite(v)]
     if infinite:
         raise ValueError(f"list values must be finite numbers, not {infinite[0]!r} in {name}")
-    fractional = [v for v in values if v != int(v)] if type_ is int else []
-    if fractional:
-        raise ValueError(f"{name} must hold integers, not {fractional[0]!r}")
+    if type_ is int:
+        # other count text, such as 1e23, reads exactly too; finite as a float, it
+        # stays below 2 * 10^308, so no larger integer is built from it
+        values = [v if isinstance(v, int) else decimal.Decimal(part)
+                  for v, part in zip(values, parts)]
+        fractional = [part.strip() for v, part in zip(values, parts) if v != int(v)]
+        if fractional:
+            raise ValueError(f"{name} must hold integers, not {fractional[0]}")
     return sorted({type_(v) for v in values}) if many else type_(values[0])
 
 
@@ -237,7 +250,12 @@ def _is_number(value) -> bool:
 
 
 def log_grid(m_min: int, m_max: int, points: int) -> list[int]:
-    """Log-spaced integer grid, ascending, deduplicated after rounding."""
+    """Log-spaced integer grid, ascending, deduplicated after rounding.
+
+    The ends are m_min and m_max themselves; each interior point is rounded
+    from a float and clamped into [m_min, m_max], which at large counts
+    the float's error may leave.
+    """
     if m_min < 1:
         raise ValueError("m_min must be at least 1")
     if not m_min <= m_max <= SWEEP_COUNT_MAX:
@@ -247,8 +265,8 @@ def log_grid(m_min: int, m_max: int, points: int) -> list[int]:
     if m_min == m_max:
         return [m_min]
     lo, hi = math.log(m_min), math.log(m_max)
-    raw = (round(math.exp(lo + i * (hi - lo) / (points - 1))) for i in range(points))
-    return sorted({max(1, value) for value in raw})
+    inner = (round(math.exp(lo + i * (hi - lo) / (points - 1))) for i in range(1, points - 1))
+    return sorted({m_min, m_max, *(min(max(value, m_min), m_max) for value in inner)})
 
 
 def linear_grid(low: float, high: float, points: int) -> list[float]:
@@ -266,7 +284,11 @@ def parse_noise_spec(text: str):
     if not sep:
         raise ValueError(f"noise spec {text!r} needs the form thermal:<nbar> or table:<path>")
     if kind == "thermal":
-        nbar = ThermalNoise(float(rest), 1).nbar  # the model validates nbar; M comes per cell
+        try:
+            nbar = float(rest)
+        except ValueError:
+            raise ValueError(f"noise spec {text!r} needs a number after thermal:") from None
+        ThermalNoise(nbar, 1)  # the model validates nbar; M comes per cell
         return lambda modes: ThermalNoise(nbar, modes)
     if kind == "table":
         table = TableNoise.from_file(rest)

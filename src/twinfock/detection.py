@@ -94,13 +94,25 @@ class TableNoise:
 
     @classmethod
     def from_file(cls, path) -> "TableNoise":
-        """Parse a plain-text table, one float per line, line i holding p_i."""
+        """Parse a plain-text table, one float per line, line i holding p_i.
+
+        Blank lines are skipped.  Text that is not UTF-8, or a line that holds
+        no number, raises a ValueError naming the file and the line.
+        """
+        with open(path, encoding="utf-8") as handle:
+            try:
+                lines = handle.readlines()
+            except UnicodeDecodeError:
+                raise ValueError(f"noise table {path} is not UTF-8 text") from None
         values = []
-        with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
+        for number, line in enumerate(lines, 1):
+            line = line.strip()
+            if line:
+                try:
                     values.append(float(line))
+                except ValueError:
+                    raise ValueError(f"noise table {path}, line {number}: "
+                                     f"expected a number, not {line!r}") from None
         return cls(tuple(values))
 
     def arrangement_prob(self, k: int) -> float:

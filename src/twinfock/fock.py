@@ -30,8 +30,6 @@ AMPLITUDE_CAP = 10_000_000
 #: states that respect the amplitude cap but would exhaust memory through
 #: very wide keys (many modes per register).
 KEY_BYTES_BUDGET = 200_000_000
-#: Amplitudes below this magnitude are dropped after linear combinations.
-PRUNE_THRESHOLD = 1e-15
 
 _MAX_MODE_COUNT = 0xFFFF
 
@@ -229,14 +227,14 @@ class SparseState:
         return SparseState._adopt(self.modes, self.registers, out)
 
     def create_pairs(self, scale: float = 1.0) -> "SparseState":
-        """scale * sum_i a+_{I,i} a+_{S,i} in one pass; pruned and cap-checked as combine does.
+        """scale * sum_i a+_{I,i} a+_{S,i} in one pass; cap-checked as combine does.
 
         Each key becomes an integer and a count tuple once; raising mode i in
         both registers adds a fixed integer to the key.  Contributions add up
-        on those integers, and each surviving term is packed back into bytes
-        once.  Modes run outermost
+        on those integers, are scaled, and each term whose amplitude is not
+        exactly zero is packed back into bytes once.  Modes run outermost
         and each term is multiplied in the order create(I).create(S) uses, so
-        the result, amplitudes and key order both, equals
+        for a finite nonzero scale the result, amplitudes and key order both, equals
         combine((1.0, create(I, i).create(S, i)) for i).scaled(scale).  ValueError
         when a mode already holds 65535 photons.
         """
@@ -262,10 +260,9 @@ class SparseState:
         coeff = complex(scale)
         out = {}
         for key, amp in acc.items():
-            if not abs(amp) < PRUNE_THRESHOLD:
-                amp = coeff * amp
-                if not abs(amp) < PRUNE_THRESHOLD:
-                    out[key.to_bytes(width, "big")] = amp
+            amp = coeff * amp
+            if amp != 0:
+                out[key.to_bytes(width, "big")] = amp
         result = SparseState._adopt(self.modes, self.registers, out)
         result._check_caps()
         return result
@@ -305,7 +302,7 @@ class SparseState:
         if coeff != 0:  # combine skips a zero coefficient, NaN amplitudes and all
             for key, amp in self._amps.items():
                 amp = coeff * amp
-                if not abs(amp) < PRUNE_THRESHOLD:
+                if amp != 0:
                     out[key] = amp
         return SparseState._adopt(self.modes, self.registers, out)
 
@@ -316,16 +313,14 @@ class SparseState:
     def max_abs_diff(self, other: "SparseState") -> float:
         """Largest |self - other| amplitude, compared key by key; no difference state is built.
 
-        Returns what combine([(1, self), (-1, other)]).max_abs() returns for
-        finite amplitudes: a gap below PRUNE_THRESHOLD counts as zero.  NaN
-        when any compared amplitude is NaN.
+        Returns what combine([(1, self), (-1, other)]).max_abs() returns: every
+        gap counts, however small.  NaN when any compared amplitude is NaN.
         """
         self._check_compatible(other)
         mine, theirs = self._amps, other._amps
         gaps = [abs(amp - theirs.get(key, 0j)) for key, amp in mine.items()]
         gaps += [abs(amp) for key, amp in theirs.items() if key not in mine]
-        worst = nan_max(gaps)
-        return 0.0 if worst < PRUNE_THRESHOLD else worst
+        return nan_max(gaps)
 
     # -- inspection ----------------------------------------------------------
 
@@ -386,10 +381,11 @@ def nan_max(values: Iterable[float]) -> float:
 
 
 def combine(terms: Iterable[tuple[complex, SparseState]]) -> SparseState:
-    """Linear combination sum_i c_i |state_i| with post-prune of tiny amplitudes.
+    """Linear combination sum_i c_i |state_i|.
 
-    Amplitudes below PRUNE_THRESHOLD are dropped, NaN ones kept; the result
-    must respect the amplitude cap or AmplitudeCapError is raised.
+    An amplitude that sums to exactly zero is dropped and every other one
+    kept, NaN included; the result must respect the amplitude cap or
+    AmplitudeCapError is raised.
     """
     terms = [(complex(c), s) for c, s in terms]
     if not terms:
@@ -402,8 +398,8 @@ def combine(terms: Iterable[tuple[complex, SparseState]]) -> SparseState:
             continue
         for key, amp in state._amps.items():
             acc[key] = acc.get(key, 0j) + coeff * amp
-    pruned = {key: amp for key, amp in acc.items() if not abs(amp) < PRUNE_THRESHOLD}
-    result = SparseState._adopt(first.modes, first.registers, pruned)
+    nonzero = {key: amp for key, amp in acc.items() if amp != 0}
+    result = SparseState._adopt(first.modes, first.registers, nonzero)
     result._check_caps()
     return result
 

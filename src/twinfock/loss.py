@@ -15,6 +15,7 @@ independent cross-check for the whole decomposition.
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -22,7 +23,6 @@ from .combinat import compositions, count_compositions
 from .fock import (
     BACKGROUND,
     IDLER,
-    PRUNE_THRESHOLD,
     SIGNAL,
     SparseState,
     check_sector_size,
@@ -138,8 +138,8 @@ def beamsplitter_oracle(photons: int, modes: int, eta: float) -> SparseState:
     routed into a mode is weighted by 1/sqrt(j), which spreads the 1/sqrt(c!)
     normalisation over the ladder steps: each partial output is a normalized
     state, so no amplitude exceeds one at any photon number, and neither does
-    a product of them.  Each amplitude of the product is then written
-    once per idler arrangement, and pruned once.  Intended for small
+    a product of them.  Each amplitude of the product is then written once
+    per idler arrangement, unless it is exactly zero.  Intended for small
     instances; the result holds C(N + 2M - 1, N) amplitudes.
     """
     _check_loss_args(photons, modes, eta, (0,) * modes)
@@ -162,7 +162,7 @@ def beamsplitter_oracle(photons: int, modes: int, eta: float) -> SparseState:
             for picks in itertools.product(*map(factors.__getitem__, arrangement)):
                 signal, background, amps = zip(*picks)
                 amp = scale * math.prod(amps)
-                if not abs(amp) < PRUNE_THRESHOLD:
+                if amp != 0:
                     yield arrangement + signal + background, amp
 
     return SparseState._from_flat(modes, (IDLER, SIGNAL, BACKGROUND), terms())
@@ -173,11 +173,19 @@ def split_by_environment(state: SparseState) -> list[LossComponent]:
 
     Returns one component per occurring arrangement: the squared-norm weight
     and the normalized idler/signal remainder, ordered as returned_mixture
-    orders its components.
+    orders its components.  A remainder whose squared norm is below the
+    normal float range is scaled by 2^600 first, so it is normalized to full
+    precision even where its weight underflows to zero.
     """
     if state.registers != (IDLER, SIGNAL, BACKGROUND):
         raise ValueError("expected a state over the idler, signal and background registers")
     groups = state.split_last_register()
-    weights = {environment: sub.norm_sq() for environment, sub in groups.items()}
-    return [LossComponent(e, weights[e], groups[e].scaled(1.0 / math.sqrt(weights[e])))
-            for e in sorted(groups, key=lambda e: (sum(e), tuple(-c for c in e)))]
+    components = []
+    for environment in sorted(groups, key=lambda e: (sum(e), tuple(-c for c in e))):
+        sub, shift = groups[environment], 0
+        if (weight := sub.norm_sq()) < sys.float_info.min:
+            sub, shift = sub.scaled(2.0 ** 600), -1200  # exact: a power of two
+            weight = sub.norm_sq()
+        components.append(LossComponent(environment, math.ldexp(weight, shift),
+                                        sub.scaled(1.0 / math.sqrt(weight))))
+    return components

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -169,6 +170,17 @@ def test_log_grid_properties():
     with pytest.raises(ValueError):
         log_grid(10, 5, 5)
     assert log_grid(7, 7, 5) == [7]
+    # at large counts the rounded points may leave the range; the ends are the bounds themselves
+    assert log_grid(10**18 - 10, 10**18, 5) == [10**18 - 10, 10**18]
+    assert log_grid(10**16, 10**16 + 100, 4) == [10**16, 10**16 + 34, 10**16 + 100]
+    assert log_grid(10**15, 10**18, 2) == [10**15, 10**18]
+    for exponent in range(1, 309):
+        grid = log_grid(1, 10**exponent, 3)
+        assert grid[0] == 1 and grid[-1] == 10**exponent and len(grid) == 3
+    for m_min, m_max, points in ((88776869188792, 88776869188792 * 3, 7),
+                                 (10**16 + 1, 10**16 + 2, 9), (3, 10**308, 50)):
+        grid = log_grid(m_min, m_max, points)
+        assert grid[0] == m_min and grid[-1] == m_max and grid == sorted(set(grid))
 
 
 def test_parse_noise_spec(tmp_path):
@@ -323,6 +335,27 @@ def test_amplitude_uniformity_reads_the_ladder_build():
 
     assert residual(case(recursive)) <= tolerance
     assert residual(case(wrong)) > tolerance
+
+
+def test_direct_vs_recursive_build_reports_a_gap_of_1e_16():
+    name, tolerance, residual = next(c for c in cli.CHECKS if c[0] == "direct vs recursive build")
+    # the two (2, 2) builds agree bit for bit, so the nudged amplitude makes the whole gap
+    direct, recursive = pair_state_direct(2, 2), pair_state_recursive(2, 2)
+    assert direct.max_abs_diff(recursive) == 0.0
+    (first, amp), *rest = recursive.terms()
+    nudged = SparseState.from_terms(2, (IDLER, SIGNAL), [(first, amp + 1e-16), *rest])
+    case = cli.VerifyCase(2, 2, probe=SparseState.vacuum(2, (IDLER, SIGNAL)), direct=direct,
+                          recursive=nudged, previous=None, components=[], weights={})
+    assert 0 < residual(case) == abs(amp + 1e-16 - amp) < 1e-15
+
+
+def test_verify_prints_residuals_below_1e_15(capsys):
+    code, out, _ = run(["verify"], capsys)
+    assert code == EXIT_OK
+    worst = {line.split("  worst=")[0].rstrip(): float(line.split("worst=")[1].split()[0])
+             for line in out.splitlines()[1:-1]}
+    for name in ("signal-loss identity", "direct vs recursive build"):
+        assert 0 < worst[name] < 1e-15
 
 
 def test_verify_false_alarm_check_equals_the_oracle_residual():
@@ -635,6 +668,47 @@ def test_pfa_rejects_bad_noise_values(capsys, tmp_path):
                              capsys)
         assert code == EXIT_INVALID and out == ""
         assert "error:" in err
+
+
+@pytest.mark.parametrize("option, content, message", [
+    ("--noise=thermal:abc", None, "noise spec 'thermal:abc' needs a number after thermal:"),
+    ("--noise=table:{path}", b"0.1\n\nabc\n",
+     "noise table {path}, line 3: expected a number, not 'abc'"),
+    ("--noise=table:{path}", b"0.1\n\xff\n", "noise table {path} is not UTF-8 text"),
+    # the json module's own reason and column differ between Python versions
+    ("--config={path}", b'{"n": 1,}',
+     "config file {path} is not valid JSON: ... at line 1 column ..."),
+    ("--config={path}", b"\xff{}", "config file {path} is not UTF-8 text"),
+], ids=["thermal-nbar", "table-line", "table-encoding", "config-syntax", "config-encoding"])
+def test_input_errors_name_their_source(capsys, tmp_path, option, content, message):
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_bytes(content)
+    code, out, err = run(["pfa-curves", "--n", "1", "--m-list", "2", option.format(path=path)],
+                         capsys)
+    assert code == EXIT_INVALID and out == ""
+    pattern = re.escape(f"error: {message.format(path=path)}\n").replace(re.escape("..."), ".+")
+    assert re.fullmatch(pattern, err)
+
+
+def test_counts_in_exponent_form_read_exactly(capsys, tmp_path):
+    # through a float, 1e23 would be 99999999999999991611392
+    config = tmp_path / "counts.json"
+    config.write_text(json.dumps({"n": 1, "m_list": [1e23]}))
+    for form in (["--n", "1", "--m-list", "1e23"], ["--n", "1e0", "--m-list", "1E+23"],
+                 ["--config", str(config)]):
+        code, out, err = run(["pfa-curves", *form], capsys)
+        assert code == EXIT_OK and err == ""
+        assert {(row[1], row[2]) for row in parse_csv(out)[1]} == {("1", str(10**23))}
+    code, out, _ = run(["pmd-curve", "--n", "2.5e1,3e0", "--eta", "0.5"], capsys)
+    assert code == EXIT_OK and [row[0] for row in parse_csv(out)[1]] == ["3", "25"]
+    for argv, message in ((["pfa-curves", "--n", "1.5e0"], "--n must hold integers, not 1.5e0"),
+                          # past the float range: refused before any integer is built from it
+                          (["pfa-curves", "--n", "1e999999999"],
+                           "list values must be finite numbers, not inf in --n")):
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_INVALID and out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_pfa_determinism(capsys, tmp_path):

@@ -6,7 +6,6 @@ import pytest
 import twinfock.fock as fock
 from twinfock.fock import (
     IDLER,
-    PRUNE_THRESHOLD,
     SIGNAL,
     AmplitudeCapError,
     SparseState,
@@ -164,13 +163,13 @@ def test_superposition_norm():
     assert out.norm_sq() == pytest.approx(abs(alpha) ** 2 + abs(beta) ** 2, rel=1e-14)
 
 
-def test_prune_drops_only_tiny_amplitudes():
+def test_combine_drops_only_exact_zeros():
     a = SparseState.basis(1, IS, ((1,), (1,)))
     b = SparseState.basis(1, IS, ((2,), (2,)))
-    out = combine([(1.0, a), (PRUNE_THRESHOLD / 10, b)])
-    assert len(out) == 1
-    kept = combine([(1.0, a), (PRUNE_THRESHOLD * 10, b)])
-    assert len(kept) == 2
+    # a tiny amplitude is kept, however small
+    tiny = combine([(1.0, a), (1e-16, b)])
+    assert len(tiny) == 2
+    assert tiny.amplitude(((2,), (2,))) == 1e-16
     # cancellation leaves nothing behind
     gone = combine([(1.0, a), (-1.0, a)])
     assert len(gone) == 0
@@ -184,8 +183,9 @@ def test_prune_norm_drift_is_negligible():
 
 
 def test_scaled_equals_one_term_combine_exactly():
-    # equal amplitudes in the same key order, not within a tolerance, through the
-    # prune, a zero coefficient and a NaN amplitude; only the sign of a zero part may differ
+    # equal amplitudes in the same key order, not within a tolerance, through tiny and
+    # underflowing products, a zero coefficient and a NaN amplitude; only the sign of a
+    # zero part may differ
     def values(state):
         return [(key, amp if amp == amp else "nan") for key, amp in state.terms()]
 
@@ -193,7 +193,7 @@ def test_scaled_equals_one_term_combine_exactly():
     nan_state = SparseState.from_terms(2, IS, [(((1, 0), (0, 1)), complex(math.nan, 0.0)),
                                               (((0, 1), (1, 0)), -0.5)])
     for state in [random_state(rng, 3, terms=8) for _ in range(4)] + [nan_state]:
-        for coeff in (1.0, -0.3, 2j, complex(0.5, -1.5), PRUNE_THRESHOLD, 0.0):
+        for coeff in (1.0, -0.3, 2j, complex(0.5, -1.5), 1e-15, 5e-324, 0.0):
             assert values(state.scaled(coeff)) == values(combine([(coeff, state)]))
 
 
@@ -290,8 +290,8 @@ def test_max_abs_diff_equals_max_abs_of_the_difference_state():
         for _ in range(20):
             a = random_state(rng, modes, terms=6)
             pairs.append((a, random_state(rng, modes, terms=6)))
-            # same support, gaps near and below the prune threshold
-            nudged = [(counts, amp + complex(rng.choice((0.3, 3.0, 30.0)) * PRUNE_THRESHOLD))
+            # same support, gaps from 3e-16 to 3e-14
+            nudged = [(counts, amp + complex(rng.choice((0.3, 3.0, 30.0)) * 1e-15))
                       for counts, amp in a.terms()]
             pairs.append((a, SparseState.from_terms(modes, IS, nudged)))
             pairs.append((a, a))
@@ -300,6 +300,11 @@ def test_max_abs_diff_equals_max_abs_of_the_difference_state():
     for a, b in pairs:
         for left, right in ((a, b), (b, a)):
             assert left.max_abs_diff(right) == combine([(1, left), (-1, right)]).max_abs()
+    # gaps below 1e-15 read as themselves
+    vacuum = SparseState.vacuum(2, IS)
+    assert vacuum.max_abs_diff(vacuum.scaled(1 + 2 ** -52)) == 2 ** -52
+    assert vacuum.max_abs_diff(SparseState.from_terms(2, IS, [(((0, 0), (0, 0)), 1.0),
+                                                             (((1, 0), (1, 0)), 3e-16)])) == 3e-16
     with pytest.raises(ValueError):
         SparseState.vacuum(2, IS).max_abs_diff(SparseState.vacuum(3, IS))
 

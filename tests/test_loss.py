@@ -321,11 +321,24 @@ def test_oracle_matches_component_decomposition():
         for component in returned_mixture(photons, modes, eta):
             other = by_label.get(component.absorbed)
             if other is None:
-                # every amplitude of the component fell below the prune threshold
-                assert component.weight <= 1e-12
+                # only an arrangement of probability exactly zero (eta = 0 or 1) has no amplitude
+                assert component.weight == 0.0
                 continue
             assert other.weight == pytest.approx(component.weight, abs=1e-12)
             assert amp_diff(other.state, component.state) < 1e-12
+
+
+def test_split_normalizes_components_below_the_float_range():
+    # at eta = 1e-158 the unabsorbed component weighs 1e-316, below the normal float
+    # range, and at eta = 1e-300 its weight 1e-600 underflows to 0; no amplitude is zero
+    for eta in (1e-158, 1e-300):
+        grouped = split_by_environment(beamsplitter_oracle(2, 2, eta))
+        mixture = returned_mixture(2, 2, eta)
+        assert [c.absorbed for c in grouped] == [c.absorbed for c in mixture]
+        for component, closed in zip(grouped, mixture):
+            assert component.weight == pytest.approx(closed.weight, rel=1e-7, abs=0.0)
+            assert amp_diff(component.state, closed.state) < 1e-12
+    assert mixture[0].weight == 0.0
 
 
 def test_split_requires_environment_register():
