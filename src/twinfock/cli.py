@@ -8,7 +8,7 @@ pmd-curve    emit missed-detection probabilities over a reflectivity grid (CSV)
 state-dump   serialize a pair state in the line-per-term dump format
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 size cap
-exceeded.
+exceeded or a printed value below the range of the closed forms.
 """
 
 import argparse
@@ -24,11 +24,12 @@ import stat
 import sys
 from dataclasses import dataclass
 
-from .combinat import LogProb, composition_texts, count_compositions
+from .combinat import composition_texts, count_compositions
 from .detection import (
     TableNoise,
     ThermalNoise,
     false_alarm_series,
+    missed_detection,
     p_fa_closed,
     p_fa_trace,
     p_md_closed,
@@ -67,8 +68,8 @@ DEFAULT_N_VALUES = [10, 100, 1000]
 #: Ceiling on the rows one pfa-curves or pmd-curve run writes: a million
 #: pfa-curves rows take about 2 s and 27 MiB peak RSS on a 2-core x86-64 VM.
 SWEEP_ROW_CAP = 10 ** 6
-#: Largest mode count of pfa-curves and photon number of pmd-curve: the closed
-#: forms run in floats, which hold no count past about 1.8e308.
+#: Largest mode count of pfa-curves and photon number of pmd-curve: the counts
+#: are read and gridded through floats, which hold none past about 1.8e308.
 SWEEP_COUNT_MAX = 10 ** 308
 
 #: Kinds of sweep setting: (type of each value, whether it takes many values).  A
@@ -102,61 +103,21 @@ PMD_SETTINGS = {
 # ---------------------------------------------------------------------------
 # formatting
 
-def fmt_float(value: float) -> str:
-    return f"{value:.17g}"
-
-
-def fmt_sci(value: float) -> str:
-    """The float in fmt_log's mantissa/exponent form; 17 digits read back bit for bit."""
-    if value == 0:
-        return "0"
-    mantissa, _, exponent = f"{value:.16e}".partition("e")
-    return f"{mantissa}e{int(exponent):+d}"
-
-
-def fmt_log(prob: LogProb) -> str:
-    """Decimal mantissa/exponent form with 17 significant digits.
-
-    Derived from the log-scale value, so magnitudes far below the float64
-    underflow point stay strictly positive in the output.
+def fmt_float(value) -> str:
+    """A float or a Decimal rounded half-even to 17 significant digits, laid out as
+    format(float, ".17g") lays out a float: fixed notation from 1e-4 up to 1e17,
+    trailing zeros stripped, at least two exponent digits.  Not for negative values
+    other than -0.
     """
-    return _fmt_logs((prob.log_value,))[0]
-
-
-#: ln 10 split Cody-Waite style: _LN10_HI has 31 significant bits, so
-#: exp10 * _LN10_HI is exact for any |exp10| below 2**22.
-_LN10_HI = float.fromhex("0x1.26bb1bbcp+1")
-_LN10_LO = float.fromhex("-0x1.555d4fa456a4ap-32")
-
-
-def _fmt_logs(logs) -> list[str]:
-    """fmt_log's text for each natural log in logs; -inf prints as 0.
-
-    The decimal exponent comes from the log itself; the mantissa is exp of
-    the remainder, log - exp10 * ln 10, reduced with the two-part constant
-    so that the reduction adds no error growing with the exponent.  That
-    holds only for |exp10| < 2**22; past it the digits are not trustworthy.
-    """
-    out = []
-    append = out.append
-    ln10 = math.log(10.0)
-    floor, exp, zero = math.floor, math.exp, -math.inf
-    for log_value in logs:
-        if log_value == zero:
-            append("0")
-            continue
-        exp10 = floor(log_value / ln10)
-        mantissa = exp((log_value - exp10 * _LN10_HI) - exp10 * _LN10_LO)
-        if mantissa >= 10.0:
-            mantissa /= 10.0
-            exp10 += 1
-        if mantissa < 1.0:
-            mantissa *= 10.0
-            exp10 -= 1
-        # mantissa is in [1, 10) while |exp10| < 2**22, and the largest double below 10
-        # prints as 9.9999999999999982, so its 16 decimals never round up to "10."
-        append("%.16fe%+d" % (mantissa, exp10))
-    return out
+    if not value:
+        return format(value, ".17g")
+    mantissa, _, exponent = format(value, ".16e").partition("e")
+    digits, exp10 = mantissa.replace(".", ""), int(exponent)
+    if not -4 <= exp10 < 17:
+        return f"{mantissa.rstrip('0').rstrip('.')}e{exp10:+03d}"
+    if exp10 < 0:
+        digits, exp10 = "0" * -exp10 + digits, 0
+    return f"{digits[:exp10 + 1]}.{digits[exp10 + 1:]}".rstrip("0").rstrip(".")
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +444,8 @@ def pfa_lines(grids: dict, noise_for):
     """The pfa-curves CSV: the header, then one string per (N, M) cell of grids, N -> Ms.
 
     Rows are ordered by (N, M, series); the sorted series order depends on N
-    alone, so it is worked out once per N.  Exact-region values print as the
-    library's floats; past the crossover every value of the cell prints from
-    the log scale, the baselines too.
+    alone, so it is worked out once per N.  Every value prints from its
+    Decimal, rounded half-even to 17 significant digits; zeros print as 0.
     """
     yield "series,N,M,value\n"
     for photons, grid in grids.items():
@@ -494,13 +454,8 @@ def pfa_lines(grids: dict, noise_for):
         order = sorted(range(len(names)), key=names.__getitem__)
         for modes in grid:
             coefficients, total = false_alarm_series(photons, modes, noise_for(modes))
-            reference = single_photon_baselines(photons, modes)
-            baselines = (reference.single_copy, reference.repeated_copies)
-            if isinstance(total, LogProb):
-                baseline_logs = [math.log(b) if b else -math.inf for b in baselines]
-                values = _fmt_logs(coefficients + [total.log_value] + baseline_logs)
-            else:
-                values = [fmt_sci(float(v)) for v in (*coefficients, total, *baselines)]
+            values = [format(v, ".16e") if v else "0"
+                      for v in (*coefficients, total, *single_photon_baselines(photons, modes))]
             cell = f",{photons},{modes},"
             yield "".join([f"{names[i]}{cell}{values[i]}\n" for i in order])
 
@@ -578,7 +533,7 @@ def cmd_pmd_curve(args) -> int:
         etas = linear_grid(settings["eta_min"], settings["eta_max"], points)
     if any(not 0.0 <= eta <= 1.0 for eta in etas):
         raise ValueError("eta values must lie in [0, 1]")
-    rows = (f"{photons},{fmt_float(eta)},{fmt_float(p_md_closed(photons, eta))}\n"
+    rows = (f"{photons},{fmt_float(eta)},{fmt_float(missed_detection(photons, eta))}\n"
             for photons in n_values for eta in etas)
     _write_text(settings["csv"], itertools.chain(["N,eta,p_md\n"], rows))
     return EXIT_OK
@@ -731,7 +686,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
         return code
-    except AmplitudeCapError as exc:
+    except (AmplitudeCapError, decimal.Subnormal) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except BrokenPipeError:

@@ -7,39 +7,62 @@ the receiver sees only environment noise, and the false-alarm rate is a
 noise-weighted sum of per-photon-count coefficients, every one of which
 falls off as the mode count grows.  Closed forms are paired with
 brute-force trace oracles over explicitly materialized states.
+
+The closed forms run in CONTEXT: 40 significant digits, rounded half-even,
+over the whole exponent range of the decimal module, from the exact values
+of their float inputs.  Each operation rounds once, by at most 5e-40
+relative, and a value gathers the error of at most 5N + 2 such roundings,
+so it stays within (5N + 2) 5e-40 of the exact value for those inputs.  A
+value below that range, about 1e-999999999999999999, raises
+decimal.Subnormal rather than turning into zero.
 """
 
+import contextlib
+import decimal
 import itertools
 import math
-import sys
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
+from decimal import Decimal
 from typing import Iterable, NamedTuple, Optional
 
-from .combinat import (
-    EXACT_CROSSOVER,
-    LogProb,
-    compositions,
-    count_compositions,
-    falling_ratio_exact,
-    falling_ratio_logs,
-    sum_log_probs,
-)
+from .combinat import compositions, count_compositions
 from .fock import SIGNAL, SparseState
 from .loss import absorption_weight, check_oracle_size, conditional_states
 
-#: Smallest positive normal float; below it a float keeps fewer than 53 bits.
-_FLOAT_MIN = sys.float_info.min
+#: The one context of the closed forms; a result too small for it raises Subnormal.
+CONTEXT = decimal.Context(prec=40, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
+                          traps=[decimal.InvalidOperation, decimal.DivisionByZero,
+                                 decimal.Overflow, decimal.Subnormal])
+
+
+@contextlib.contextmanager
+def _in_context(quantity: str):
+    """Run the block in a copy of CONTEXT, which it yields; a Subnormal it raises
+    comes out naming the quantity."""
+    try:
+        with decimal.localcontext(CONTEXT) as context:
+            yield context
+    except decimal.Subnormal:
+        raise decimal.Subnormal(f"{quantity} lies below 1e{CONTEXT.Emin}, the smallest "
+                                f"value the closed forms hold") from None
+
+
+def _one_plus(value: float) -> Decimal:
+    """1 + value exactly: a float is a dyadic rational, so the sum is a finite decimal."""
+    numerator, denominator = value.as_integer_ratio()
+    twos = denominator.bit_length() - 1
+    return Decimal(f"{(numerator + denominator) * 5 ** twos}e-{twos}")
 
 
 @dataclass(frozen=True)
 class ThermalNoise:
     """Identical thermal occupation of every environment mode.
 
-    arrangement_prob(k) is the probability of one specific arrangement of k
-    noise photons, (1 - x)^M x^k with x = nbar / (1 + nbar); the total
-    probability of k photons in any arrangement multiplies this by the
-    number of arrangements.
+    arrangement_probs(count)[k] is the probability of one specific
+    arrangement of k noise photons, (1 + nbar)^-M x^k with
+    x = nbar / (1 + nbar); the total probability of k photons in any
+    arrangement multiplies this by the number of arrangements.
     """
 
     nbar: float
@@ -51,30 +74,17 @@ class ThermalNoise:
         if self.modes < 1:
             raise ValueError("modes must be at least 1")
 
-    def _log_parts(self) -> tuple[float, float]:
-        """(M log(1 - x), log x): the k-photon log probability is base + k * step.
+    def arrangement_probs(self, count: int) -> list[Decimal]:
+        """The arrangement probabilities for k = 0..count, in CONTEXT.
 
-        From nbar, not the rounded x: log(1 - x) = -log1p(nbar), and log x =
-        -log1p(1 / nbar), or log nbar - log1p(nbar) where 1 / nbar may overflow.
+        Taken from the exact value of nbar; 1 + nbar is exact too, so that no
+        rounding of it is raised to the power M.
         """
-        nbar = self.nbar
-        step = -math.log1p(1.0 / nbar) if nbar > 1 else math.log(nbar) - math.log1p(nbar)
-        return -self.modes * math.log1p(nbar), step
-
-    def arrangement_logs(self, count: int) -> list[float]:
-        """Natural logs of arrangement_prob(k) for k = 1..count; -inf stands for zero."""
-        if self.nbar == 0:
-            return [-math.inf] * count
-        base, step = self._log_parts()
-        return [base + k * step for k in range(1, count + 1)]
-
-    def arrangement_prob(self, k: int) -> float:
-        if k < 0:
-            raise ValueError("photon count must be non-negative")
-        if self.nbar == 0:
-            return 1.0 if k == 0 else 0.0
-        base, step = self._log_parts()
-        return math.exp(base + k * step)
+        with decimal.localcontext(CONTEXT):
+            one_plus = _one_plus(self.nbar)
+            step = Decimal(self.nbar) / one_plus
+            return list(itertools.accumulate(itertools.repeat(step, count), operator.mul,
+                                             initial=one_plus ** -self.modes))
 
 
 @dataclass(frozen=True)
@@ -115,15 +125,10 @@ class TableNoise:
                                      f"expected a number, not {line!r}") from None
         return cls(tuple(values))
 
-    def arrangement_prob(self, k: int) -> float:
-        if k < 1 or k > len(self.values):
-            return 0.0
-        return self.values[k - 1]
-
-    def arrangement_logs(self, count: int) -> list[float]:
-        """Natural logs of arrangement_prob(k) for k = 1..count; -inf stands for zero."""
-        logs = [math.log(v) if v > 0 else -math.inf for v in self.values[:count]]
-        return logs + [-math.inf] * (count - len(logs))
+    def arrangement_probs(self, count: int) -> list[Decimal]:
+        """The arrangement probabilities for k = 0..count: the exact values of the entries."""
+        probs = [Decimal(0)] + [Decimal(v) for v in self.values[:count]]
+        return probs + [Decimal(0)] * (count + 1 - len(probs))
 
 
 @dataclass
@@ -140,14 +145,14 @@ class DetectionReport:
 
 
 class Baselines(NamedTuple):
-    """Single-photon protocol reference rates.
+    """Single-photon protocol reference rates, in CONTEXT.
 
     The repeated-copies figure N / M assumes N well below M; once the photon
     count reaches the mode count it stops being a probability.
     """
 
-    single_copy: float      # one maximally mode-entangled photon: 1 / M
-    repeated_copies: float  # N sequential single-photon probes: N / M
+    single_copy: Decimal      # one maximally mode-entangled photon: 1 / M
+    repeated_copies: Decimal  # N sequential single-photon probes: N / M
 
 
 def _check_noise_modes(noise, modes: int) -> None:
@@ -156,63 +161,52 @@ def _check_noise_modes(noise, modes: int) -> None:
         raise ValueError(f"noise model built for {noise_modes} modes, state has {modes}")
 
 
-def p_md_closed(photons: int, eta: float) -> float:
-    """Missed-detection probability (1 - eta)^N; the mode count never enters."""
+def missed_detection(photons: int, eta: float) -> Decimal:
+    """Missed-detection probability (1 - eta)^N in CONTEXT; the mode count never enters.
+
+    1 - eta is exact, so that no rounding of it is raised to the power N.
+    """
     if photons < 0:
         raise ValueError("photons must be non-negative")
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
-    return (1.0 - eta) ** photons
+    if photons == 0:
+        return Decimal(1)  # also at eta = 1, where the power would be 0^0
+    with _in_context(f"P_MD at N={photons}, eta={eta!r}"):
+        return _one_plus(-eta) ** photons
 
 
-def false_alarm_series(photons: int, modes: int, noise) -> tuple[list, Fraction | LogProb]:
-    """Closed-form false-alarm rate as (coefficients, total).
+def p_md_closed(photons: int, eta: float) -> float:
+    """Missed-detection probability as a float: missed_detection rounded once."""
+    return float(missed_detection(photons, eta))
+
+
+def false_alarm_series(photons: int, modes: int, noise) -> tuple[list[Decimal], Decimal]:
+    """Closed-form false-alarm rate as (coefficients, total), in CONTEXT.
 
     Entry k-1 of coefficients is the falling ratio
-    prod_{j<k} (N - j) / (N + M - 1 - j), and total, the sum of each
+    prod_{j<k} (N - j) / (N + M - 1 - j), run as the recurrence
+    c_k = c_{k-1} (N - k + 1) / (N + M - k); total, the sum of each
     coefficient times the noise model's k-photon arrangement probability, is
-    the false-alarm probability.  With photons + modes up to EXACT_CROSSOVER
-    every value is an exact Fraction, unless a positive noise factor or the
-    total lies below the normal float range.  Otherwise the coefficients are
-    natural-log floats (-inf for zero) and the total is a LogProb, so
-    nothing underflows.
+    the false-alarm probability.
     """
     if photons < 0:
         raise ValueError("photons must be non-negative")
     if modes < 1:
         raise ValueError("modes must be at least 1")
     _check_noise_modes(noise, modes)
-    if photons + modes <= EXACT_CROSSOVER:
-        exact = _exact_series(photons, modes, noise)
-        if exact is not None:
-            return exact
-    coefficients = falling_ratio_logs(photons, modes)
-    total = sum_log_probs([c + x for c, x in zip(coefficients, noise.arrangement_logs(photons))])
-    return coefficients, total
-
-
-def _exact_series(photons: int, modes: int, noise):
-    """The exact-region series of false_alarm_series, or None where floats fail it.
-
-    A noise factor that is positive but below the normal float range has
-    lost digits, or underflowed to zero, before the exact arithmetic sees
-    it, and a total below that range cannot be returned as a float with its
-    digits; the log route carries both to full precision.
-    """
-    counts = range(1, photons + 1)
-    probs = [noise.arrangement_prob(k) for k in counts]
-    if any(p < _FLOAT_MIN and log != -math.inf
-           for p, log in zip(probs, noise.arrangement_logs(photons))):
-        return None
-    coefficients = [falling_ratio_exact(photons, modes, k) for k in counts]
-    total = sum([c * Fraction(p) for c, p in zip(coefficients, probs)], Fraction(0))
-    if 0 < total < _FLOAT_MIN:
-        return None
+    with _in_context(f"P_FA at N={photons}, M={modes}") as context:
+        # the ratios (N - k + 1) / (N + M - k), k = 1..N, each rounded once
+        ratios = map(context.divide, range(photons, 0, -1),
+                     range(photons + modes - 1, modes - 1, -1))
+        coefficients = list(itertools.accumulate(ratios, operator.mul))
+        probs = noise.arrangement_probs(photons)[1:]
+        total = sum(map(operator.mul, coefficients, probs), Decimal(0))
     return coefficients, total
 
 
 def p_fa_closed(photons: int, modes: int, noise) -> float:
-    """Closed-form false-alarm probability under the given noise model."""
+    """Closed-form false-alarm probability as a float: the series total rounded once."""
     return float(false_alarm_series(photons, modes, noise)[1])
 
 
@@ -232,7 +226,8 @@ def p_fa_trace(photons: int, modes: int, noise, components: Iterable[SparseState
     """
     _check_noise_modes(noise, modes)
     uniform = 1.0 / count_compositions(photons, modes)
-    probs = {k: noise.arrangement_prob(k) for k in range(1, photons + 1)}
+    # the vacuum term, k = 0, is no returned photon and adds nothing
+    probs = {k: float(p) for k, p in enumerate(noise.arrangement_probs(photons)) if k}
     total = 0.0
     for component in components:
         for returned, amp in component.register_totals(SIGNAL):
@@ -279,7 +274,8 @@ def single_photon_baselines(photons: int, modes: int) -> Baselines:
         raise ValueError("photons must be non-negative")
     if modes < 1:
         raise ValueError("modes must be at least 1")
-    return Baselines(1.0 / modes, photons / modes)
+    with decimal.localcontext(CONTEXT) as context:
+        return Baselines(context.divide(1, modes), context.divide(photons, modes))
 
 
 def detection_report(

@@ -6,20 +6,21 @@ gated by one run of the verify battery, twinfock.cli.CHECKS, up to N = 6
 and M = 5: criteria 1-5 each gate their own entries of it, and every entry
 belongs to exactly one of them.  The unit modules check the same identities
 input by input.  The remaining criteria gate the pfa-curves sweep and the
-log-space kernel.
+decimal kernel of the closed forms.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 pass/fail lines and timings.
 """
 
-import math
 import time
 from decimal import Decimal
 
 import pytest
 
 from twinfock.cli import CHECKS, main, run_verification
-from twinfock.combinat import falling_ratio_exact, falling_ratio_logs
+from twinfock.detection import TableNoise, ThermalNoise, false_alarm_series
+
+from references import falling_ratios, pfa_total, sci17
 
 
 def _finish(name, failures, elapsed, budget):
@@ -134,24 +135,25 @@ def test_criterion_6_curve_family_shape(tmp_path):
             time.perf_counter() - start, 10.0)
 
 
-def test_criterion_7_log_space_fidelity():
+def test_criterion_7_decimal_fidelity():
+    # every coefficient and total rounds to the exact value's 17 digits, in the
+    # exact region and far below the float range, where no float holds them
     start = time.perf_counter()
     failures = []
-    for photons in range(1, 31):
-        for modes in range(1, 31):
-            logs = falling_ratio_logs(photons, modes)
-            for k in range(1, photons + 1):
-                exact = float(falling_ratio_exact(photons, modes, k))
-                approx = math.exp(logs[k - 1])
-                if abs(approx - exact) >= 1e-12 * exact:
-                    failures.append(f"rel gap at N={photons} M={modes} k={k}")
-    logs = falling_ratio_logs(1000, 100_000)
-    if len(logs) != 1000:
-        failures.append("missing terms at N=1000")
-    for k, entry in enumerate(logs, start=1):
-        if not math.isfinite(entry):
-            failures.append(f"non-finite term at k={k}")
-    _finish("criterion 7 (log-space fidelity)", failures,
+    cases = [(photons, modes, ThermalNoise(0.5, modes))
+             for photons in range(1, 31) for modes in range(1, 31)]
+    cases += [(1000, 100_000, ThermalNoise(1.0, 100_000)),
+              (3000, 100_000, TableNoise((0.5, 0.25, 2.0 ** -60)))]
+    for photons, modes, noise in cases:
+        coefficients, total = false_alarm_series(photons, modes, noise)
+        printed = [format(v, ".16e") for v in (*coefficients, total)]
+        numerators, denominator = falling_ratios(photons, modes)
+        expected = [sci17(c, denominator) for c in numerators]
+        expected.append(sci17(*pfa_total(photons, modes, noise)))
+        failures += [f"value {k} of N={photons} M={modes}: {got} for {want}"
+                     for k, (got, want) in enumerate(zip(printed, expected), start=1)
+                     if got != want]
+    _finish("criterion 7 (decimal fidelity)", failures,
             time.perf_counter() - start, 10.0)
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import stat
 import subprocess
@@ -11,20 +12,19 @@ import tempfile
 import threading
 import tracemalloc
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
+from fractions import Fraction
 from xml.etree import ElementTree
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from twinfock import cli, states
-from twinfock.combinat import LogProb
 from twinfock.cli import (
     EXIT_CAP,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
-    fmt_log,
-    fmt_sci,
+    fmt_float,
     log_grid,
     main,
     parse_noise_spec,
@@ -36,11 +36,12 @@ from twinfock.detection import (
     false_alarm_series,
     p_fa_closed,
     p_fa_oracle,
-    single_photon_baselines,
 )
 from twinfock.fock import IDLER, SIGNAL, SparseState
 from twinfock.loss import conditional_states
 from twinfock.states import pair_state_direct, pair_state_recursive
+
+from references import fraction17, pfa_cell, sci17
 
 
 HUGE = str(10**400)
@@ -60,104 +61,12 @@ def parse_csv(text):
 
 # -- helpers ----------------------------------------------------------------
 
-def test_fmt_log_matches_plain_floats():
-    for value in (0.5, 1.0, 2.0, 1e-5, 0.123456789, 3.0):
-        rendered = Decimal(fmt_log(LogProb(math.log(value))))
-        assert abs(rendered - Decimal(repr(value))) <= Decimal(repr(value)) * Decimal("1e-14")
-
-
-def test_fmt_log_survives_underflow():
-    tiny = LogProb(-2000.0)  # value far below the float64 range
-    rendered = fmt_log(tiny)
-    parsed = Decimal(rendered)
-    assert parsed > 0
-    expected_log10 = Decimal(-2000) / Decimal(repr(math.log(10)))
-    assert abs(parsed.log10() - expected_log10) < Decimal("1e-10")
-    assert fmt_log(LogProb(-math.inf)) == "0"
-
-
-def reference_fmt_logs(logs):
-    """_fmt_logs written with f-strings and a carry guard for a mantissa printed as "10."."""
-    out = []
-    ln10 = math.log(10.0)
-    for log_value in logs:
-        if log_value == -math.inf:
-            out.append("0")
-            continue
-        exp10 = math.floor(log_value / ln10)
-        mantissa = math.exp((log_value - exp10 * cli._LN10_HI) - exp10 * cli._LN10_LO)
-        if mantissa >= 10.0:
-            mantissa /= 10.0
-            exp10 += 1
-        if mantissa < 1.0:
-            mantissa *= 10.0
-            exp10 -= 1
-        text = f"{mantissa:.16f}"
-        if text.startswith("10"):
-            text = "1.0000000000000000"
-            exp10 += 1
-        out.append(f"{text}e{exp10:+d}")
-    return out
-
-
-LN10 = math.log(10.0)
-
-
-def decade_edges(decades):
-    """k ln 10 for each k in decades, with the float on either side of it."""
-    return [edge for k in decades for x in (k * LN10,)
-            for edge in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
-
-
-def test_fmt_logs_equals_reference_at_decade_edges():
-    logs = decade_edges(range(-400, 401)) + [-math.inf]
-    assert cli._fmt_logs(logs) == reference_fmt_logs(logs)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(-1e6, 709.0), max_size=20))
-def test_fmt_logs_equals_reference_exactly(logs):
-    assert cli._fmt_logs(logs) == reference_fmt_logs(logs)
-
-
-def assert_fmt_log_reads_as_exp(x):
-    """fmt_log(LogProb(x)) parses to exp(x) within (|x| + 2) 2^-51, with a mantissa in [1, 10).
-
-    Near x = 0 the constant term is reached: the remainder below ln 10 takes
-    two roundings of up to 2^-52, exp one more, and the normalization and the
-    17-digit text less than 2^-52 between them (-0.153 reads 1.21 2^-51 off).
-    """
-    text = fmt_log(LogProb(x))
-    assert 1 <= Decimal(text.partition("e")[0]) < 10
-    with localcontext() as ctx:
-        ctx.prec = 40
-        ctx.Emin = MIN_EMIN  # exp(x) reaches about 1e-4194304, far past the default range
-        error = abs(Decimal(text) / Decimal(x).exp() - 1)
-        assert error <= (abs(Decimal(x)) + 2) * Decimal(2) ** -51
-
-
-#: the two-part ln 10 reduction is exact while the decimal exponent stays within +-2^22
-FORMATTER_LOGS = st.floats(-2**22 * LN10, 709.0)
-
-
 @settings(max_examples=300, deadline=None)
-@given(FORMATTER_LOGS)
-@example(-2**22 * LN10)
-@example(709.0)
-@example(0.0)
-@example(-7.785734120351522e-10)
-@example(-0.15319238499614962)
-def test_fmt_log_reads_as_decimal_exp(x):
-    # checked against Decimal, not against the formatter that pfa_lines shares
-    assert_fmt_log_reads_as_exp(x)
-
-
-def test_fmt_log_mantissa_never_prints_ten():
-    # the largest double below 10 keeps 16 decimals short of 10, so no rounding carries
-    assert f"{math.nextafter(10.0, 0.0):.16f}" == "9.9999999999999982"
-    top = 2**22 - 1
-    for x in decade_edges([-top, -top + 1, -100_000, -1, 0, 1, 307]):
-        assert_fmt_log_reads_as_exp(x)
+@given(st.floats(0.0, allow_infinity=False, allow_nan=False) | st.sampled_from(
+    [-0.0, 1e-4, math.nextafter(1e-4, 0.0), 1e17, math.nextafter(1e17, 0.0), 5e-324, 1.0]))
+def test_fmt_float_lays_out_values_as_float_g17(value):
+    # pmd-curve prints Decimals through fmt_float; on doubles it is format(float, ".17g")
+    assert fmt_float(value) == fmt_float(Decimal(value)) == format(value, ".17g")
 
 
 def test_log_grid_properties():
@@ -533,7 +442,7 @@ def test_pfa_structure_and_order(capsys):
 
 
 def test_pfa_single_photon_term_equals_baseline(capsys):
-    # both sides of the exact/log crossover at N + M = 200
+    # both are 1 / M rounded once, below and far above N + M = 200
     code, out, _ = run(["pfa-curves", "--n", "1", "--m-list", "2,3,7,50,199,200,1000,99991"],
                        capsys)
     assert code == EXIT_OK
@@ -553,87 +462,123 @@ def test_pfa_term_values_positive_and_bounded(capsys):
             assert 0 < value <= 1
 
 
+def cells(out):
+    """The values of a pfa-curves CSV, by (N, M) and then series name."""
+    table = {}
+    for series, photons, modes, value in parse_csv(out)[1]:
+        table.setdefault((int(photons), int(modes)), {})[series] = value
+    return table
+
+
 def test_pfa_exact_region_prints_library_floats(capsys):
+    # every printed value is the exact one rounded half-even to 17 digits, and the
+    # library's float is the printed total's Decimal rounded once
     code, out, _ = run(["pfa-curves", "--n", "3", "--m-list", "4"], capsys)
     assert code == EXIT_OK
-    values = {row[0]: row[3] for row in parse_csv(out)[1]}
+    values = cells(out)[(3, 4)]
     assert values["baseline:1_over_M"] == "2.5000000000000000e-1"
     assert values["term:1"] == "5.0000000000000000e-1"
     code, out, _ = run(["pfa-curves", "--n", "2", "--n", "30", "--m-list", "1,7,150,170",
                         "--noise", "thermal:0.3"], capsys)
     assert code == EXIT_OK
-    totals = {(int(row[1]), int(row[2])): row[3] for row in parse_csv(out)[1]
-              if row[0] == "total"}
-    for (photons, modes), text in totals.items():
-        if photons + modes <= 200:
-            assert float(text) == p_fa_closed(photons, modes, ThermalNoise(0.3, modes))
+    for (photons, modes), values in cells(out).items():
+        noise = ThermalNoise(0.3, modes)
+        assert values == pfa_cell(photons, modes, noise)
+        total = false_alarm_series(photons, modes, noise)[1]
+        assert p_fa_closed(photons, modes, noise) == float(total)
+    # 1/15 prints the exact value's 17th digit, not the nearest double's
+    code, out, _ = run(["pfa-curves", "--n", "1", "--m-list", "15"], capsys)
+    assert cells(out)[(1, 15)]["term:1"] == "6.6666666666666667e-2"
 
 
 def test_pfa_exact_region_below_float_range(capsys):
-    # thermal:100 noise factors underflow at M = 190, and at M = 154 the
-    # exact total is subnormal: both cells print from the log scale
+    # thermal:100 noise factors underflow a float at M = 190, and at M = 154 the
+    # total is subnormal as a float: both print all 17 digits
     photons = 10
     code, out, _ = run(["pfa-curves", "--n", str(photons), "--m-list", "154,190",
                         "--noise", "thermal:100"], capsys)
     assert code == EXIT_OK
-    totals = {int(row[2]): Decimal(row[3]) for row in parse_csv(out)[1] if row[0] == "total"}
-    assert sorted(totals) == [154, 190]
-    with localcontext() as ctx:
-        ctx.prec = 40
-        x = Decimal(100) / Decimal(101)
-        for modes, printed in totals.items():
-            exact = sum(Decimal(math.comb(photons - k + modes - 1, modes - 1))
-                        * (1 - x) ** modes * x ** k for k in range(1, photons + 1))
-            exact /= math.comb(photons + modes - 1, modes - 1)
-            assert abs(printed / exact - 1) < Decimal("1e-12")
+    assert sorted(cells(out)) == [(photons, 154), (photons, 190)]
+    for (_, modes), values in cells(out).items():
+        assert values == pfa_cell(photons, modes, ThermalNoise(100.0, modes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(photons=st.integers(0, 199), data=st.data(),
+       table=st.none() | st.lists(st.integers(0, 2**20).map(lambda n: n / 2**20), max_size=40))
+def test_pfa_exact_region_rounds_exact_values(photons, data, table):
+    # N + M <= 200 under thermal:1 (table None) or a dyadic table: every term, the
+    # total and the baselines print as their exact values rounded half-even
+    modes = data.draw(st.integers(1, 200 - photons))
+    noise_for = (lambda m: ThermalNoise(1.0, m)) if table is None else table_factory(tuple(table))
+    lines = "".join(pfa_lines({photons: [modes]}, noise_for))
+    assert cells(lines)[(photons, modes)] == pfa_cell(photons, modes, noise_for(modes))
+
+
+def test_pfa_large_cells_round_exact_values():
+    # seeded cells up to N = 3000, M = 1e5, the benchmark sweep's range
+    rng = random.Random(19)
+    table = tuple(rng.uniform(0.2, 1.0) * 0.5 ** k for k in range(1, 65))
+    # the corner's references take seconds under thermal:0.3 and thermal:1e6, whose
+    # 1 + nbar has a long numerator, and milliseconds under the other two
+    for noise_for, corner in ((lambda m: ThermalNoise(1.0, m), True),
+                              (lambda m: ThermalNoise(0.3, m), False),
+                              (lambda m: ThermalNoise(1e6, m), False),
+                              (table_factory(table), True)):
+        sizes = [(rng.randrange(1, 3001), round(10 ** rng.uniform(0, 5))) for _ in range(2)]
+        for photons, modes in sizes + [(3000, 10**5)] * corner:
+            lines = "".join(pfa_lines({photons: [modes]}, noise_for))
+            assert cells(lines)[(photons, modes)] == pfa_cell(photons, modes, noise_for(modes))
+
+
+def test_pfa_baselines_are_exact_quotients(capsys):
+    code, out, _ = run(["pfa-curves", "--n", "1", "--m-list", f"1000,{10**23}",
+                        "--noise", "thermal:0"], capsys)
+    assert code == EXIT_OK
+    values = cells(out)
+    assert values[(1, 1000)]["baseline:1_over_M"] == "1.0000000000000000e-3"
+    assert values[(1, 10**23)]["baseline:1_over_M"] == "1.0000000000000000e-23"
+    assert values[(1, 10**23)]["baseline:N_over_M"] == "1.0000000000000000e-23"
 
 
 def test_pfa_log_region_term_accuracy(capsys):
+    # a large cell of the sweep: every term and the total, exact to 17 digits
     photons, modes = 1000, 100_000
     code, out, _ = run(["pfa-curves", "--n", str(photons), "--m-list", str(modes)], capsys)
     assert code == EXIT_OK
-    printed = {row[0]: Decimal(row[3]) for row in parse_csv(out)[1]}
-    with localcontext() as ctx:
-        ctx.prec = 40
-        exact = Decimal(1)
-        for k in range(1, photons + 1):
-            exact *= Decimal(photons - k + 1) / Decimal(photons + modes - k)
-            assert abs(printed[f"term:{k}"] / exact - 1) < Decimal("6e-13")
+    assert cells(out)[(photons, modes)] == pfa_cell(photons, modes, ThermalNoise(1.0, modes))
 
 
-@pytest.mark.xfail(strict=True, reason="a decimal exponent past 2^22 leaves the log route "
-                                       "no digits for the mantissa")
 def test_pfa_total_past_the_formatter_range(capsys):
     modes = 10**18
     code, out, _ = run(["pfa-curves", "--n", "1", "--m-list", str(modes),
                         "--noise", "thermal:1"], capsys)
     assert code == EXIT_OK
-    printed = {row[0]: Decimal(row[3]) for row in parse_csv(out)[1]}
+    printed = cells(out)[(1, modes)]["total"]
+    assert printed == "3.0565472207278501e-301029995663981214"
     with localcontext() as ctx:
-        ctx.prec = 40
+        ctx.prec = 60
         ctx.Emin, ctx.Emax = MIN_EMIN, MAX_EMAX
-        # thermal:1 puts x = 1/2, so P_FA(1, M) = (1/M) (1 - x)^M x = 2^-(M + 1) / M
-        exact = Decimal(2) ** -(modes + 1) / modes
-        assert abs(printed["total"] / exact - 1) <= Decimal("1e-12")
+        # thermal:1 puts x = 1/2, so P_FA(1, M) = (1/M) (1 - x)^M x = 2^-(M + 1) / M,
+        # here through ln and exp rather than the power the kernel takes
+        reference = (-(modes + 1) * Decimal(2).ln()).exp() / modes
+    assert printed == format(reference, ".16e")
+    code, out, _ = run(["pfa-curves", "--n", "1", "--m-list", "1000",
+                        "--noise", "thermal:1"], capsys)
+    assert cells(out)[(1, 1000)]["total"] == "4.6663180925160944e-305" == sci17(1, 1000 * 2**1001)
 
 
-def reference_cell(photons, modes, noise_for):
-    """One cell's rows rendered value by value, with the series sorted per cell."""
-    coefficients, total = false_alarm_series(photons, modes, noise_for(modes))
-    log_region = isinstance(total, LogProb)
-    entries = {f"term:{k}": LogProb(c) if log_region else c
-               for k, c in enumerate(coefficients, start=1)}
-    entries["total"] = total
-    baselines = single_photon_baselines(photons, modes)
-    entries["baseline:1_over_M"] = baselines.single_copy
-    entries["baseline:N_over_M"] = baselines.repeated_copies
-    if log_region:
-        render = lambda v: fmt_log(
-            v if isinstance(v, LogProb) else LogProb(math.log(v) if v else -math.inf))
-    else:
-        render = lambda v: fmt_sci(float(v))
-    return "".join(f"{name},{photons},{modes},{render(entries[name])}\n"
-                   for name in sorted(entries))
+@pytest.mark.parametrize("argv, cell", [
+    (["pfa-curves", "--n", "1", "--m-list", str(10**23), "--noise", "thermal:1"],
+     f"P_FA at N=1, M={10**23} "),
+    (["pmd-curve", "--n", str(10**308), "--eta", "0.5"], f"P_MD at N={10**308}, eta=0.5 "),
+])
+def test_values_below_the_decimal_range_are_refused(capsys, argv, cell):
+    # 2^-(10^23) and 2^-(10^308) lie below 1e-999999999999999999: no row prints 0
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_CAP
+    assert out.count("\n") == 1  # the header alone
+    assert err.startswith(f"error: {cell}lies below") and err.count("\n") == 1
 
 
 def table_factory(values):
@@ -651,9 +596,12 @@ noise_factories = st.one_of(
 @given(photons=st.integers(0, 40), modes=st.lists(st.integers(1, 400), min_size=1, max_size=3),
        noise_for=noise_factories)
 def test_pfa_rows_match_per_value_rendering(photons, modes, noise_for):
-    # mode counts up to 400 put cells on both sides of the N + M = 200 crossover
+    # one string per cell, each value rendered from its own exact reference
     grid = sorted(set(modes))
-    expected = ["series,N,M,value\n"] + [reference_cell(photons, m, noise_for) for m in grid]
+    expected = ["series,N,M,value\n"] + [
+        "".join(f"{name},{photons},{m},{value}\n"
+                for name, value in sorted(pfa_cell(photons, m, noise_for(m)).items()))
+        for m in grid]
     assert list(pfa_lines({photons: grid}, noise_for)) == expected
 
 
@@ -692,12 +640,13 @@ def test_input_errors_name_their_source(capsys, tmp_path, option, content, messa
 
 
 def test_counts_in_exponent_form_read_exactly(capsys, tmp_path):
-    # through a float, 1e23 would be 99999999999999991611392
+    # through a float, 1e23 would be 99999999999999991611392; noise-free, since
+    # thermal noise over 10^23 modes lies below the range of the closed forms
     config = tmp_path / "counts.json"
     config.write_text(json.dumps({"n": 1, "m_list": [1e23]}))
     for form in (["--n", "1", "--m-list", "1e23"], ["--n", "1e0", "--m-list", "1E+23"],
                  ["--config", str(config)]):
-        code, out, err = run(["pfa-curves", *form], capsys)
+        code, out, err = run(["pfa-curves", *form, "--noise", "thermal:0"], capsys)
         assert code == EXIT_OK and err == ""
         assert {(row[1], row[2]) for row in parse_csv(out)[1]} == {("1", str(10**23))}
     code, out, _ = run(["pmd-curve", "--n", "2.5e1,3e0", "--eta", "0.5"], capsys)
@@ -1089,16 +1038,48 @@ def test_pmd_values(capsys):
     assert values[("10", "0.5")] == "0.0009765625"
 
 
+def pmd_reference(photons, eta):
+    """(1 - eta)^N for the exact float eta in 17 digits, through ln and exp at 80 digits.
+
+    Not the power the program takes.  1 - eta is exact (a float has at most
+    1,074 fractional binary digits), and 80 digits leave the 17 printed ones
+    exact while N ln(1 - eta) stays below about 10^60 in size.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 1100
+        ctx.Emin, ctx.Emax = MIN_EMIN, MAX_EMAX
+        one_minus = 1 - Decimal(eta)
+        ctx.prec = 80
+        return fmt_float(Decimal(format((photons * one_minus.ln()).exp(), ".16e")))
+
+
 def test_pmd_large_photon_number(capsys):
     code, out, _ = run(["pmd-curve", "--n", "100", "--eta", "0.1"], capsys)
     assert code == EXIT_OK
     _, rows = parse_csv(out)
-    assert float(rows[0][2]) == pytest.approx(math.exp(100 * math.log(0.9)), rel=1e-12)
+    assert rows[0][2] == fmt_float(Decimal(fraction17((1 - Fraction(0.1)) ** 100)))
     code, out, _ = run(["pmd-curve", "--n", str(10**12), "--eta", "0.5"], capsys)
-    assert code == EXIT_OK and out == f"N,eta,p_md\n{10**12},0.5,0\n"
+    assert code == EXIT_OK and out == f"N,eta,p_md\n{10**12},0.5,1.0442507269304682e-301029995664\n"
+    assert pmd_reference(10**12, 0.5) == "1.0442507269304682e-301029995664"
     # a float holds no larger photon number
     code, out, err = run(["pmd-curve", "--n", HUGE, "--eta", "0.5"], capsys)
     assert code == EXIT_INVALID and out == "" and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("photons, eta, printed", [
+    (10**9, "1e-9", "0.36787944098750258"),
+    (10**17, "1e-17", "0.36787944117144229"),
+    (10**5, "0.01", "3.3071946367460803e-437"),
+    # 1 - 1e-300 rounded to 40 digits would be 1
+    (10**300, "1e-300", "0.36787944117144231"),
+])
+def test_pmd_prints_the_power_of_the_exact_reflectivity(capsys, photons, eta, printed):
+    # 1 - eta is not rounded before the power: the first three rows once
+    # printed 0.36787945139184391, 1 and 0
+    code, out, _ = run(["pmd-curve", "--n", str(photons), "--eta", eta], capsys)
+    assert code == EXIT_OK
+    assert parse_csv(out)[1] == [[str(photons), fmt_float(float(eta)), printed]]
+    assert pmd_reference(photons, float(eta)) == printed
 
 
 def test_pmd_eta_out_of_range(capsys):
@@ -1148,3 +1129,28 @@ def test_reader_closing_stdout_early_is_not_an_error(argv):
         proc.stdout.close()
         err = proc.stderr.read()
     assert proc.returncode == EXIT_OK and err == b""
+
+
+_STDLIB_CHILD = """\
+import contextlib, io, sys
+from twinfock import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["pfa-curves", "--n", "3", "--m-list", "7"]),
+             cli.main(["pmd-curve", "--n", "3", "--eta", "0.5"])]
+print(*codes)
+print(*sorted({name.partition(".")[0] for name in sys.modules}))
+"""
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    # no runtime dependencies: a fresh interpreter that runs both sweeps holds no
+    # module from outside the standard library but twinfock itself (and its own
+    # __main__); -S keeps the .pth files of site-packages from importing theirs
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    result = subprocess.run([sys.executable, "-S", "-c", _STDLIB_CHILD], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    codes, modules = result.stdout.splitlines()
+    assert codes == "0 0"
+    foreign = [name for name in modules.split() if name not in
+               ("__main__", "twinfock") and name not in sys.stdlib_module_names]
+    assert foreign == []

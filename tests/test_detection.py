@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from twinfock.combinat import LogProb, count_compositions, falling_ratio_exact
+from twinfock.combinat import count_compositions
 from twinfock.detection import (
+    CONTEXT,
     TableNoise,
     ThermalNoise,
     detection_report,
     false_alarm_series,
+    missed_detection,
     p_fa_closed,
     p_fa_oracle,
     p_fa_trace,
@@ -24,17 +26,20 @@ from twinfock.combinat import compositions
 from twinfock.loss import conditional_state, conditional_states
 from twinfock.fock import IDLER, SIGNAL, AmplitudeCapError, SparseState, combine
 
+from references import fraction17, pfa_total, sci17
+
+
+def falling_ratio(photons, modes, k):
+    """Coefficient k of the closed form, a Decimal that compares exactly with a Fraction."""
+    return false_alarm_series(photons, modes, TableNoise(()))[0][k - 1]
+
 
 def test_thermal_noiseless():
-    noise = ThermalNoise(0.0, 3)
-    assert noise.arrangement_prob(0) == 1.0
-    for k in range(1, 5):
-        assert noise.arrangement_prob(k) == 0.0
+    assert ThermalNoise(0.0, 3).arrangement_probs(4) == [1, 0, 0, 0, 0]
 
 
 def test_thermal_single_mode_example():
-    noise = ThermalNoise(1.0, 1)
-    assert noise.arrangement_prob(1) == pytest.approx(0.25, rel=1e-14)
+    assert ThermalNoise(1.0, 1).arrangement_probs(1) == [Decimal("0.5"), Decimal("0.25")]
 
 
 def test_thermal_rejects_negative_occupation():
@@ -47,36 +52,31 @@ def test_thermal_normalization_over_arrangements():
     for modes in range(1, 5):
         for nbar in (0.2, 1.0, 2.0):
             noise = ThermalNoise(nbar, modes)
-            total, k = 0.0, 0
-            while True:
-                term = count_compositions(k, modes) * noise.arrangement_prob(k)
-                total += term
-                k += 1
-                if k > 5 and term < 1e-16:
-                    break
+            probs = noise.arrangement_probs(80)
+            total = sum(count_compositions(k, modes) * float(p) for k, p in enumerate(probs))
             assert total == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("nbar", [1e4, 1e8, 1e12])
 def test_thermal_log_total_keeps_its_digits_at_large_occupation(nbar):
+    # 1 / (1 + nbar) is raised to the power M = 1000, so a rounding of 1 + nbar
+    # would grow a thousandfold; the total keeps all of its digits, and its log too
     photons, modes = 3, 1000
-    total = false_alarm_series(photons, modes, ThermalNoise(nbar, modes))[1]
+    noise = ThermalNoise(nbar, modes)
+    total = false_alarm_series(photons, modes, noise)[1]
+    numerator, denominator = pfa_total(photons, modes, noise)
+    assert format(total, ".16e") == sci17(numerator, denominator)
     with localcontext() as ctx:
         ctx.prec = 60
-        x = Decimal(nbar) / (1 + Decimal(nbar))
-        weighted = sum(Decimal(math.comb(photons - k + modes - 1, modes - 1)) * x ** k
-                       for k in range(1, photons + 1))
-        exact = (weighted / math.comb(photons + modes - 1, modes - 1)).ln() \
-            - modes * (1 + Decimal(nbar)).ln()
-    assert abs(Decimal(total.log_value) - exact) <= 2 * Decimal(math.ulp(float(exact)))
+        exact = Decimal(numerator).ln() - Decimal(denominator).ln()
+        assert abs(total.ln() - exact) <= abs(exact) * Decimal(10) ** -38
 
 
 def test_table_noise_zero_extension_and_bounds():
     noise = TableNoise((0.1, 0.05))
-    assert noise.arrangement_prob(0) == 0.0
-    assert noise.arrangement_prob(1) == 0.1
-    assert noise.arrangement_prob(2) == 0.05
-    assert noise.arrangement_prob(3) == 0.0
+    # the vacuum and the counts past the table read as zero, the entries as their floats
+    assert noise.arrangement_probs(3) == [0, Decimal(0.1), Decimal(0.05), 0]
+    assert noise.arrangement_probs(1) == [0, Decimal(0.1)]
     for bad in (-0.1, 2.5, math.nan, math.inf):
         with pytest.raises(ValueError):
             TableNoise((0.1, bad))
@@ -89,32 +89,44 @@ def test_table_noise_from_file(tmp_path):
     assert noise.values == (0.25, 0.125, 0.0625)
 
 
-def test_arrangement_logs_match_probabilities():
-    for noise in (ThermalNoise(0.0, 4), ThermalNoise(0.7, 4), ThermalNoise(100.0, 150)):
-        logs = noise.arrangement_logs(6)
-        # one expression for both, so exp reads each log back bit for bit
-        assert [math.exp(x) for x in logs] == [noise.arrangement_prob(k) for k in range(1, 7)]
-    table = TableNoise((0.1, 0.0, 0.05))
-    assert table.arrangement_logs(5) == [
-        math.log(0.1), -math.inf, math.log(0.05), -math.inf, -math.inf]
-    assert table.arrangement_logs(1) == [math.log(0.1)]
-    assert table.arrangement_logs(0) == []
+def test_thermal_arrangement_probs_are_exact_to_their_rounding():
+    # (1 + nbar)^-M x^k from the exact float nbar, against integer references
+    for nbar, modes in ((0.7, 4), (100.0, 150), (0.3, 3000), (1e-300, 7)):
+        probs = ThermalNoise(nbar, modes).arrangement_probs(6)
+        n, d = nbar.as_integer_ratio()
+        for k, prob in enumerate(probs):
+            # within (2k + 2) 5e-40 of d^M n^k / (n + d)^(M + k), cross-multiplied in integers
+            num, den = d ** modes * n ** k, (n + d) ** (modes + k)
+            a, b = prob.as_integer_ratio()
+            assert abs(a * den - num * b) * 10**39 < (k + 1) * num * b
 
 
 def test_p_md_closed_examples():
     assert p_md_closed(5, 1.0) == 0.0
-    assert p_md_closed(2, 0.5) == pytest.approx(0.25)
-    assert p_md_closed(1, 0.3) == pytest.approx(0.7)
+    assert p_md_closed(2, 0.5) == 0.25
+    assert p_md_closed(1, 0.3) == 1 - 0.3
     assert p_md_closed(0, 0.4) == 1.0
+    assert p_md_closed(0, 1.0) == 1.0
     with pytest.raises(ValueError):
         p_md_closed(2, 1.5)
 
 
+def test_missed_detection_rounds_the_exact_power():
+    # (1 - eta)^N for the exact float eta, N up to 10^4, against Fraction powers
+    rng = random.Random(31)
+    for _ in range(40):
+        photons, eta = rng.randrange(10**4 + 1), rng.choice([rng.random(), 2.0 ** -rng.randrange(60)])
+        value = missed_detection(photons, eta)
+        exact = (1 - Fraction(eta)) ** photons
+        assert format(value, ".16e") == fraction17(exact)
+        assert p_md_closed(photons, eta) == float(value)
+
+
 def test_first_coefficient_single_photon():
     for modes in (1, 2, 10, 57):
-        coefficients, _ = false_alarm_series(1, modes, TableNoise((1.0,)))
-        assert len(coefficients) == 1
-        assert coefficients[0] == pytest.approx(1 / modes, rel=1e-14)
+        coefficients, total = false_alarm_series(1, modes, TableNoise((1.0,)))
+        assert coefficients == [total] == [CONTEXT.divide(1, modes)]
+        assert format(total, ".16e") == sci17(1, modes)
 
 
 def test_single_mode_sums_all_noise():
@@ -132,10 +144,10 @@ def test_hand_worked_example():
 def test_first_and_last_coefficients_exact():
     for photons in range(1, 6):
         for modes in range(1, 6):
-            first = falling_ratio_exact(photons, modes, 1)
-            assert first == Fraction(photons, photons + modes - 1)
-            last = falling_ratio_exact(photons, modes, photons)
-            assert last == Fraction(1, math.comb(photons + modes - 1, photons))
+            coefficients = false_alarm_series(photons, modes, TableNoise(()))[0]
+            assert coefficients[0] == CONTEXT.divide(photons, photons + modes - 1)
+            assert format(coefficients[-1], ".16e") == sci17(
+                1, math.comb(photons + modes - 1, photons))
 
 
 def test_zero_noise_oracle():
@@ -169,7 +181,7 @@ def test_closed_vs_oracle_thermal():
 def terms_walking_p_fa(photons, modes, noise):
     """Reference trace: every accepting component's terms unpacked through terms(), the signal summed."""
     uniform = 1.0 / count_compositions(photons, modes)
-    probs = {k: noise.arrangement_prob(k) for k in range(1, photons + 1)}
+    probs = {k: float(p) for k, p in enumerate(noise.arrangement_probs(photons)) if k}
     total = 0.0
     accepting = (conditional_state(photons, modes, absorbed)
                  for lost in range(photons) for absorbed in compositions(lost, modes))
@@ -282,21 +294,21 @@ def test_projector_idempotent_on_random_states():
 def test_coefficients_decrease_with_modes():
     for photons in (2, 3, 6):
         for k in range(1, photons + 1):
-            values = [falling_ratio_exact(photons, modes, k) for modes in range(2, 30)]
+            values = [falling_ratio(photons, modes, k) for modes in range(2, 30)]
             assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_first_coefficient_beats_single_photon_baseline():
     for photons in (2, 3, 10):
         for modes in range(2, 40):
-            first = falling_ratio_exact(photons, modes, 1)
+            first = falling_ratio(photons, modes, 1)
             assert first > Fraction(1, modes)
 
 
 def test_last_coefficient_below_single_photon_baseline():
     for photons in (2, 3, 10):
         for modes in range(2, 40):
-            last = falling_ratio_exact(photons, modes, photons)
+            last = falling_ratio(photons, modes, photons)
             assert last < Fraction(1, modes)
 
 
@@ -304,38 +316,23 @@ def test_every_coefficient_beats_repeated_copies_baseline():
     for photons in (2, 3, 7):
         for modes in range(photons + 1, photons + 30):
             for k in range(1, photons + 1):
-                assert falling_ratio_exact(photons, modes, k) < Fraction(photons, modes)
+                assert falling_ratio(photons, modes, k) < Fraction(photons, modes)
 
 
 def test_baselines():
-    assert single_photon_baselines(10, 100) == (0.01, 0.1)
+    assert single_photon_baselines(10, 100) == (Decimal("0.01"), Decimal("0.1"))
     low, high = single_photon_baselines(1000, 500)
-    assert (low, high) == (1 / 500, 2.0)
+    assert (low, high) == (Decimal("0.002"), 2)
     one = single_photon_baselines(1, 7)
-    assert one.single_copy == one.repeated_copies == pytest.approx(1 / 7)
-
-
-def test_exact_region_below_float_range_takes_log_route():
-    # normal noise factors, but a total below the normal float range
-    _, total = false_alarm_series(1, 199, TableNoise((1e-306,)))
-    assert isinstance(total, LogProb)
-    assert total.log_value == pytest.approx(math.log(1e-306) - math.log(199), rel=1e-15)
-    # noise factors that are subnormal or underflow to zero as floats
-    for noise in (TableNoise((1e-310,)), ThermalNoise(100.0, 190)):
-        assert isinstance(false_alarm_series(1, 190, noise)[1], LogProb)
-    # exact zeros stay on the exact route
-    assert false_alarm_series(3, 10, ThermalNoise(0.0, 10))[1] == 0
-    _, total = false_alarm_series(2, 3, TableNoise((0.0, 0.5)))
-    assert total == Fraction(1, 2) * falling_ratio_exact(2, 3, 2)
+    assert one.single_copy == one.repeated_copies == CONTEXT.divide(1, 7)
+    assert format(one.single_copy, ".16e") == sci17(1, 7)
 
 
 def test_detection_report_consistency():
     noise = TableNoise((0.1, 0.05, 0.01))
     report = detection_report(3, 2, 0.4, noise, include_oracle=True)
-    coefficients, _ = false_alarm_series(3, 2, noise)
-    assert report.p_fa_closed == pytest.approx(
-        sum(float(c) * noise.arrangement_prob(k) for k, c in enumerate(coefficients, start=1)),
-        rel=1e-14)
+    coefficients, total = false_alarm_series(3, 2, noise)
+    assert report.p_fa_closed == float(total) == float(Fraction(*pfa_total(3, 2, noise)))
     assert 0.0 <= report.p_fa_closed <= 1.0
     assert all(0 <= c <= 1 for c in coefficients)
     assert report.p_md_closed == pytest.approx(0.216, abs=1e-12)
@@ -343,14 +340,10 @@ def test_detection_report_consistency():
     assert report.p_md_oracle == pytest.approx(report.p_md_closed, abs=1e-10)
     plain = detection_report(3, 2, 0.4, noise)
     assert plain.p_fa_oracle is None and plain.p_md_oracle is None
-    # past the exact/log crossover the report and p_fa_closed still agree
     thermal = ThermalNoise(0.5, 100)
     far = detection_report(150, 100, 0.4, thermal)
     assert far.p_fa_closed == p_fa_closed(150, 100, thermal)
-    log_coefficients, _ = false_alarm_series(150, 100, thermal)
-    assert far.p_fa_closed == pytest.approx(
-        sum(math.exp(c) * thermal.arrangement_prob(k)
-            for k, c in enumerate(log_coefficients, start=1)), rel=1e-13)
+    assert far.p_fa_closed == float(Fraction(*pfa_total(150, 100, thermal)))
 
 
 def test_p_md_closed_has_no_mode_dependence():
