@@ -33,7 +33,6 @@ from .detection import (
     p_fa_closed,
     p_fa_trace,
     p_md_closed,
-    p_md_oracle,
     single_photon_baselines,
 )
 from .fock import (
@@ -286,7 +285,8 @@ class VerifyCase:
     recursive: SparseState        # pair_state_recursive(photons, modes), the ladder build
     previous: SparseState | None  # the previous case's direct, (N-1) pairs; None at N = 0
     components: list              # (absorbed, state) pairs of conditional_states; no eta
-    weights: dict                 # eta -> absorption_weight of each component, for each verify eta
+    weights: dict                 # eta -> absorption_weight of each absorbed count k = 0..N
+    oracles: dict                 # eta -> split_by_environment of the beamsplitter oracle
 
 
 def _random_state(rng: random.Random, modes: int, registers, max_count: int) -> SparseState:
@@ -328,9 +328,9 @@ def _uniformity(case: VerifyCase) -> float:
 def _decomposition(case: VerifyCase) -> float:
     residuals = []
     for eta, weights in case.weights.items():
-        oracle = split_by_environment(beamsplitter_oracle(case.photons, case.modes, eta))
-        by_label = {c.absorbed: c for c in oracle}
-        for (absorbed, state), weight in zip(case.components, weights):
+        by_label = {c.absorbed: c for c in case.oracles[eta]}
+        for absorbed, state in case.components:
+            weight = weights[sum(absorbed)]
             other = by_label.get(absorbed)
             if other is None:
                 residuals.append(weight)
@@ -363,14 +363,15 @@ CHECKS = (
     ("direct vs recursive build", 1e-12, lambda c: c.direct.max_abs_diff(c.recursive)),
     ("amplitude uniformity", 1e-12, _uniformity),
     ("mixture completeness", 1e-10,
-     lambda c: nan_max(abs(sum(weights) - 1.0) for weights in c.weights.values())),
+     lambda c: nan_max(abs(sum(weights[sum(absorbed)] for absorbed, _ in c.components) - 1.0)
+                       for weights in c.weights.values())),
     ("component orthonormality", 1e-12,
      lambda c: orthonormality_residual([state for _, state in c.components])),
     ("beamsplitter decomposition", 1e-12, _decomposition),
     ("false alarm: closed vs oracle", 1e-10, _false_alarm),
-    ("missed detection: closed vs oracle", 1e-10,
-     lambda c: nan_max(abs(p_md_oracle(c.photons, c.modes, eta) - p_md_closed(c.photons, eta))
-                       for eta in _VERIFY_ETAS)),
+    ("missed detection: closed vs oracle", 1e-10,  # the oracle's all-absorbed mass
+     lambda c: nan_max(abs(sum(part.weight for part in split if sum(part.absorbed) == c.photons)
+                           - p_md_closed(c.photons, eta)) for eta, split in c.oracles.items())),
 )
 
 
@@ -381,16 +382,16 @@ def run_verification(max_n: int, max_m: int) -> list[CheckResult]:
     for modes in range(1, max_m + 1):
         previous = None
         for photons in range(0, max_n + 1):
-            components = list(conditional_states(photons, modes))
             case = VerifyCase(
                 photons, modes,
                 probe=_random_state(rng, modes, (IDLER, SIGNAL), max_count=2),
                 direct=pair_state_direct(photons, modes),
                 recursive=pair_state_recursive(photons, modes),
                 previous=previous,
-                components=components,
-                weights={eta: [absorption_weight(photons, modes, eta, absorbed)
-                               for absorbed, _ in components]
+                components=list(conditional_states(photons, modes)),
+                weights={eta: [absorption_weight(photons, modes, eta, lost)
+                               for lost in range(photons + 1)] for eta in _VERIFY_ETAS},
+                oracles={eta: split_by_environment(beamsplitter_oracle(photons, modes, eta))
                          for eta in _VERIFY_ETAS},
             )
             previous = case.direct

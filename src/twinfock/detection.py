@@ -6,9 +6,10 @@ probability is (1 - eta)^N regardless of the mode count.  Target absent:
 the receiver sees only environment noise, and the false-alarm rate is a
 noise-weighted sum of per-photon-count coefficients, every one of which
 falls off as the mode count grows.  Closed forms are paired with
-brute-force trace oracles over explicitly materialized states.
+brute-force oracles over explicitly materialized states: a trace for P_FA,
+the all-absorbed weight of the beamsplitter oracle for P_MD.
 
-The closed forms run in CONTEXT: 40 significant digits, rounded half-even,
+The closed forms run in loss.CONTEXT: 40 significant digits, rounded half-even,
 over the whole exponent range of the decimal module, from the exact values
 of their float inputs.  Each operation rounds once, by at most 5e-40
 relative, and a value gathers the error of at most 5N + 2 such roundings,
@@ -26,14 +27,10 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterable, NamedTuple, Optional
 
-from .combinat import compositions, count_compositions
+from .combinat import count_compositions
 from .fock import SIGNAL, SparseState
-from .loss import absorption_weight, check_oracle_size, conditional_states
-
-#: The one context of the closed forms; a result too small for it raises Subnormal.
-CONTEXT = decimal.Context(prec=40, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
-                          traps=[decimal.InvalidOperation, decimal.DivisionByZero,
-                                 decimal.Overflow, decimal.Subnormal])
+from .loss import (CONTEXT, _check_eta, _one_plus, absorption_weight, check_oracle_size,
+                   conditional_states)
 
 
 @contextlib.contextmanager
@@ -46,13 +43,6 @@ def _in_context(quantity: str):
     except decimal.Subnormal:
         raise decimal.Subnormal(f"{quantity} lies below 1e{CONTEXT.Emin}, the smallest "
                                 f"value the closed forms hold") from None
-
-
-def _one_plus(value: float) -> Decimal:
-    """1 + value exactly: a float is a dyadic rational, so the sum is a finite decimal."""
-    numerator, denominator = value.as_integer_ratio()
-    twos = denominator.bit_length() - 1
-    return Decimal(f"{(numerator + denominator) * 5 ** twos}e-{twos}")
 
 
 @dataclass(frozen=True)
@@ -168,8 +158,7 @@ def missed_detection(photons: int, eta: float) -> Decimal:
     """
     if photons < 0:
         raise ValueError("photons must be non-negative")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
+    _check_eta(eta)
     if photons == 0:
         return Decimal(1)  # also at eta = 1, where the power would be 0^0
     with _in_context(f"P_MD at N={photons}, eta={eta!r}"):
@@ -252,22 +241,6 @@ def p_fa_oracle(photons: int, modes: int, noise) -> float:
     return p_fa_trace(photons, modes, noise, (state for _, state in accepted))
 
 
-def p_md_oracle(photons: int, modes: int, eta: float) -> float:
-    """Brute-force missed-detection probability from the mixture weights.
-
-    One minus the total weight of every component with at least one
-    returned photon; equals (1 - eta)^N, which the tests pin.  Walks the
-    components of an oracle-sized instance, so sizes past the beamsplitter
-    oracle's caps raise AmplitudeCapError before any enumeration.
-    """
-    check_oracle_size(photons, modes)
-    accepted = 0.0
-    for lost in range(photons):
-        for absorbed in compositions(lost, modes):
-            accepted += absorption_weight(photons, modes, eta, absorbed)
-    return 1.0 - accepted
-
-
 def single_photon_baselines(photons: int, modes: int) -> Baselines:
     """Reference false-alarm rates of the single-photon protocol."""
     if photons < 0:
@@ -285,15 +258,13 @@ def detection_report(
     noise,
     include_oracle: bool = False,
 ) -> DetectionReport:
-    """Bundle the closed-form rates, optionally cross-checked by the oracles."""
-    report = DetectionReport(
-        photons=photons,
-        modes=modes,
-        eta=eta,
-        p_fa_closed=p_fa_closed(photons, modes, noise),
-        p_md_closed=p_md_closed(photons, eta),
-    )
+    """Bundle the closed-form rates, optionally cross-checked: p_fa_oracle by the trace
+    oracle, p_md_oracle by 1 - sum_{k<N} C(k+M-1, k) absorption_weight(N, M, eta, k)."""
+    report = DetectionReport(photons, modes, eta, p_fa_closed(photons, modes, noise),
+                             p_md_closed(photons, eta))
     if include_oracle:
         report.p_fa_oracle = p_fa_oracle(photons, modes, noise)
-        report.p_md_oracle = p_md_oracle(photons, modes, eta)
+        report.p_md_oracle = 1.0 - math.fsum(
+            count_compositions(lost, modes) * absorption_weight(photons, modes, eta, lost)
+            for lost in range(photons))
     return report

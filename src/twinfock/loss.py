@@ -6,17 +6,20 @@ The returned light decomposes into mutually orthogonal pure components
 labeled by the exact arrangement of absorbed photons.  Chu-Vandermonde
 fixes every component in closed form: summed over the kept arrangements,
 the per-arrangement multiplicities give C(N+M-1, N-k) whatever the absorbed
-arrangement of k photons, so each weight is one binomial ratio and each
-state's amplitudes are written down directly.  A brute-force tripartite
-oracle that tracks the environment register explicitly is provided as the
-independent cross-check for the whole decomposition.
+arrangement of k photons, so each weight depends on k alone, one binomial
+term evaluated in CONTEXT; each state's amplitudes are written down
+directly.  A brute-force tripartite oracle that tracks the environment
+register explicitly is the independent cross-check of the decomposition.
 """
 
+import decimal
 import itertools
 import math
 import operator
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from typing import Iterator
 
 from .combinat import compositions, count_compositions
@@ -28,6 +31,23 @@ from .fock import (
     check_sector_size,
     combine,
 )
+
+#: The one context of the closed forms; a result too small for it raises Subnormal.
+CONTEXT = decimal.Context(prec=40, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
+                          traps=[decimal.InvalidOperation, decimal.DivisionByZero,
+                                 decimal.Overflow, decimal.Subnormal])
+
+
+def _one_plus(value: float) -> Decimal:
+    """1 + value exactly: a float is a dyadic rational, so the sum is a finite decimal."""
+    numerator, denominator = value.as_integer_ratio()
+    twos = denominator.bit_length() - 1
+    return Decimal(f"{(numerator + denominator) * 5 ** twos}e-{twos}")
+
+
+def _check_eta(eta: float) -> None:
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("eta must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -44,18 +64,11 @@ class LossComponent:
     state: SparseState
 
 
-def _check_loss_args(photons: int, modes: int, eta: float, absorbed) -> int:
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
-    return _check_arrangement(photons, modes, absorbed)
-
-
 def _check_arrangement(photons: int, modes: int, absorbed) -> int:
     if photons < 0:
         raise ValueError("photons must be non-negative")
     if modes < 1:
         raise ValueError("modes must be at least 1")
-    absorbed = tuple(absorbed)
     if len(absorbed) != modes:
         raise ValueError(f"absorbed needs one count per mode ({modes})")
     if any(a < 0 for a in absorbed):
@@ -66,17 +79,29 @@ def _check_arrangement(photons: int, modes: int, absorbed) -> int:
     return lost
 
 
-def absorption_weight(photons: int, modes: int, eta: float, absorbed) -> float:
-    """Probability that the environment holds exactly the given arrangement.
+def absorption_weight(photons: int, modes: int, eta: float, lost: int) -> float:
+    """Probability of any one arrangement of `lost` absorbed photons.
 
-    Evaluates eta^(N-k) (1-eta)^k C(N+M-1, N-k) / C(N+M-1, N) for k absorbed
-    photons; the ratio is the exact integer quotient rounded once to float,
-    and the arrangement enters only through its total k.
+    C(N, k) eta^(N-k) (1-eta)^k / C(k+M-1, k) for k = lost: the chance that
+    exactly k of the N photons are absorbed, shared evenly among the
+    C(k+M-1, k) arrangements of k photons over M modes.  The exact value is
+    rounded once to a float: from 40 digits in CONTEXT, or from exact
+    rationals when a rounding boundary between floats lies within their error.
     """
-    lost = _check_loss_args(photons, modes, eta, absorbed)
-    top = photons + modes - 1
-    ratio = math.comb(top, photons - lost) / math.comb(top, photons)
-    return (eta ** (photons - lost)) * ((1.0 - eta) ** lost) * ratio
+    if modes < 1 or not 0 <= lost <= photons:
+        raise ValueError(f"need M >= 1 and 0 <= lost <= N, got M={modes}, lost={lost}, N={photons}")
+    _check_eta(eta)
+    with decimal.localcontext(CONTEXT) as context:
+        weight = context.divide(math.comb(photons, lost), math.comb(lost + modes - 1, lost))
+        for base, power in ((Decimal(eta), photons - lost), (_one_plus(-eta), lost)):
+            if power:  # CONTEXT traps 0^0, met at eta = 0 or 1
+                weight *= base ** power
+        spread = weight.scaleb(-35)  # five roundings keep the exact value within spread
+        if float(weight - spread) == float(weight + spread):
+            return float(weight)
+    exact = Fraction(eta)  # a float rounding boundary lies within spread, as at C(57, 25) / 2^57
+    return float(Fraction(math.comb(photons, lost), math.comb(lost + modes - 1, lost))
+                 * exact ** (photons - lost) * (1 - exact) ** lost)
 
 
 def conditional_state(photons: int, modes: int, absorbed) -> SparseState:
@@ -118,8 +143,10 @@ def conditional_states(photons: int, modes: int) -> Iterator[tuple[tuple[int, ..
 
 def returned_mixture(photons: int, modes: int, eta: float) -> list[LossComponent]:
     """All components of the returned state: conditional_states with their weights, which sum to one."""
-    return [LossComponent(absorbed, absorption_weight(photons, modes, eta, absorbed), state)
-            for absorbed, state in conditional_states(photons, modes)]
+    components = list(conditional_states(photons, modes))
+    weights = [absorption_weight(photons, modes, eta, lost) for lost in range(photons + 1)]
+    return [LossComponent(absorbed, weights[sum(absorbed)], state)
+            for absorbed, state in components]
 
 
 def check_oracle_size(photons: int, modes: int) -> int:
@@ -142,7 +169,7 @@ def beamsplitter_oracle(photons: int, modes: int, eta: float) -> SparseState:
     per idler arrangement, unless it is exactly zero.  Intended for small
     instances; the result holds C(N + 2M - 1, N) amplitudes.
     """
-    _check_loss_args(photons, modes, eta, (0,) * modes)
+    _check_eta(eta)
     check_oracle_size(photons, modes)
     keep = math.sqrt(eta)
     leak = math.sqrt(1.0 - eta)

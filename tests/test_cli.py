@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -38,7 +39,12 @@ from twinfock.detection import (
     p_fa_oracle,
 )
 from twinfock.fock import IDLER, SIGNAL, SparseState
-from twinfock.loss import conditional_states
+from twinfock.loss import (
+    absorption_weight,
+    beamsplitter_oracle,
+    conditional_states,
+    split_by_environment,
+)
 from twinfock.states import pair_state_direct, pair_state_recursive
 
 from references import fraction17, pfa_cell, sci17
@@ -183,7 +189,7 @@ def test_nan_amplitude_makes_amplitude_residuals_nan():
     assert math.isnan(nan_state.max_abs_diff(finite))
     assert math.isnan(finite.max_abs_diff(nan_state))
     case = cli.VerifyCase(1, 2, probe=nan_state, direct=finite, recursive=finite, previous=None,
-                          components=[], weights={})
+                          components=[], weights={}, oracles={})
     assert math.isnan(cli._commutator(case, SIGNAL, IDLER))
     assert math.isnan(cli._commutator(case, IDLER, SIGNAL))
 
@@ -206,7 +212,7 @@ def test_verify_residual_maxima_keep_a_nan_in_any_position():
     direct = _poison(pair_state_direct(2, 3), lambda arrangement: arrangement == (0, 0, 2))
     case = cli.VerifyCase(2, 3, probe=SparseState.vacuum(3, (IDLER, SIGNAL)), direct=direct,
                           recursive=direct, previous=pair_state_direct(1, 3), components=[],
-                          weights={})
+                          weights={}, oracles={})
     assert not any(math.isnan(direct.annihilate(SIGNAL, j).max_abs()) for j in (0, 1))
     assert math.isnan(cli._signal_loss(case))
 
@@ -232,6 +238,58 @@ def test_verify_builds_each_pair_state_once(monkeypatch):
         assert len(set(calls)) == 35
 
 
+def test_verify_builds_one_oracle_per_case_and_eta_and_one_weight_per_count(monkeypatch):
+    calls = {"beamsplitter_oracle": [], "absorption_weight": []}
+    for name, log in calls.items():
+        build = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, build=build, log=log:
+                            log.append(args) or build(*args))
+    cli.run_verification(6, 5)
+    # 35 cases at 2 etas; 2 (N + 1) weights per case, N = 0..6 at each of 5 mode counts
+    oracles = calls["beamsplitter_oracle"]
+    assert len(oracles) == len(set(oracles)) == 70
+    assert len(calls["absorption_weight"]) == 5 * 2 * sum(range(1, 8)) == 280
+
+
+def full_case(photons, modes, eta):
+    """A battery case at one eta, built as run_verification builds it, for photons >= 1."""
+    return cli.VerifyCase(
+        photons, modes, probe=SparseState.vacuum(modes, (IDLER, SIGNAL)),
+        direct=pair_state_direct(photons, modes), recursive=pair_state_recursive(photons, modes),
+        previous=pair_state_direct(photons - 1, modes),
+        components=list(conditional_states(photons, modes)),
+        weights={eta: [absorption_weight(photons, modes, eta, lost) for lost in range(photons + 1)]},
+        oracles={eta: split_by_environment(beamsplitter_oracle(photons, modes, eta))})
+
+
+def failing_checks(case):
+    return [name for name, tolerance, residual in cli.CHECKS if not residual(case) <= tolerance]
+
+
+def with_all_absorbed_weights_moved(case, shift):
+    """The case with shift(index) added to the oracle weight of each all-absorbed component."""
+    (eta, split), = case.oracles.items()
+    moved = list(split)
+    absorbed_all = [i for i, c in enumerate(split) if sum(c.absorbed) == case.photons]
+    for rank, i in enumerate(absorbed_all):
+        moved[i] = dataclasses.replace(split[i], weight=split[i].weight + shift(rank))
+    return dataclasses.replace(case, oracles={eta: moved})
+
+
+def test_missed_detection_check_reads_the_oracle_all_absorbed_mass():
+    # C(47, 2) = 1,081 arrangements absorb both photons over 46 modes; moving each of
+    # their oracle weights by 1e-9 / 1,081 < 1e-12 stays inside the per-component
+    # tolerance of "beamsplitter decomposition" and moves the all-absorbed mass by 1e-9
+    case = full_case(2, 46, 0.3)
+    assert failing_checks(case) == []
+    spread = with_all_absorbed_weights_moved(case, lambda rank: 1e-9 / math.comb(47, 2))
+    assert failing_checks(spread) == ["missed detection: closed vs oracle"]
+    # one weight off by 1e-9 fails that check too, beside the per-component one
+    single = with_all_absorbed_weights_moved(case, lambda rank: 1e-9 if rank == 0 else 0.0)
+    assert failing_checks(single) == ["beamsplitter decomposition",
+                                      "missed detection: closed vs oracle"]
+
+
 def test_amplitude_uniformity_reads_the_ladder_build():
     name, tolerance, residual = next(c for c in cli.CHECKS if c[0] == "amplitude uniformity")
     direct, recursive = pair_state_direct(2, 3), pair_state_recursive(2, 3)
@@ -240,7 +298,7 @@ def test_amplitude_uniformity_reads_the_ladder_build():
 
     def case(ladder):
         return cli.VerifyCase(2, 3, probe=SparseState.vacuum(3, (IDLER, SIGNAL)), direct=direct,
-                              recursive=ladder, previous=None, components=[], weights={})
+                              recursive=ladder, previous=None, components=[], weights={}, oracles={})
 
     assert residual(case(recursive)) <= tolerance
     assert residual(case(wrong)) > tolerance
@@ -254,7 +312,7 @@ def test_direct_vs_recursive_build_reports_a_gap_of_1e_16():
     (first, amp), *rest = recursive.terms()
     nudged = SparseState.from_terms(2, (IDLER, SIGNAL), [(first, amp + 1e-16), *rest])
     case = cli.VerifyCase(2, 2, probe=SparseState.vacuum(2, (IDLER, SIGNAL)), direct=direct,
-                          recursive=nudged, previous=None, components=[], weights={})
+                          recursive=nudged, previous=None, components=[], weights={}, oracles={})
     assert 0 < residual(case) == abs(amp + 1e-16 - amp) < 1e-15
 
 
@@ -274,7 +332,7 @@ def test_verify_false_alarm_check_equals_the_oracle_residual():
                                   direct=pair_state_direct(photons, modes),
                                   recursive=pair_state_recursive(photons, modes), previous=None,
                                   components=list(conditional_states(photons, modes)),
-                                  weights={})
+                                  weights={}, oracles={})
             table = TableNoise(tuple(0.12 / (k + 1) for k in range(photons)))
             expected = max(abs(p_fa_closed(photons, modes, noise) - p_fa_oracle(photons, modes, noise))
                            for noise in (ThermalNoise(0.5, modes), table))

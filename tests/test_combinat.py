@@ -10,7 +10,8 @@ from twinfock.combinat import (
     count_compositions,
     suffix_depth,
 )
-from twinfock.detection import CONTEXT, TableNoise, false_alarm_series
+from twinfock.detection import TableNoise, false_alarm_series
+from twinfock.loss import CONTEXT
 from twinfock.fock import AmplitudeCapError, check_sector_size
 
 from references import sci17

@@ -6,9 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from twinfock.combinat import count_compositions
+from twinfock.combinat import compositions, count_compositions
 from twinfock.detection import (
-    CONTEXT,
     TableNoise,
     ThermalNoise,
     detection_report,
@@ -18,12 +17,16 @@ from twinfock.detection import (
     p_fa_oracle,
     p_fa_trace,
     p_md_closed,
-    p_md_oracle,
     single_photon_baselines,
 )
 from twinfock import detection, loss
-from twinfock.combinat import compositions
-from twinfock.loss import conditional_state, conditional_states
+from twinfock.loss import (
+    CONTEXT,
+    beamsplitter_oracle,
+    conditional_state,
+    conditional_states,
+    split_by_environment,
+)
 from twinfock.fock import IDLER, SIGNAL, AmplitudeCapError, SparseState, combine
 
 from references import fraction17, pfa_total, sci17
@@ -224,25 +227,42 @@ def test_noise_modes_mismatch_rejected():
         p_fa_closed(2, 3, ThermalNoise(0.5, 2))
 
 
-def test_p_md_oracle_matches_closed_form():
+def all_absorbed_mass(photons, modes, eta):
+    """The weight the beamsplitter oracle leaves with every photon in the environment."""
+    split = split_by_environment(beamsplitter_oracle(photons, modes, eta))
+    return sum(c.weight for c in split if sum(c.absorbed) == photons)
+
+
+def test_oracle_all_absorbed_mass_matches_closed_form():
     for photons in range(0, 4):
         for modes in range(1, 4):
             for eta in (0.2, 0.5, 0.8):
-                assert abs(p_md_oracle(photons, modes, eta)
-                           - p_md_closed(photons, eta)) < 1e-10
-    assert p_md_oracle(1, 2, 0.5) == pytest.approx(0.5)
-    assert p_md_oracle(3, 2, 0.4) == pytest.approx(0.216, abs=1e-12)
-    assert p_md_oracle(2, 2, 0.0) == pytest.approx(1.0)
+                closed = p_md_closed(photons, eta)
+                assert abs(all_absorbed_mass(photons, modes, eta) - closed) < 1e-15
+                report = detection_report(photons, modes, eta, TableNoise(()), include_oracle=True)
+                assert abs(report.p_md_oracle - closed) < 1e-15
+    assert all_absorbed_mass(1, 2, 0.5) == pytest.approx(0.5)
+    assert all_absorbed_mass(3, 2, 0.4) == pytest.approx(0.216, abs=1e-12)
+    assert all_absorbed_mass(2, 2, 0.0) == pytest.approx(1.0)
+
+
+def test_report_past_the_float_range_of_the_binomials():
+    # C(1100, 550) is past the float range, which the integer quotient of the old weights met
+    report = detection_report(1100, 1, 0.5, ThermalNoise(0.5, 1), include_oracle=True)
+    assert report.p_md_closed == 0.0 and abs(report.p_md_oracle) <= 1e-12
+    assert abs(report.p_fa_oracle - report.p_fa_closed) <= 1e-12
 
 
 def test_oracles_refuse_hostile_sizes_up_front():
-    # the oracle at (60, 60) needs about 10^48 amplitudes; p_md_oracle builds no
-    # state, so only the up-front check stops its enumeration
+    # the oracle at (60, 60) needs about 10^48 amplitudes, so only the up-front check
+    # stops its build; P_MD's oracle is its all-absorbed mass
     start = time.perf_counter()
     with pytest.raises(AmplitudeCapError, match="N=60, M=60"):
-        p_md_oracle(60, 60, 0.5)
+        beamsplitter_oracle(60, 60, 0.5)
     with pytest.raises(AmplitudeCapError, match="N=60, M=60"):
         p_fa_oracle(60, 60, ThermalNoise(0.5, 60))
+    with pytest.raises(AmplitudeCapError, match="N=60, M=60"):
+        detection_report(60, 60, 0.5, ThermalNoise(0.5, 60), include_oracle=True)
     assert time.perf_counter() - start < 0.5
 
 
@@ -265,6 +285,7 @@ def test_p_fa_oracle_builds_only_accepting_states_and_no_weights(monkeypatch):
         built.append(absorbed)
         return build(photons, modes, absorbed)
 
+    # detection_report's P_MD cross-check is the one detection caller of absorption_weight
     monkeypatch.setattr(loss, "absorption_weight", refuse)
     monkeypatch.setattr(detection, "absorption_weight", refuse)
     monkeypatch.setattr(loss, "conditional_state", counting)

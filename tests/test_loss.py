@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from twinfock.combinat import compositions, count_compositions
+from twinfock.detection import p_md_closed
 from twinfock.fock import (
     BACKGROUND,
     IDLER,
@@ -47,11 +48,18 @@ def enumerated_multiplicity(photons, modes, absorbed):
 
 
 def enumerated_weight(photons, modes, eta, absorbed):
-    """Reference weight from the enumerated multiplicity sum, one rounding at the end."""
-    lost = sum(absorbed)
+    """Exact weight of one arrangement from the enumerated multiplicity sum."""
+    lost, eta = sum(absorbed), Fraction(eta)
     ratio = Fraction(enumerated_multiplicity(photons, modes, absorbed),
                      count_compositions(photons, modes))
-    return (eta ** (photons - lost)) * ((1.0 - eta) ** lost) * float(ratio)
+    return eta ** (photons - lost) * (1 - eta) ** lost * ratio
+
+
+def exact_weight(photons, modes, eta, lost):
+    """C(N, k) eta^(N-k) (1-eta)^k / C(k+M-1, k) for the exact value of the float eta."""
+    eta = Fraction(eta)
+    return (Fraction(math.comb(photons, lost), math.comb(lost + modes - 1, lost))
+            * eta ** (photons - lost) * (1 - eta) ** lost)
 
 
 def laddered_state(photons, modes, absorbed):
@@ -72,24 +80,23 @@ def term_gap(a, b):
 
 
 def test_weight_single_photon_example():
-    assert absorption_weight(1, 2, 0.5, (1, 0)) == pytest.approx(0.25, abs=1e-15)
+    assert absorption_weight(1, 2, 0.5, 1) == 0.25
+    assert absorption_weight(1, 2, 0.5, 0) == 0.5
 
 
 def test_weight_lossless_channel():
-    for absorbed in ((1, 0), (0, 2), (1, 1)):
-        assert absorption_weight(2, 2, 1.0, absorbed) == 0.0
-    assert absorption_weight(2, 2, 1.0, (0, 0)) == pytest.approx(1.0)
+    for lost in (1, 2):
+        assert absorption_weight(2, 2, 1.0, lost) == 0.0
+    assert absorption_weight(2, 2, 1.0, 0) == 1.0
 
 
 def test_weight_all_absorbed_sums_to_survival_complement():
-    for photons in range(1, 5):
-        for modes in range(1, 4):
-            for eta in ETAS:
-                total = sum(
-                    absorption_weight(photons, modes, eta, absorbed)
-                    for absorbed in compositions(photons, modes)
-                )
-                assert total == pytest.approx((1 - eta) ** photons, rel=1e-12)
+    # the C(N+M-1, N) arrangements of all N photons share P_MD evenly
+    cases = [(n, m, eta) for n in range(0, 9) for m in range(1, 6) for eta in ETAS + (0.0, 1.0)]
+    for photons, modes, eta in cases + [(150, 40, 0.3), (1100, 1, 0.5)]:
+        total = count_compositions(photons, modes) * absorption_weight(photons, modes, eta, photons)
+        closed = p_md_closed(photons, eta)
+        assert abs(total - closed) <= math.ulp(closed), (photons, modes, eta)
 
 
 def test_multiplicity_sum_is_chu_vandermonde():
@@ -103,12 +110,52 @@ def test_multiplicity_sum_is_chu_vandermonde():
 
 
 def test_weight_matches_enumerated_sum():
+    # every arrangement of k absorbed photons weighs exactly the count-k weight
     for photons in range(0, 7):
         for modes in range(1, 5):
             for eta in ETAS + (0.0, 1.0):
                 for absorbed in arrangements(photons, modes):
-                    closed = absorption_weight(photons, modes, eta, absorbed)
-                    assert abs(closed - enumerated_weight(photons, modes, eta, absorbed)) <= 1e-15
+                    exact = enumerated_weight(photons, modes, eta, absorbed)
+                    assert exact == exact_weight(photons, modes, eta, sum(absorbed))
+                    assert absorption_weight(photons, modes, eta, sum(absorbed)) == float(exact)
+
+
+def test_weight_is_the_exact_value_rounded_once():
+    for photons in range(0, 9):
+        for modes in range(1, 6):
+            for eta in (0.0, 0.3, 0.7, 1.0):
+                for lost in range(photons + 1):
+                    assert (absorption_weight(photons, modes, eta, lost)
+                            == float(exact_weight(photons, modes, eta, lost)))
+    # (1 - 0.3)^150 from the float 1 - 0.3 was 93 units of 2^-53 off at k = 150
+    for lost in (150, 75):
+        assert absorption_weight(150, 40, 0.3, lost) == float(exact_weight(150, 40, 0.3, lost))
+    assert absorption_weight(150, 40, 0.3, 150) == 1.330602260488426e-64
+    # exact values halfway between two floats, which 40 digits put on either side:
+    # (1 - 0.3) / 2, and C(57, k) / 2^57 for k = 25 and 32
+    for photons, modes, eta, lost in ((1, 2, 0.3, 1), (57, 1, 0.5, 25), (57, 1, 0.5, 32)):
+        exact = exact_weight(photons, modes, eta, lost)
+        # a dyadic rational with a 54-bit odd numerator: one bit more than a float holds
+        assert exact.denominator.bit_count() == 1
+        assert exact.numerator % 2 == 1 and exact.numerator.bit_length() == 54
+        assert absorption_weight(photons, modes, eta, lost) == float(exact)
+
+
+def test_mixture_past_the_float_range_of_the_binomials():
+    # C(1100, 550) is past the float range, which the integer quotient of the old ratio met
+    mixture = returned_mixture(1100, 1, 0.5)
+    assert len(mixture) == 1101
+    assert abs(math.fsum(c.weight for c in mixture) - 1.0) <= 1e-12
+    assert mixture[550].weight == float(exact_weight(1100, 1, 0.5, 550))
+
+
+def test_mixture_evaluates_one_weight_per_absorbed_count(monkeypatch):
+    calls = []
+    weigh = absorption_weight
+    monkeypatch.setattr("twinfock.loss.absorption_weight",
+                        lambda *args: calls.append(args[3]) or weigh(*args))
+    mixture = returned_mixture(7, 6, 0.4)
+    assert len(mixture) == math.comb(13, 6) and calls == list(range(8))
 
 
 def test_conditional_state_matches_laddered_pair_state():
@@ -149,8 +196,14 @@ def test_conditional_state_refuses_like_pair_state():
     # keeps 40 photons over 12 modes, the sector pair_state_direct(40, 12) refuses
     with pytest.raises(AmplitudeCapError, match="N=40, M=12"):
         conditional_state(41, 12, (1,) + (0,) * 11)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot absorb more"):
         conditional_state(1, 2, (1, 1))
+    with pytest.raises(ValueError, match="one count per mode"):
+        conditional_state(1, 2, (1,))  # wrong arity
+    with pytest.raises(ValueError, match="one count per mode"):
+        conditional_state(1, 2, (0, 0, 0))
+    with pytest.raises(ValueError, match="non-negative"):
+        conditional_state(1, 2, (-1, 1))
     # nothing kept, but the idler mode would hold more than a key word can
     with pytest.raises(ValueError, match="65535"):
         conditional_state(0x10000, 1, (0x10000,))
@@ -158,16 +211,23 @@ def test_conditional_state_refuses_like_pair_state():
 
 def test_weight_validation():
     with pytest.raises(ValueError):
-        absorption_weight(1, 2, 0.5, (1, 1))  # more absorbed than sent
+        absorption_weight(1, 2, 0.5, 2)  # more absorbed than sent
     with pytest.raises(ValueError):
-        absorption_weight(1, 2, 1.5, (0, 0))
+        absorption_weight(1, 2, 0.5, -1)
     with pytest.raises(ValueError):
-        absorption_weight(1, 2, 0.5, (1,))  # wrong arity
+        absorption_weight(-1, 2, 0.5, 0)
+    with pytest.raises(ValueError):
+        absorption_weight(1, 0, 0.5, 0)
+    for eta in (1.5, -0.1, math.nan):
+        with pytest.raises(ValueError, match="eta"):
+            absorption_weight(1, 2, eta, 0)
+        with pytest.raises(ValueError, match="eta"):
+            beamsplitter_oracle(1, 2, eta)
 
 
 def test_component_nothing_absorbed():
     for eta in ETAS:
-        assert absorption_weight(2, 2, eta, (0, 0)) == pytest.approx(eta ** 2, rel=1e-12)
+        assert absorption_weight(2, 2, eta, 0) == pytest.approx(eta ** 2, rel=1e-15)
         assert amp_diff(conditional_state(2, 2, (0, 0)), pair_state_direct(2, 2)) < 1e-12
 
 
