@@ -5,9 +5,9 @@ returns, so a miss requires every photon to be absorbed and the miss
 probability is (1 - eta)^N regardless of the mode count.  Target absent:
 the receiver sees only environment noise, and the false-alarm rate is a
 noise-weighted sum of per-photon-count coefficients, every one of which
-falls off as the mode count grows.  Closed forms are paired with
-brute-force oracles over explicitly materialized states: a trace for P_FA,
-the all-absorbed weight of the beamsplitter oracle for P_MD.
+falls off as the mode count grows.  P_MD is loss's all-absorbed weight at
+one mode.  Brute-force oracles over explicitly materialized states check
+them: a trace for P_FA, the beamsplitter oracle's all-absorbed weight for P_MD.
 
 The closed forms run in loss.CONTEXT: 40 significant digits, rounded half-even,
 over the whole exponent range of the decimal module, from the exact values
@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .combinat import count_compositions
 from .fock import SIGNAL, SparseState
-from .loss import (CONTEXT, _check_eta, _one_plus, absorption_weight, check_oracle_size,
+from .loss import (CONTEXT, _one_plus, absorption_decimal, absorption_weight, check_oracle_size,
                    conditional_states)
 
 
@@ -152,22 +152,15 @@ def _check_noise_modes(noise, modes: int) -> None:
 
 
 def missed_detection(photons: int, eta: float) -> Decimal:
-    """Missed-detection probability (1 - eta)^N in CONTEXT; the mode count never enters.
-
-    1 - eta is exact, so that no rounding of it is raised to the power N.
-    """
-    if photons < 0:
-        raise ValueError("photons must be non-negative")
-    _check_eta(eta)
-    if photons == 0:
-        return Decimal(1)  # also at eta = 1, where the power would be 0^0
+    """Missed-detection probability (1 - eta)^N in CONTEXT: the all-absorbed weight at M = 1."""
     with _in_context(f"P_MD at N={photons}, eta={eta!r}"):
-        return _one_plus(-eta) ** photons
+        return absorption_decimal(photons, 1, eta, photons)
 
 
 def p_md_closed(photons: int, eta: float) -> float:
-    """Missed-detection probability as a float: missed_detection rounded once."""
-    return float(missed_detection(photons, eta))
+    """Missed-detection probability as a float: the exact (1 - eta)^N rounded once."""
+    with _in_context(f"P_MD at N={photons}, eta={eta!r}"):
+        return absorption_weight(photons, 1, eta, photons)
 
 
 def false_alarm_series(photons: int, modes: int, noise) -> tuple[list[Decimal], Decimal]:
@@ -195,7 +188,7 @@ def false_alarm_series(photons: int, modes: int, noise) -> tuple[list[Decimal], 
 
 
 def p_fa_closed(photons: int, modes: int, noise) -> float:
-    """Closed-form false-alarm probability as a float: the series total rounded once."""
+    """Closed-form false-alarm probability: the 40-digit total as a float, one ulp off at worst."""
     return float(false_alarm_series(photons, modes, noise)[1])
 
 
@@ -259,12 +252,11 @@ def detection_report(
     include_oracle: bool = False,
 ) -> DetectionReport:
     """Bundle the closed-form rates, optionally cross-checked: p_fa_oracle by the trace
-    oracle, p_md_oracle by 1 - sum_{k<N} C(k+M-1, k) absorption_weight(N, M, eta, k)."""
+    oracle, p_md_oracle by 1 - sum_{k<N} absorption_weight(N, 1, eta, k), the returned mass."""
     report = DetectionReport(photons, modes, eta, p_fa_closed(photons, modes, noise),
                              p_md_closed(photons, eta))
     if include_oracle:
         report.p_fa_oracle = p_fa_oracle(photons, modes, noise)
-        report.p_md_oracle = 1.0 - math.fsum(
-            count_compositions(lost, modes) * absorption_weight(photons, modes, eta, lost)
-            for lost in range(photons))
+        report.p_md_oracle = 1.0 - math.fsum(absorption_weight(photons, 1, eta, lost)
+                                             for lost in range(photons))
     return report

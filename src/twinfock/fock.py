@@ -31,7 +31,8 @@ AMPLITUDE_CAP = 10_000_000
 #: very wide keys (many modes per register).
 KEY_BYTES_BUDGET = 200_000_000
 
-_MAX_MODE_COUNT = 0xFFFF
+#: The most photons one mode of a packed key holds.
+MAX_MODE_COUNT = 0xFFFF
 
 
 class AmplitudeCapError(RuntimeError):
@@ -89,9 +90,9 @@ def check_sector_size(label: str, photons: int, parts: int, modes: int, register
         )
     terms = math.comb(photons + parts - 1, photons)
     _check_size(label, terms, modes, registers)
-    if photons > _MAX_MODE_COUNT:  # all of them may share one mode
+    if photons > MAX_MODE_COUNT:  # all of them may share one mode
         raise ValueError(f"{label} may put {photons} photons in one mode "
-                         f"(at most {_MAX_MODE_COUNT})")
+                         f"(at most {MAX_MODE_COUNT})")
     return terms
 
 
@@ -147,7 +148,7 @@ class SparseState:
         try:
             amplitudes = {pack(*counts): amp for counts, amp in terms}
         except struct.error:
-            raise ValueError(f"mode counts must be integers in [0, {_MAX_MODE_COUNT}]") from None
+            raise ValueError(f"mode counts must be integers in [0, {MAX_MODE_COUNT}]") from None
         state = cls._adopt(modes, registers, amplitudes)
         state._check_caps()
         return state
@@ -208,7 +209,7 @@ class SparseState:
         out = {}
         for key, amp in self._amps.items():
             n = int.from_bytes(key[off:off + 2], "big")
-            if n >= _MAX_MODE_COUNT:
+            if n >= MAX_MODE_COUNT:
                 raise ValueError("mode count overflow")
             new_key = key[:off] + (n + 1).to_bytes(2, "big") + key[off + 2:]
             out[new_key] = amp * math.sqrt(n + 1)
@@ -244,7 +245,7 @@ class SparseState:
         entries = [(int.from_bytes(key, "big"), unpack(key), amp) for key, amp in self._amps.items()]
         # canonical register order puts the idler and the signal in the first 2M words
         top = max((max(counts[:2 * self.modes]) for _, counts, _ in entries), default=0)
-        if top >= _MAX_MODE_COUNT:
+        if top >= MAX_MODE_COUNT:
             raise ValueError("mode count overflow")
         root = [math.sqrt(n) for n in range(top + 2)]
         acc: dict[int, complex] = {}

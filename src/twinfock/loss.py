@@ -7,9 +7,10 @@ labeled by the exact arrangement of absorbed photons.  Chu-Vandermonde
 fixes every component in closed form: summed over the kept arrangements,
 the per-arrangement multiplicities give C(N+M-1, N-k) whatever the absorbed
 arrangement of k photons, so each weight depends on k alone, one binomial
-term evaluated in CONTEXT; each state's amplitudes are written down
-directly.  A brute-force tripartite oracle that tracks the environment
-register explicitly is the independent cross-check of the decomposition.
+term in CONTEXT (absorption_decimal) rounded once (absorption_weight); at
+one mode the all-absorbed weight is P_MD.  Each state's amplitudes are
+written down directly.  A brute-force tripartite oracle that tracks the
+environment register explicitly is the independent cross-check.
 """
 
 import decimal
@@ -19,18 +20,11 @@ import operator
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
-from fractions import Fraction
 from typing import Iterator
 
 from .combinat import compositions, count_compositions
-from .fock import (
-    BACKGROUND,
-    IDLER,
-    SIGNAL,
-    SparseState,
-    check_sector_size,
-    combine,
-)
+from .fock import (BACKGROUND, IDLER, MAX_MODE_COUNT, SIGNAL, SparseState, check_sector_size,
+                   combine)
 
 #: The one context of the closed forms; a result too small for it raises Subnormal.
 CONTEXT = decimal.Context(prec=40, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
@@ -79,14 +73,12 @@ def _check_arrangement(photons: int, modes: int, absorbed) -> int:
     return lost
 
 
-def absorption_weight(photons: int, modes: int, eta: float, lost: int) -> float:
-    """Probability of any one arrangement of `lost` absorbed photons.
+def absorption_decimal(photons: int, modes: int, eta: float, lost: int) -> Decimal:
+    """C(N, k) eta^(N-k) (1-eta)^k / C(k+M-1, k) for k = lost, in CONTEXT.
 
-    C(N, k) eta^(N-k) (1-eta)^k / C(k+M-1, k) for k = lost: the chance that
-    exactly k of the N photons are absorbed, shared evenly among the
-    C(k+M-1, k) arrangements of k photons over M modes.  The exact value is
-    rounded once to a float: from 40 digits in CONTEXT, or from exact
-    rationals when a rounding boundary between floats lies within their error.
+    The chance that exactly k of the N photons are absorbed, shared evenly among
+    the C(k+M-1, k) arrangements of k photons over M modes; at M = 1, k = N it
+    is P_MD.  From the exact eta and 1 - eta, in five roundings: within 1e-35.
     """
     if modes < 1 or not 0 <= lost <= photons:
         raise ValueError(f"need M >= 1 and 0 <= lost <= N, got M={modes}, lost={lost}, N={photons}")
@@ -96,12 +88,26 @@ def absorption_weight(photons: int, modes: int, eta: float, lost: int) -> float:
         for base, power in ((Decimal(eta), photons - lost), (_one_plus(-eta), lost)):
             if power:  # CONTEXT traps 0^0, met at eta = 0 or 1
                 weight *= base ** power
-        spread = weight.scaleb(-35)  # five roundings keep the exact value within spread
+        return weight
+
+
+def absorption_weight(photons: int, modes: int, eta: float, lost: int) -> float:
+    """Probability of any one arrangement of `lost` absorbed photons, a float.
+
+    The exact value of absorption_decimal rounded once: from its 40 digits,
+    or, up to MAX_MODE_COUNT photons, from the exact integer quotient when a
+    rounding boundary between floats lies within their error, as at C(57, 25) / 2^57.
+    """
+    weight = absorption_decimal(photons, modes, eta, lost)
+    if photons > MAX_MODE_COUNT:  # past it the exact powers grow without bound
+        return float(weight)
+    with decimal.localcontext(CONTEXT):
+        spread = weight.scaleb(-35)
         if float(weight - spread) == float(weight + spread):
             return float(weight)
-    exact = Fraction(eta)  # a float rounding boundary lies within spread, as at C(57, 25) / 2^57
-    return float(Fraction(math.comb(photons, lost), math.comb(lost + modes - 1, lost))
-                 * exact ** (photons - lost) * (1 - exact) ** lost)
+    num, den = eta.as_integer_ratio()  # int / int rounds the exact quotient once
+    return (math.comb(photons, lost) * num ** (photons - lost) * (den - num) ** lost
+            / (math.comb(lost + modes - 1, lost) * den ** photons))
 
 
 def conditional_state(photons: int, modes: int, absorbed) -> SparseState:

@@ -290,6 +290,18 @@ def test_missed_detection_check_reads_the_oracle_all_absorbed_mass():
                                       "missed detection: closed vs oracle"]
 
 
+def test_decomposition_charges_a_component_the_oracle_lacks_its_closed_weight():
+    case = full_case(2, 2, 0.3)
+    (eta, split), = case.oracles.items()
+    # the heaviest, one photon absorbed in the first mode: C(2, 1) 0.3 0.7 / 2 = 0.21
+    dropped = max(split, key=lambda c: c.weight)
+    lacking = dataclasses.replace(case, oracles={eta: [c for c in split if c is not dropped]})
+    residual = next(r for name, _, r in cli.CHECKS if name == "beamsplitter decomposition")
+    assert residual(case) < 1e-15
+    assert residual(lacking) == case.weights[eta][sum(dropped.absorbed)]
+    assert failing_checks(lacking) == ["beamsplitter decomposition"]
+
+
 def test_amplitude_uniformity_reads_the_ladder_build():
     name, tolerance, residual = next(c for c in cli.CHECKS if c[0] == "amplitude uniformity")
     direct, recursive = pair_state_direct(2, 3), pair_state_recursive(2, 3)
@@ -409,12 +421,14 @@ def test_state_dump_matches_sorted_pair_state(photons, modes):
 
 
 #: A child that runs the CLI on its arguments, then prints its exit code and
-#: peak RSS in KiB (Linux units), interpreter included.
+#: its own peak RSS in KiB, interpreter included.  VmHWM starts afresh at exec,
+#: where ru_maxrss carries over the peak of the process that forked the child.
 _PEAK_RSS_CHILD = """
-import resource, sys
+import sys
 from twinfock.cli import main
 code = main(sys.argv[1:])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status") as status:
+    print(code, next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """
 
 

@@ -1,7 +1,7 @@
 import math
 import random
 import time
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, Subnormal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -119,10 +119,61 @@ def test_missed_detection_rounds_the_exact_power():
     rng = random.Random(31)
     for _ in range(40):
         photons, eta = rng.randrange(10**4 + 1), rng.choice([rng.random(), 2.0 ** -rng.randrange(60)])
-        value = missed_detection(photons, eta)
         exact = (1 - Fraction(eta)) ** photons
-        assert format(value, ".16e") == fraction17(exact)
-        assert p_md_closed(photons, eta) == float(value)
+        assert format(missed_detection(photons, eta), ".16e") == fraction17(exact)
+        assert p_md_closed(photons, eta) == float(exact)
+
+
+def test_p_md_closed_is_correctly_rounded_at_every_midpoint_kind():
+    # with 1 - eta = b / 2^e, b odd, an exact midpoint needs b^N < 2^54 (N <= 34 once
+    # b >= 3) or b = 1 and eN = 1075; 40 digits put (19, 0.125), (34, 0.25) and
+    # (34, 0.625) on the wrong side, and 0.5^1075 is half the smallest subnormal
+    for photons in range(80):
+        for eta in (0, 0.1, 0.125, 0.25, 0.3, 0.375, 0.5, 0.625, 0.7, 1):
+            exact = (1 - Fraction(eta)) ** photons
+            assert p_md_closed(photons, eta) == float(exact), (photons, eta)
+    assert p_md_closed(34, 0.25) == 5.650448946785622e-05
+    assert p_md_closed(1075, 0.5) == 0.0
+
+
+def test_p_md_reads_the_all_absorbed_loss_weight():
+    for photons, eta in ((0, 1.0), (7, 0.3), (34, 0.25), (10**6, 1e-7)):
+        assert missed_detection(photons, eta) == loss.absorption_decimal(photons, 1, eta, photons)
+        assert p_md_closed(photons, eta) == loss.absorption_weight(photons, 1, eta, photons)
+    for photons, eta in ((-1, 0.5), (2, 1.5), (2, math.nan)):
+        for function in (missed_detection, p_md_closed):
+            with pytest.raises(ValueError):
+                function(photons, eta)
+    # 0.5^(10^19) lies below the decimal range; both name the quantity
+    for function in (missed_detection, p_md_closed):
+        with pytest.raises(Subnormal, match=r"P_MD at N=10000000000000000000, eta=0\.5 lies below"):
+            function(10**19, 0.5)
+
+
+def test_p_md_past_the_exact_fallback_bound_returns_at_once():
+    # the N, about 7.45e302, that puts (1 - 1e-300)^N nearest 2^-1075: the 40 digits
+    # straddle that midpoint, and an exact power of that size would never finish, so
+    # past 65535 photons the float is rounded from the 40 digits
+    with localcontext(Context(prec=700)):
+        photons = int((1075 * Decimal(2).ln() / -(1 - Decimal(1e-300)).ln()).to_integral_value())
+    weight = loss.absorption_decimal(photons, 1, 1e-300, photons)
+    with localcontext(CONTEXT):
+        spread = weight.scaleb(-35)
+        assert float(weight - spread) != float(weight + spread)
+    start = time.perf_counter()
+    assert loss.absorption_weight(photons, 1, 1e-300, photons) == float(weight)
+    assert p_md_closed(photons, 1e-300) == float(weight)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.xfail(strict=True, reason="the 40-digit total is rounded again to a float: "
+                   "an exact P_FA on a float midpoint can come back one ulp off")
+def test_p_fa_closed_rounds_a_midpoint_total_half_even():
+    # 2/3 (0.5 + 2^-53) + 1/3 (0.5 - 2^-54) = 0.5 + 2^-54, halfway between 0.5 and its
+    # successor, so half-even gives 0.5; the rounded 2/3 tips the 40 digits above it
+    noise = TableNoise((0.5 + 2 ** -53, 0.5 - 2 ** -54))
+    assert Fraction(*pfa_total(2, 2, noise)) == Fraction(1, 2) + Fraction(1, 2 ** 54)
+    assert p_fa_closed(2, 2, noise) == 0.5
 
 
 def test_first_coefficient_single_photon():
@@ -285,7 +336,7 @@ def test_p_fa_oracle_builds_only_accepting_states_and_no_weights(monkeypatch):
         built.append(absorbed)
         return build(photons, modes, absorbed)
 
-    # detection_report's P_MD cross-check is the one detection caller of absorption_weight
+    # p_md_closed and detection_report's P_MD cross-check call absorption_weight
     monkeypatch.setattr(loss, "absorption_weight", refuse)
     monkeypatch.setattr(detection, "absorption_weight", refuse)
     monkeypatch.setattr(loss, "conditional_state", counting)

@@ -130,6 +130,19 @@ def test_operator_argument_validation():
         vac.annihilate(IDLER, -1)
 
 
+def test_inner_walks_the_smaller_state_in_both_orders():
+    # five terms against two, one key shared: <big|small> and <small|big> both walk small's terms
+    shared = ((1, 0), (1, 0))
+    big = SparseState.from_terms(2, IS, [
+        (shared, 0.5 + 0.25j), (((0, 1), (0, 1)), 0.5j), (((2, 0), (2, 0)), -0.5),
+        (((0, 2), (0, 2)), 0.25), (((1, 1), (1, 1)), 0.125 - 0.5j)])
+    small = SparseState.from_terms(2, IS, [(shared, 0.75 - 0.5j), (((3, 0), (0, 0)), 1.0)])
+    expected = (0.5 + 0.25j).conjugate() * (0.75 - 0.5j)  # the one shared key
+    assert big.inner(small) == expected
+    assert small.inner(big) == expected.conjugate()
+    assert big.inner(small) == small.inner(big).conjugate()
+
+
 def test_inner_shape_mismatch():
     a = SparseState.vacuum(2, IS)
     b = SparseState.vacuum(3, IS)
