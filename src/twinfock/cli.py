@@ -190,8 +190,10 @@ def setting_value(name: str, value, kind, from_json: bool = False):
     except ValueError:
         raise ValueError(f"{name} must hold numbers, not {text!r}") from None
     infinite = [v for v in values if isinstance(v, float) and not math.isfinite(v)]
-    if infinite:
+    if infinite and many:
         raise ValueError(f"list values must be finite numbers, not {infinite[0]!r} in {name}")
+    if infinite:
+        raise ValueError(f"{name} must be a finite number, not {infinite[0]!r}")
     if type_ is int:
         # other count text, such as 1e23, reads exactly too; finite as a float, it
         # stays below 2 * 10^308, so no larger integer is built from it

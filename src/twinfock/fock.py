@@ -11,12 +11,15 @@ The public constructors validate their registers and counts: SparseState(...)
 makes an empty state, from_terms packs given terms.  The operations here
 build their results through SparseState._adopt instead, which takes
 ownership of a freshly built dict without copying it or validating again;
-the caller must never touch that dict afterwards.
+the caller must never touch that dict afterwards, except to scale the new
+state in place (_scale_in_place) before handing it out.
 """
 
+import array
 import itertools
 import math
 import struct
+import sys
 from typing import Iterable, Iterator, Sequence
 
 IDLER = "I"
@@ -230,41 +233,42 @@ class SparseState:
     def create_pairs(self, scale: float = 1.0) -> "SparseState":
         """scale * sum_i a+_{I,i} a+_{S,i} in one pass; cap-checked as combine does.
 
-        Each key becomes an integer and a count tuple once; raising mode i in
-        both registers adds a fixed integer to the key.  Contributions add up
-        on those integers, are scaled, and each term whose amplitude is not
-        exactly zero is packed back into bytes once.  Modes run outermost
-        and each term is multiplied in the order create(I).create(S) uses, so
-        for a finite nonzero scale the result, amplitudes and key order both, equals
-        combine((1.0, create(I, i).create(S, i)) for i).scaled(scale).  ValueError
-        when a mode already holds 65535 photons.
+        Each key becomes an integer once, kept in a flat list beside the
+        amplitudes; the idler and signal counts are read from one array of
+        their packed words, so no per-term tuple is built.  Raising mode i in
+        both registers adds a fixed integer to the key, and each contribution
+        adds up directly under that sum packed into bytes, whose hash is
+        cached; the sums are then scaled in place and exact zeros dropped.
+        Modes run outermost and each term is multiplied in the order
+        create(I).create(S) uses, so for a finite nonzero scale the result,
+        amplitudes and key order both, equals
+        combine((1.0, create(I, i).create(S, i)) for i).scaled(scale).
+        ValueError when a mode already holds 65535 photons.
         """
         idler, signal = self._offset(IDLER, 0) // 2, self._offset(SIGNAL, 0) // 2
-        width = 2 * self.modes * len(self.registers)
-        unpack = struct.Struct(f">{width // 2}H").unpack
-        entries = [(int.from_bytes(key, "big"), unpack(key), amp) for key, amp in self._amps.items()]
+        words, paired = self.modes * len(self.registers), 2 * self.modes
         # canonical register order puts the idler and the signal in the first 2M words
-        top = max((max(counts[:2 * self.modes]) for _, counts, _ in entries), default=0)
+        idler_signal = self._amps if words == paired else [key[:2 * paired] for key in self._amps]
+        counts = array.array("H", b"".join(idler_signal))
+        if sys.byteorder == "little":  # the keys hold big-endian words
+            counts.byteswap()
+        top = max(counts, default=0)
         if top >= MAX_MODE_COUNT:
             raise ValueError("mode count overflow")
-        root = [math.sqrt(n) for n in range(top + 2)]
-        acc: dict[int, complex] = {}
+        root = list(map(math.sqrt, range(top + 2)))
+        keys = [int.from_bytes(key, "big") for key in self._amps]
+        amps = list(self._amps.values())
+        acc: dict[bytes, complex] = {}
         get = acc.get
         for mode in range(self.modes):
             i, s = idler + mode, signal + mode
-            # word w of a key of width // 2 words carries weight 2^(16 (width // 2 - 1 - w))
-            delta = (1 << 8 * (width - 2 - 2 * i)) + (1 << 8 * (width - 2 - 2 * s))
-            for key, counts, amp in entries:
-                new_key = key + delta
-                acc[new_key] = get(new_key, 0j) + amp * root[counts[i] + 1] * root[counts[s] + 1]
-        del entries
-        coeff = complex(scale)
-        out = {}
-        for key, amp in acc.items():
-            amp = coeff * amp
-            if amp != 0:
-                out[key.to_bytes(width, "big")] = amp
-        result = SparseState._adopt(self.modes, self.registers, out)
+            # word w of a key of `words` words carries weight 2^(16 (words - 1 - w))
+            delta = (1 << 16 * (words - 1 - i)) + (1 << 16 * (words - 1 - s))
+            for key, amp, n_i, n_s in zip(keys, amps, counts[i::paired], counts[s::paired]):
+                new_key = (key + delta).to_bytes(2 * words, "big")
+                acc[new_key] = get(new_key, 0j) + amp * root[n_i + 1] * root[n_s + 1]
+        del idler_signal, keys, amps, counts
+        result = SparseState._adopt(self.modes, self.registers, acc)._scale_in_place(scale)
         result._check_caps()
         return result
 
@@ -299,13 +303,27 @@ class SparseState:
     def scaled(self, coeff: complex) -> "SparseState":
         """Scalar multiple: the values and key order that combine([(coeff, self)]) gives."""
         coeff = complex(coeff)
-        out = {}
-        if coeff != 0:  # combine skips a zero coefficient, NaN amplitudes and all
-            for key, amp in self._amps.items():
-                amp = coeff * amp
-                if amp != 0:
-                    out[key] = amp
-        return SparseState._adopt(self.modes, self.registers, out)
+        # combine skips a zero coefficient, NaN amplitudes and all
+        amplitudes = dict(self._amps) if coeff != 0 else {}
+        return SparseState._adopt(self.modes, self.registers, amplitudes)._scale_in_place(coeff)
+
+    def _scale_in_place(self, coeff: complex) -> "SparseState":
+        """Multiply every amplitude by coeff in this state's own dict, dropping exact zeros.
+
+        Only for a state its caller has just built and not yet handed out;
+        the key order of the surviving terms is kept.  Returns the state.
+        """
+        coeff = complex(coeff)
+        amplitudes, zeros = self._amps, []
+        for key, amp in amplitudes.items():
+            amp = coeff * amp
+            if amp != 0:
+                amplitudes[key] = amp
+            else:
+                zeros.append(key)
+        for key in zeros:
+            del amplitudes[key]
+        return self
 
     def max_abs(self) -> float:
         """Largest amplitude magnitude; zero for the empty state, NaN if any amplitude is NaN."""
@@ -356,7 +374,9 @@ class SparseState:
     def split_last_register(self) -> dict[tuple[int, ...], "SparseState"]:
         """Map each count tuple of the last register to the unnormalized state of its terms.
 
-        The terms' keys are cut at the register boundary, not unpacked and packed again.
+        The terms' keys are cut at the register boundary, not unpacked and packed
+        again.  Each state is new and held by the caller alone, who may scale it
+        in place.
         """
         if len(self.registers) < 2:
             raise ValueError("splitting off the last register needs at least two registers")

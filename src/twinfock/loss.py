@@ -208,7 +208,8 @@ def split_by_environment(state: SparseState) -> list[LossComponent]:
     and the normalized idler/signal remainder, ordered as returned_mixture
     orders its components.  A remainder whose squared norm is below the
     normal float range is scaled by 2^600 first, so it is normalized to full
-    precision even where its weight underflows to zero.
+    precision even where its weight underflows to zero.  The groups that
+    split_last_register builds are scaled in place; the input is left as it was.
     """
     if state.registers != (IDLER, SIGNAL, BACKGROUND):
         raise ValueError("expected a state over the idler, signal and background registers")
@@ -217,8 +218,8 @@ def split_by_environment(state: SparseState) -> list[LossComponent]:
     for environment in sorted(groups, key=lambda e: (sum(e), tuple(-c for c in e))):
         sub, shift = groups[environment], 0
         if (weight := sub.norm_sq()) < sys.float_info.min:
-            sub, shift = sub.scaled(2.0 ** 600), -1200  # exact: a power of two
+            sub, shift = sub._scale_in_place(2.0 ** 600), -1200  # exact: a power of two
             weight = sub.norm_sq()
         components.append(LossComponent(environment, math.ldexp(weight, shift),
-                                        sub.scaled(1.0 / math.sqrt(weight))))
+                                        sub._scale_in_place(1.0 / math.sqrt(weight))))
     return components

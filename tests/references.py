@@ -3,7 +3,8 @@
 Each reference is a (numerator, denominator) pair of ints taken from the
 exact values of the float inputs.  They are built without Fraction, whose
 gcd on every step would cost quadratic time on the multi-megabit integers
-of a thermal total at M = 1e5.
+of a thermal total at M = 1e5.  amplitude_bits gives a state's exact bits,
+for results that must stay bit for bit the same.
 """
 
 import math
@@ -86,3 +87,8 @@ def pfa_cell(photons: int, modes: int, noise) -> dict[str, str]:
     values["baseline:1_over_M"] = sci17(1, modes)
     values["baseline:N_over_M"] = sci17(photons, modes)
     return values
+
+
+def amplitude_bits(state) -> list:
+    """Keys in storage order with each amplitude's exact bits; == alone equates -0.0 and 0.0."""
+    return [(key, amp.real.hex(), amp.imag.hex()) for key, amp in state.terms()]

@@ -972,10 +972,11 @@ def test_empty_many_valued_setting_is_refused(capsys, tmp_path, command, key):
     (["pfa-curves", "--n", "2.5"], "--n must hold integers, not 2.5"),
     (["pfa-curves", "--n", "1", "--m-list", "3,x"], "--m-list must hold numbers, not '3,x'"),
     (["pfa-curves", "--m-points", "1,2"], "--m-points must hold numbers, not '1,2'"),
-    (["pmd-curve", "--eta-min", "inf"],
-     "list values must be finite numbers, not inf in --eta-min"),
+    (["pmd-curve", "--eta-min", "inf"], "--eta-min must be a finite number, not inf"),
     (["pmd-curve", "--n", "1", "--eta", HUGE],
      "list values must be finite numbers, not inf in --eta"),
+    (["pmd-curve", "--eta-min", "nan"], "--eta-min must be a finite number, not nan"),
+    (["pfa-curves", "--m-max", "1e400"], "--m-max must be a finite number, not inf"),
 ])
 def test_bad_flag_values_name_their_flag(capsys, argv, message):
     code, out, err = run(argv, capsys)

@@ -24,6 +24,8 @@ from twinfock.loss import (
 )
 from twinfock.states import pair_state_direct
 
+from references import amplitude_bits
+
 ETAS = (0.1, 0.3, 0.5, 0.9)
 
 
@@ -392,7 +394,11 @@ def test_split_normalizes_components_below_the_float_range():
     # at eta = 1e-158 the unabsorbed component weighs 1e-316, below the normal float
     # range, and at eta = 1e-300 its weight 1e-600 underflows to 0; no amplitude is zero
     for eta in (1e-158, 1e-300):
-        grouped = split_by_environment(beamsplitter_oracle(2, 2, eta))
+        oracle = beamsplitter_oracle(2, 2, eta)
+        before = amplitude_bits(oracle)
+        grouped = split_by_environment(oracle)
+        # its groups are scaled in place, twice below the float range; the oracle never
+        assert amplitude_bits(oracle) == before
         mixture = returned_mixture(2, 2, eta)
         assert [c.absorbed for c in grouped] == [c.absorbed for c in mixture]
         for component, closed in zip(grouped, mixture):

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -12,6 +14,8 @@ from twinfock.states import (
     pair_state_direct,
     pair_state_recursive,
 )
+
+from references import amplitude_bits
 
 IS = (IDLER, SIGNAL)
 
@@ -146,11 +150,6 @@ def reference_pair_state_recursive(photons, modes):
     return state
 
 
-def _bits(state):
-    """Keys in storage order with each amplitude's exact bits; == alone equates -0.0 and 0.0."""
-    return [(key, amp.real.hex(), amp.imag.hex()) for key, amp in state.terms()]
-
-
 def test_pair_create_equals_ladder_reference_exactly():
     # same amplitudes bit for bit and the same key order, not within a tolerance
     rng = random.Random(2024)
@@ -158,12 +157,31 @@ def test_pair_create_equals_ladder_reference_exactly():
         for registers in (IS, (IDLER, SIGNAL, BACKGROUND)):
             for _ in range(6):
                 probe = _random_state(rng, modes, registers, terms=8, max_count=4)
-                assert _bits(probe.create_pairs()) == _bits(reference_pair_create(probe))
+                before = amplitude_bits(probe)
+                assert (amplitude_bits(probe.create_pairs())
+                        == amplitude_bits(reference_pair_create(probe)))
                 scale = rng.uniform(0.1, 2.0)
-                assert (_bits(probe.create_pairs(scale))
-                        == _bits(reference_pair_create(probe, scale)))
+                assert (amplitude_bits(probe.create_pairs(scale))
+                        == amplitude_bits(reference_pair_create(probe, scale)))
+                # the result is scaled in place in its own dict, never in the input's
+                assert amplitude_bits(probe) == before
     empty = SparseState(3, IS)
     assert len(empty.create_pairs()) == 0
+
+
+def test_pair_create_holds_less_than_its_input_beside_the_result():
+    # the transient memory of one step: its traced peak less what the result keeps
+    state = pair_state_recursive(7, 8)
+    footprint = sys.getsizeof(state._amps) + sum(
+        sys.getsizeof(key) + sys.getsizeof(amp) for key, amp in state._amps.items())
+    tracemalloc.start()
+    try:
+        raised = state.create_pairs(0.5)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(raised) == count_compositions(8, 8)
+    assert peak - held <= 1.4 * footprint
 
 
 def test_pair_state_recursive_equals_ladder_reference_exactly():
@@ -190,7 +208,7 @@ def test_pair_create_mode_count_overflow():
     # a full background mode is never raised, so it is no overflow
     background = SparseState.basis(2, (IDLER, SIGNAL, BACKGROUND), ((0, 0), (0, 0), (0, 0xFFFF)))
     raised = background.create_pairs()
-    assert _bits(raised) == _bits(reference_pair_create(background))
+    assert amplitude_bits(raised) == amplitude_bits(reference_pair_create(background))
     assert raised.amplitude(((0, 1), (0, 1), (0, 0xFFFF))) == 1.0
 
 
