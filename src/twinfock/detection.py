@@ -16,6 +16,14 @@ relative, and a value gathers the error of at most 5N + 2 such roundings,
 so it stays within (5N + 2) 5e-40 of the exact value for those inputs.  A
 value below that range, about 1e-999999999999999999, raises
 decimal.Subnormal rather than turning into zero.
+
+The P_FA total adds its products in order and stops once the products left
+cannot change its 40 digits: at the end of a noise table, and under thermal
+noise once a bound on the rest of the sum lies below half a unit of the
+total's last digit.  The total is the one the full sum gives, so the count
+of products summed depends on the 40 digits and the decay of the terms, not
+on N.  p_fa_closed rounds that total to a float, or, near a rounding
+boundary between floats, the exact rational total.
 """
 
 import contextlib
@@ -25,7 +33,7 @@ import math
 import operator
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .combinat import count_compositions
 from .fock import SIGNAL, SparseState
@@ -64,17 +72,38 @@ class ThermalNoise:
         if self.modes < 1:
             raise ValueError("modes must be at least 1")
 
-    def arrangement_probs(self, count: int) -> list[Decimal]:
-        """The arrangement probabilities for k = 0..count, in CONTEXT.
+    def arrangement_series(self) -> tuple[Iterator[Decimal], Decimal]:
+        """The arrangement probabilities p_0, p_1, ... without end, and x.
 
-        Taken from the exact value of nbar; 1 + nbar is exact too, so that no
-        rounding of it is raised to the power M.
+        p_0 = (1 + nbar)^-M and x are taken in CONTEXT from the exact value of
+        nbar; 1 + nbar is exact too, so that no rounding of it is raised to the
+        power M.  Each later p_k = p_{k-1} x is formed as it is read, in the
+        reader's context, so each is at most x times the one before, rounded once.
         """
         with decimal.localcontext(CONTEXT):
             one_plus = _one_plus(self.nbar)
             step = Decimal(self.nbar) / one_plus
-            return list(itertools.accumulate(itertools.repeat(step, count), operator.mul,
-                                             initial=one_plus ** -self.modes))
+            probs = itertools.accumulate(itertools.repeat(step), operator.mul,
+                                         initial=one_plus ** -self.modes)
+        return probs, step
+
+    def arrangement_probs(self, count: int) -> list[Decimal]:
+        """The arrangement probabilities for k = 0..count, in CONTEXT."""
+        return _first_probs(self, count)
+
+    def exact_weighted_sum(self, weights: Iterable[int]) -> tuple[int, int]:
+        """sum_k weights[k-1] p_k over k = 1, 2, ..., exactly, as (numerator, denominator).
+
+        With nbar = a / b, p_k = b^M a^k / (a + b)^(M + k); the sum over the
+        common denominator (a + b)^(M + K), K the count of weights, is run as a
+        Horner scheme in a + b.
+        """
+        a, b = self.nbar.as_integer_ratio()
+        numerator, power, count = 0, 1, 0
+        for count, weight in enumerate(weights, 1):
+            power *= a
+            numerator = numerator * (a + b) + weight * power
+        return b ** self.modes * numerator, (a + b) ** (self.modes + count)
 
 
 @dataclass(frozen=True)
@@ -115,10 +144,37 @@ class TableNoise:
                                      f"expected a number, not {line!r}") from None
         return cls(tuple(values))
 
+    def arrangement_series(self) -> tuple[Iterator[Decimal], None]:
+        """The arrangement probabilities p_0 = 0, p_1, ... up to the last entry, and None.
+
+        The entries are read as their exact values.  The series ends with the
+        table, since every count past it reads as zero; None says that no
+        ratio bounds each entry by the one before.
+        """
+        return itertools.chain([Decimal(0)], map(Decimal, self.values)), None
+
     def arrangement_probs(self, count: int) -> list[Decimal]:
         """The arrangement probabilities for k = 0..count: the exact values of the entries."""
-        probs = [Decimal(0)] + [Decimal(v) for v in self.values[:count]]
-        return probs + [Decimal(0)] * (count + 1 - len(probs))
+        return _first_probs(self, count)
+
+    def exact_weighted_sum(self, weights: Iterable[int]) -> tuple[int, int]:
+        """sum_k weights[k-1] p_k over k = 1, 2, ..., exactly, as (numerator, denominator).
+
+        Every entry is a dyadic rational, so the largest of their denominators,
+        a power of two, is a common one.
+        """
+        ratios = [value.as_integer_ratio() for value in self.values]
+        common = max((den for _, den in ratios), default=1)
+        return sum(weight * num * (common // den)
+                   for weight, (num, den) in zip(weights, ratios)), common
+
+
+def _first_probs(noise, count: int) -> list[Decimal]:
+    """p_0..p_count of a noise model's arrangement_series, in CONTEXT; zeros past its end."""
+    probs, _ = noise.arrangement_series()
+    with decimal.localcontext(CONTEXT):
+        return list(itertools.islice(itertools.chain(probs, itertools.repeat(Decimal(0))),
+                                     count + 1))
 
 
 @dataclass
@@ -163,14 +219,34 @@ def p_md_closed(photons: int, eta: float) -> float:
         return absorption_weight(photons, 1, eta, photons)
 
 
+#: Products false_alarm_series adds before it first bounds the rest of its sum;
+#: each later block of products is twice as long as the one before.
+FIRST_BLOCK = 16
+#: 1 + 1e-38: lifts a rounded r_{k+1} x above the ratio of a product to the
+#: one before it, which the roundings of c_k, p_k and c_k p_k widen by at most 2.1e-39.
+_ROUNDING_MARGIN = Decimal("1.00000000000000000000000000000000000001")
+#: Most N + M at which p_fa_closed may fall back to the exact rational total,
+#: whose cost grows as N^2: at the bound the slowest takes well under a second.
+P_FA_EXACT_MAX = 512
+
+
 def false_alarm_series(photons: int, modes: int, noise) -> tuple[list[Decimal], Decimal]:
     """Closed-form false-alarm rate as (coefficients, total), in CONTEXT.
 
     Entry k-1 of coefficients is the falling ratio
     prod_{j<k} (N - j) / (N + M - 1 - j), run as the recurrence
-    c_k = c_{k-1} (N - k + 1) / (N + M - k); total, the sum of each
-    coefficient times the noise model's k-photon arrangement probability, is
-    the false-alarm probability.
+    c_k = c_{k-1} r_k with r_k = (N - k + 1) / (N + M - k); total, the sum of
+    each coefficient times the noise model's k-photon arrangement probability,
+    is the false-alarm probability.
+
+    The products t_k = c_k p_k are added in order, in blocks of 16, 32, 64,
+    ... products, and the sum stops where the products left cannot change it:
+    at the end of the noise model's arrangement_series (a table's last entry;
+    past it every product is zero), or, when the model bounds each
+    probability by x times the one before, after the first block whose rest
+    _rest_negligible bounds below half a unit of the total's 40th digit.
+    Each skipped addition would have rounded back to the total, so it is
+    the value that adding all N products gives.
     """
     if photons < 0:
         raise ValueError("photons must be non-negative")
@@ -182,14 +258,69 @@ def false_alarm_series(photons: int, modes: int, noise) -> tuple[list[Decimal], 
         ratios = map(context.divide, range(photons, 0, -1),
                      range(photons + modes - 1, modes - 1, -1))
         coefficients = list(itertools.accumulate(ratios, operator.mul))
-        probs = noise.arrangement_probs(photons)[1:]
-        total = sum(map(operator.mul, coefficients, probs), Decimal(0))
+        probs, step = noise.arrangement_series()
+        next(probs)  # p_0: no photon returned, no false alarm
+        products = map(operator.mul, coefficients, probs)
+        total, summed, size = Decimal(0), 0, FIRST_BLOCK
+        while block := list(itertools.islice(products, size)):
+            total = sum(block, total)
+            summed += len(block)
+            if step is not None and summed < photons and _rest_negligible(
+                    total, block[-1],
+                    context.divide(photons - summed, photons + modes - 1 - summed) * step):
+                break
+            size *= 2
     return coefficients, total
 
 
+def _rest_negligible(total: Decimal, last: Decimal, growth: Decimal) -> bool:
+    """Whether the products after `last`, the k-th, can no longer change `total`.
+
+    growth is r_{k+1} x, rounded.  The ratios r_j fall with j (rounding keeps
+    their order), and the roundings of c_j, p_j and their product widen the
+    ratio of a product to the one before by at most (1 + 5e-40)^3 / (1 - 5e-40),
+    so each later product is at most q = growth (1 + 1e-38) times the one
+    before.  When q < 1 they add up to less than last q / (1 - q).  That
+    bound is compared with total 1e-41, below a tenth of a unit in total's
+    40th digit: past this check's three roundings the rest still stays
+    below half a unit, so each skipped addition would round back to total.
+    No bound is taken at q >= 1, met only at M = 1, where r = 1, with x
+    within 1e-38 of 1 (nbar above about 1e38).  The comparison is made as q / (1 - q)
+    against total / last 1e-41, which is at least 1e-41, so that it cannot
+    underflow.
+    """
+    growth *= _ROUNDING_MARGIN
+    if not growth:  # x = 0: every later probability is zero
+        return True
+    if growth >= 1:
+        return False
+    return growth / (1 - growth) < (total / last).scaleb(-41)
+
+
 def p_fa_closed(photons: int, modes: int, noise) -> float:
-    """Closed-form false-alarm probability: the 40-digit total as a float, one ulp off at worst."""
-    return float(false_alarm_series(photons, modes, noise)[1])
+    """Closed-form false-alarm probability: the exact value for the float inputs, rounded once.
+
+    Rounded from the 40-digit total, which lies within (5N + 2) 5e-40, below
+    1e-35, of the exact value.  When a rounding boundary between two floats
+    lies that close and N + M is at most P_FA_EXACT_MAX, the float is the
+    exact rational total sum_k C(N - k + M - 1, M - 1) p_k / C(N + M - 1, M - 1)
+    rounded by one int / int division.  Its cost grows as N^2 times the
+    square of the noise's bit width: the slowest total at the bound, N = 511,
+    M = 1 and thermal nbar = 1e308 (a of 1024 bits), takes about 0.6 s, and
+    0.3 s at nbar = 5e-324 (Python 3.11, 2-core x86-64 VM).  Past the bound
+    the 40-digit total is rounded, which can be one ulp off when it lies
+    within 1e-35 of a midpoint.
+    """
+    total = false_alarm_series(photons, modes, noise)[1]
+    if photons + modes > P_FA_EXACT_MAX:
+        return float(total)
+    with decimal.localcontext(CONTEXT):
+        spread = total.scaleb(-35)
+        if float(total - spread) == float(total + spread):
+            return float(total)
+    weights = (math.comb(photons - k + modes - 1, modes - 1) for k in range(1, photons + 1))
+    numerator, denominator = noise.exact_weighted_sum(weights)
+    return numerator / (denominator * math.comb(photons + modes - 1, modes - 1))
 
 
 def p_fa_trace(photons: int, modes: int, noise, components: Iterable[SparseState]) -> float:

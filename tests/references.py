@@ -7,10 +7,14 @@ of a thermal total at M = 1e5.  amplitude_bits gives a state's exact bits,
 for results that must stay bit for bit the same.
 """
 
+import itertools
 import math
+import operator
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from twinfock.detection import TableNoise, ThermalNoise
+from twinfock.loss import CONTEXT
 
 
 def sci17(numerator: int, denominator: int = 1) -> str:
@@ -77,6 +81,20 @@ def pfa_total(photons: int, modes: int, noise) -> tuple[int, int]:
     common = max((p.denominator for p in probs), default=1)  # all powers of two
     weighted = sum(c * p.numerator * (common // p.denominator) for c, p in zip(numerators, probs))
     return weighted, denominator * common
+
+
+def full_pfa_total(photons: int, modes: int, noise) -> Decimal:
+    """The 40-digit P_FA total with every product c_k p_k, k = 1..N, added in order.
+
+    The kernel's summation before it learned to stop early, in CONTEXT: the
+    same ratios, coefficients, probabilities, products and additions.
+    """
+    with localcontext(CONTEXT) as context:
+        ratios = map(context.divide, range(photons, 0, -1),
+                     range(photons + modes - 1, modes - 1, -1))
+        coefficients = list(itertools.accumulate(ratios, operator.mul))
+        probs = noise.arrangement_probs(photons)[1:]
+        return sum(map(operator.mul, coefficients, probs), Decimal(0))
 
 
 def pfa_cell(photons: int, modes: int, noise) -> dict[str, str]:

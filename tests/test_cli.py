@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -236,6 +237,18 @@ def test_verify_builds_each_pair_state_once(monkeypatch):
     for calls in built.values():
         assert len(calls) == 35
         assert len(set(calls)) == 35
+
+
+def test_verify_releases_each_case_before_building_the_next():
+    # 4.33 MiB traced when the (6, 5) case was built beside all of (5, 5)'s states
+    # and oracle splits, 3.36 MiB when only its direct state is kept (Python 3.11)
+    tracemalloc.start()
+    try:
+        cli.run_verification(6, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.85 * 2 ** 20
 
 
 def test_verify_builds_one_oracle_per_case_and_eta_and_one_weight_per_count(monkeypatch):
@@ -758,6 +771,31 @@ def test_pfa_invalid_grid(capsys, tmp_path):
                           "--csv", str(path)], capsys)
     assert code == EXIT_INVALID and out == "" and err.count("\n") == 1
     assert not path.exists()
+
+
+#: sha256 of pfa-curves stdout, recorded before the total stopped at the last
+#: product that can change it: at the defaults, and on the 64-entry table below
+PFA_DEFAULT_SHA256 = "3cf9183fe8c4e687dabafcf15ec4347ea93863516ca2220ff46c8d37b1d8fe49"
+PFA_TABLE_SWEEP_SHA256 = "cf44add1151b90d7664c69aa6e009614ca2957a70555f1ceb82fc797846dc98b"
+
+
+def test_pfa_defaults_print_the_recorded_bytes(capsys):
+    code, out, _ = run(["pfa-curves"], capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == PFA_DEFAULT_SHA256
+
+
+def test_pfa_table_sweep_prints_the_recorded_bytes(capsys, tmp_path):
+    # the benchmark's sweep table at seed 1: 64 entries falling as 2^-k, so 2,936
+    # of the 3,000 products at N = 3000 are past its end
+    rng = random.Random(1)
+    table = [rng.uniform(0.2, 1.0) * 0.5 ** k for k in range(1, 65)]
+    path = tmp_path / "noise_table.txt"
+    path.write_text("".join(f"{value!r}\n" for value in table))
+    code, out, _ = run(["pfa-curves", "--n", "10", "--n", "100", "--n", "1000", "--n", "3000",
+                        "--m-max", "100000", "--m-points", "50", "--noise", f"table:{path}"], capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == PFA_TABLE_SWEEP_SHA256
 
 
 def test_pfa_streams_cell_by_cell(capsys, tmp_path):

@@ -5,6 +5,7 @@ from decimal import Context, Decimal, Subnormal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from twinfock.combinat import compositions, count_compositions
 from twinfock.detection import (
@@ -29,7 +30,7 @@ from twinfock.loss import (
 )
 from twinfock.fock import IDLER, SIGNAL, AmplitudeCapError, SparseState, combine
 
-from references import fraction17, pfa_total, sci17
+from references import falling_ratios, fraction17, full_pfa_total, pfa_total, sci17
 
 
 def falling_ratio(photons, modes, k):
@@ -166,14 +167,100 @@ def test_p_md_past_the_exact_fallback_bound_returns_at_once():
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.xfail(strict=True, reason="the 40-digit total is rounded again to a float: "
-                   "an exact P_FA on a float midpoint can come back one ulp off")
 def test_p_fa_closed_rounds_a_midpoint_total_half_even():
     # 2/3 (0.5 + 2^-53) + 1/3 (0.5 - 2^-54) = 0.5 + 2^-54, halfway between 0.5 and its
     # successor, so half-even gives 0.5; the rounded 2/3 tips the 40 digits above it
     noise = TableNoise((0.5 + 2 ** -53, 0.5 - 2 ** -54))
     assert Fraction(*pfa_total(2, 2, noise)) == Fraction(1, 2) + Fraction(1, 2 ** 54)
     assert p_fa_closed(2, 2, noise) == 0.5
+
+
+def test_p_fa_closed_rounds_the_exact_total_of_each_noise_model():
+    # exact totals on and near float midpoints, against integer references
+    noises = [(1, 1, TableNoise((2 ** -54 + 2 ** -106,))),
+              (2, 2, TableNoise((0.5 + 2 ** -53, 0.5 - 2 ** -54, 1.0))),
+              (3, 4, ThermalNoise(1.0, 4)), (5, 3, ThermalNoise(5e-324, 3)),
+              (4, 2, ThermalNoise(0.0, 2)), (0, 1, TableNoise((0.5,))),
+              (30, 7, ThermalNoise(1e300, 7)), (12, 40, ThermalNoise(0.3, 40))]
+    for photons, modes, noise in noises:
+        exact = Fraction(*pfa_total(photons, modes, noise))
+        assert p_fa_closed(photons, modes, noise) == float(exact)
+        # the fallback's route: each model's exact sum of the integer coefficients times p_k
+        numerators, denominator = falling_ratios(photons, modes)
+        assert Fraction(*noise.exact_weighted_sum(numerators)) / denominator == exact
+
+
+NBARS = (0.0, 5e-324, 1e-300, 0.3, 1.0, 1e6, 1e300)
+PFA_MODES = (1, 2, 10, 10 ** 5, 10 ** 18)
+
+
+@st.composite
+def pfa_cases(draw):
+    """(N, M, noise): thermal at NBARS, or tables with trailing zeros, all zeros or past N."""
+    photons = draw(st.integers(0, 3000) | st.integers(0, 40))
+    modes = draw(st.sampled_from(PFA_MODES))
+    if draw(st.booleans()):
+        return photons, modes, ThermalNoise(draw(st.sampled_from(NBARS)), modes)
+    entries = draw(st.lists(st.floats(0.0, 1.0), max_size=50))
+    zeros = draw(st.integers(0, 60))
+    return photons, modes, TableNoise(tuple(entries) + (0.0,) * zeros)
+
+
+@settings(max_examples=120, deadline=None)
+@given(pfa_cases())
+@example((3000, 3000, ThermalNoise(1.0, 3000)))
+@example((3000, 1, ThermalNoise(1e300, 1)))
+@example((3000, 10, ThermalNoise(1e6, 10)))
+@example((3000, 10 ** 18, ThermalNoise(1.0, 10 ** 18)))
+@example((100, 2, TableNoise((0.0,) * 150)))
+@example((7, 10, TableNoise((0.25,) * 10 + (0.0,) * 5)))
+def test_total_equals_the_full_sequential_sum(case):
+    photons, modes, noise = case
+    try:
+        expected = full_pfa_total(photons, modes, noise)
+    except Subnormal:  # (1 + nbar)^-M below the kernel's range, at M = 1e18
+        with pytest.raises(Subnormal):
+            false_alarm_series(photons, modes, noise)
+        return
+    total = false_alarm_series(photons, modes, noise)[1]
+    assert total == expected
+    # as pfa-curves prints them: a zero's exponent, which .16e shows, is not its value
+    assert (format(total, ".16e") if total else "0") == (format(expected, ".16e") if expected else "0")
+
+
+class CountingNoise:
+    """A noise model that counts the arrangement probabilities it hands out, past p_0."""
+
+    def __init__(self, noise):
+        self.noise, self.modes, self.handed = noise, getattr(noise, "modes", None), 0
+
+    def arrangement_probs(self, count):
+        probs = self.noise.arrangement_probs(count)
+        self.handed += len(probs) - 1
+        return probs
+
+    def arrangement_series(self):
+        probs, step = self.noise.arrangement_series()
+
+        def counted():
+            yield next(probs)  # p_0, which no product takes
+            for prob in probs:
+                self.handed += 1
+                yield prob
+        return counted(), step
+
+
+def test_total_stops_at_the_last_product_that_can_change_it():
+    # under thermal:1 each product is at most about 1/4 of the one before, so the
+    # 40 digits are fixed within 68 products: 112 are summed, of 3000
+    noise = CountingNoise(ThermalNoise(1.0, 3000))
+    total = false_alarm_series(3000, 3000, noise)[1]
+    assert noise.handed <= 256
+    assert total == full_pfa_total(3000, 3000, ThermalNoise(1.0, 3000))
+    # a table's products stop at its last entry
+    table = CountingNoise(TableNoise((0.5,) * 64))
+    false_alarm_series(3000, 100, table)
+    assert table.handed == 64
 
 
 def test_first_coefficient_single_photon():
