@@ -28,6 +28,7 @@ from .combinat import composition_texts, count_compositions
 from .detection import (
     TableNoise,
     ThermalNoise,
+    exact_p_fa,
     false_alarm_series,
     missed_detection,
     p_fa_closed,
@@ -49,6 +50,7 @@ from .loss import (
     absorption_weight,
     beamsplitter_oracle,
     conditional_states,
+    round_once,
     split_by_environment,
 )
 from .states import (
@@ -451,6 +453,7 @@ def pfa_lines(grids: dict, noise_for):
     Rows are ordered by (N, M, series); the sorted series order depends on N
     alone, so it is worked out once per N.  Every value prints from its
     Decimal, rounded half-even to 17 significant digits; zeros print as 0.
+    Up to P_FA_EXACT_MAX, round_once rounds the total from the exact total.
     """
     yield "series,N,M,value\n"
     for photons, grid in grids.items():
@@ -458,9 +461,13 @@ def pfa_lines(grids: dict, noise_for):
         names += ["total", "baseline:1_over_M", "baseline:N_over_M"]
         order = sorted(range(len(names)), key=names.__getitem__)
         for modes in grid:
-            coefficients, total = false_alarm_series(photons, modes, noise_for(modes))
-            values = [format(v, ".16e") if v else "0"
-                      for v in (*coefficients, total, *single_photon_baselines(photons, modes))]
+            noise = noise_for(modes)
+            coefficients, total = false_alarm_series(photons, modes, noise)
+            total = round_once(total, exact_p_fa(photons, modes, noise), 17)
+            # CONTEXT traps Subnormal, so no coefficient is zero; N / M is zero at N = 0
+            values = [*map(format, coefficients, itertools.repeat(".16e")),
+                      *(format(v, ".16e") if v else "0"
+                        for v in (total, *single_photon_baselines(photons, modes)))]
             cell = f",{photons},{modes},"
             yield "".join([f"{names[i]}{cell}{values[i]}\n" for i in order])
 

@@ -17,13 +17,10 @@ so it stays within (5N + 2) 5e-40 of the exact value for those inputs.  A
 value below that range, about 1e-999999999999999999, raises
 decimal.Subnormal rather than turning into zero.
 
-The P_FA total adds its products in order and stops once the products left
-cannot change its 40 digits: at the end of a noise table, and under thermal
-noise once a bound on the rest of the sum lies below half a unit of the
-total's last digit.  The total is the one the full sum gives, so the count
-of products summed depends on the 40 digits and the decay of the terms, not
-on N.  p_fa_closed rounds that total to a float, or, near a rounding
-boundary between floats, the exact rational total.
+The P_FA sum stops once the products left cannot change its 40 digits, so
+the count summed depends on those digits and the decay of the terms, not on
+N.  loss.round_once rounds the total once: to a float for p_fa_closed, and
+to 17 digits for pfa-curves.
 """
 
 import contextlib
@@ -33,12 +30,12 @@ import math
 import operator
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .combinat import count_compositions
 from .fock import SIGNAL, SparseState
 from .loss import (CONTEXT, _one_plus, absorption_decimal, absorption_weight, check_oracle_size,
-                   conditional_states)
+                   conditional_states, round_once)
 
 
 @contextlib.contextmanager
@@ -57,7 +54,7 @@ def _in_context(quantity: str):
 class ThermalNoise:
     """Identical thermal occupation of every environment mode.
 
-    arrangement_probs(count)[k] is the probability of one specific
+    Entry k of arrangement_series is the probability of one specific
     arrangement of k noise photons, (1 + nbar)^-M x^k with
     x = nbar / (1 + nbar); the total probability of k photons in any
     arrangement multiplies this by the number of arrangements.
@@ -86,10 +83,6 @@ class ThermalNoise:
             probs = itertools.accumulate(itertools.repeat(step), operator.mul,
                                          initial=one_plus ** -self.modes)
         return probs, step
-
-    def arrangement_probs(self, count: int) -> list[Decimal]:
-        """The arrangement probabilities for k = 0..count, in CONTEXT."""
-        return _first_probs(self, count)
 
     def exact_weighted_sum(self, weights: Iterable[int]) -> tuple[int, int]:
         """sum_k weights[k-1] p_k over k = 1, 2, ..., exactly, as (numerator, denominator).
@@ -153,10 +146,6 @@ class TableNoise:
         """
         return itertools.chain([Decimal(0)], map(Decimal, self.values)), None
 
-    def arrangement_probs(self, count: int) -> list[Decimal]:
-        """The arrangement probabilities for k = 0..count: the exact values of the entries."""
-        return _first_probs(self, count)
-
     def exact_weighted_sum(self, weights: Iterable[int]) -> tuple[int, int]:
         """sum_k weights[k-1] p_k over k = 1, 2, ..., exactly, as (numerator, denominator).
 
@@ -167,14 +156,6 @@ class TableNoise:
         common = max((den for _, den in ratios), default=1)
         return sum(weight * num * (common // den)
                    for weight, (num, den) in zip(weights, ratios)), common
-
-
-def _first_probs(noise, count: int) -> list[Decimal]:
-    """p_0..p_count of a noise model's arrangement_series, in CONTEXT; zeros past its end."""
-    probs, _ = noise.arrangement_series()
-    with decimal.localcontext(CONTEXT):
-        return list(itertools.islice(itertools.chain(probs, itertools.repeat(Decimal(0))),
-                                     count + 1))
 
 
 @dataclass
@@ -225,8 +206,8 @@ FIRST_BLOCK = 16
 #: 1 + 1e-38: lifts a rounded r_{k+1} x above the ratio of a product to the
 #: one before it, which the roundings of c_k, p_k and c_k p_k widen by at most 2.1e-39.
 _ROUNDING_MARGIN = Decimal("1.00000000000000000000000000000000000001")
-#: Most N + M at which p_fa_closed may fall back to the exact rational total,
-#: whose cost grows as N^2: at the bound the slowest takes well under a second.
+#: Most N + M at which exact_p_fa gives the exact total, whose cost grows as N^2:
+#: at the bound the slowest, N = 511, M = 1, nbar = 1e308, takes about 0.6 s.
 P_FA_EXACT_MAX = 512
 
 
@@ -297,30 +278,25 @@ def _rest_negligible(total: Decimal, last: Decimal, growth: Decimal) -> bool:
     return growth / (1 - growth) < (total / last).scaleb(-41)
 
 
-def p_fa_closed(photons: int, modes: int, noise) -> float:
-    """Closed-form false-alarm probability: the exact value for the float inputs, rounded once.
-
-    Rounded from the 40-digit total, which lies within (5N + 2) 5e-40, below
-    1e-35, of the exact value.  When a rounding boundary between two floats
-    lies that close and N + M is at most P_FA_EXACT_MAX, the float is the
-    exact rational total sum_k C(N - k + M - 1, M - 1) p_k / C(N + M - 1, M - 1)
-    rounded by one int / int division.  Its cost grows as N^2 times the
-    square of the noise's bit width: the slowest total at the bound, N = 511,
-    M = 1 and thermal nbar = 1e308 (a of 1024 bits), takes about 0.6 s, and
-    0.3 s at nbar = 5e-324 (Python 3.11, 2-core x86-64 VM).  Past the bound
-    the 40-digit total is rounded, which can be one ulp off when it lies
-    within 1e-35 of a midpoint.
-    """
-    total = false_alarm_series(photons, modes, noise)[1]
+def exact_p_fa(photons: int, modes: int, noise) -> Optional[Callable[[], tuple[int, int]]]:
+    """For round_once: the exact P_FA, sum_k C(N - k + M - 1, M - 1) p_k / C(N + M - 1, M - 1)
+    for the exact noise values, as (numerator, denominator); None past P_FA_EXACT_MAX."""
     if photons + modes > P_FA_EXACT_MAX:
-        return float(total)
-    with decimal.localcontext(CONTEXT):
-        spread = total.scaleb(-35)
-        if float(total - spread) == float(total + spread):
-            return float(total)
-    weights = (math.comb(photons - k + modes - 1, modes - 1) for k in range(1, photons + 1))
-    numerator, denominator = noise.exact_weighted_sum(weights)
-    return numerator / (denominator * math.comb(photons + modes - 1, modes - 1))
+        return None
+
+    def exact() -> tuple[int, int]:
+        weights = (math.comb(photons - k + modes - 1, modes - 1) for k in range(1, photons + 1))
+        numerator, denominator = noise.exact_weighted_sum(weights)
+        return numerator, denominator * math.comb(photons + modes - 1, modes - 1)
+    return exact
+
+
+def p_fa_closed(photons: int, modes: int, noise) -> float:
+    """Closed-form false-alarm probability: the exact value for the float inputs, rounded once
+    by round_once from the 40-digit total, within (5N + 2) 5e-40 < 1e-35 of it, and exact_p_fa;
+    past P_FA_EXACT_MAX it can be one ulp off."""
+    total = false_alarm_series(photons, modes, noise)[1]
+    return round_once(total, exact_p_fa(photons, modes, noise))
 
 
 def p_fa_trace(photons: int, modes: int, noise, components: Iterable[SparseState]) -> float:
@@ -340,7 +316,9 @@ def p_fa_trace(photons: int, modes: int, noise, components: Iterable[SparseState
     _check_noise_modes(noise, modes)
     uniform = 1.0 / count_compositions(photons, modes)
     # the vacuum term, k = 0, is no returned photon and adds nothing
-    probs = {k: float(p) for k, p in enumerate(noise.arrangement_probs(photons)) if k}
+    probs, _ = noise.arrangement_series()
+    with decimal.localcontext(CONTEXT):
+        probs = dict(enumerate(map(float, itertools.islice(probs, 1, photons + 1)), 1))
     total = 0.0
     for component in components:
         for returned, amp in component.register_totals(SIGNAL):

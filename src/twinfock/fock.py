@@ -208,26 +208,25 @@ class SparseState:
 
     def create(self, register: str, mode: int) -> "SparseState":
         """Raise the photon count of one mode, scaling each term by sqrt(n + 1)."""
-        off = self._offset(register, mode)
-        out = {}
-        for key, amp in self._amps.items():
-            n = int.from_bytes(key[off:off + 2], "big")
-            if n >= MAX_MODE_COUNT:
-                raise ValueError("mode count overflow")
-            new_key = key[:off] + (n + 1).to_bytes(2, "big") + key[off + 2:]
-            out[new_key] = amp * math.sqrt(n + 1)
-        return SparseState._adopt(self.modes, self.registers, out)
+        return self._ladder(register, mode, 1)
 
     def annihilate(self, register: str, mode: int) -> "SparseState":
         """Lower the photon count of one mode, scaling by sqrt(n); empty modes vanish."""
-        off = self._offset(register, mode)
+        return self._ladder(register, mode, -1)
+
+    def _ladder(self, register: str, mode: int, step: int) -> "SparseState":
+        """Move one mode's count of each term by step = +-1 to n, scaling by the root of
+        the larger count, n or n - step; a count 0 vanishes going down, 65535 overflows up."""
+        off, back = self._offset(register, mode), max(-step, 0)  # n + back is the larger count
+        edge = -1 if step < 0 else MAX_MODE_COUNT + 1  # the one count n that no key holds
         out = {}
         for key, amp in self._amps.items():
-            n = int.from_bytes(key[off:off + 2], "big")
-            if n == 0:
-                continue
-            new_key = key[:off] + (n - 1).to_bytes(2, "big") + key[off + 2:]
-            out[new_key] = amp * math.sqrt(n)
+            n = int.from_bytes(key[off:off + 2], "big") + step
+            if n == edge:
+                if step < 0:
+                    continue
+                raise ValueError("mode count overflow")
+            out[key[:off] + n.to_bytes(2, "big") + key[off + 2:]] = amp * math.sqrt(n + back)
         return SparseState._adopt(self.modes, self.registers, out)
 
     def create_pairs(self, scale: float = 1.0) -> "SparseState":

@@ -20,7 +20,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterator
+from typing import Callable, Iterator, Optional
 
 from .combinat import compositions, count_compositions
 from .fock import (BACKGROUND, IDLER, MAX_MODE_COUNT, SIGNAL, SparseState, check_sector_size,
@@ -30,6 +30,24 @@ from .fock import (BACKGROUND, IDLER, MAX_MODE_COUNT, SIGNAL, SparseState, check
 CONTEXT = decimal.Context(prec=40, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
                           traps=[decimal.InvalidOperation, decimal.DivisionByZero,
                                  decimal.Overflow, decimal.Subnormal])
+
+
+def round_once(value: Decimal, exact: Optional[Callable[[], tuple[int, int]]],
+               digits: Optional[int] = None):
+    """The exact value behind a kernel value, which lies within 1e-35 relative of
+    it, rounded once: to a float, or half-even to a Decimal of `digits` digits.
+
+    Near a rounding boundary, exact() gives it as (numerator, denominator) for
+    one division; with exact None, past the caller's bound, value is rounded.
+    """
+    with decimal.localcontext(CONTEXT) as context:
+        context.prec = digits or context.prec
+        to, divide = (context.plus, context.divide) if digits else (float, operator.truediv)
+        if exact is not None:
+            spread = value.scaleb(-35)
+            if to(value - spread) != to(value + spread):
+                return divide(*exact())
+        return to(value)
 
 
 def _one_plus(value: float) -> Decimal:
@@ -94,20 +112,17 @@ def absorption_decimal(photons: int, modes: int, eta: float, lost: int) -> Decim
 def absorption_weight(photons: int, modes: int, eta: float, lost: int) -> float:
     """Probability of any one arrangement of `lost` absorbed photons, a float.
 
-    The exact value of absorption_decimal rounded once: from its 40 digits,
-    or, up to MAX_MODE_COUNT photons, from the exact integer quotient when a
-    rounding boundary between floats lies within their error, as at C(57, 25) / 2^57.
+    The exact value of absorption_decimal rounded once; round_once may need the
+    exact quotient, as at C(57, 25) / 2^57, which up to MAX_MODE_COUNT photons
+    it gets: past it the exact powers grow without bound.
     """
     weight = absorption_decimal(photons, modes, eta, lost)
-    if photons > MAX_MODE_COUNT:  # past it the exact powers grow without bound
-        return float(weight)
-    with decimal.localcontext(CONTEXT):
-        spread = weight.scaleb(-35)
-        if float(weight - spread) == float(weight + spread):
-            return float(weight)
-    num, den = eta.as_integer_ratio()  # int / int rounds the exact quotient once
-    return (math.comb(photons, lost) * num ** (photons - lost) * (den - num) ** lost
-            / (math.comb(lost + modes - 1, lost) * den ** photons))
+
+    def exact() -> tuple[int, int]:
+        num, den = eta.as_integer_ratio()
+        return (math.comb(photons, lost) * num ** (photons - lost) * (den - num) ** lost,
+                math.comb(lost + modes - 1, lost) * den ** photons)
+    return round_once(weight, exact if photons <= MAX_MODE_COUNT else None)
 
 
 def conditional_state(photons: int, modes: int, absorbed) -> SparseState:

@@ -93,7 +93,10 @@ def full_pfa_total(photons: int, modes: int, noise) -> Decimal:
         ratios = map(context.divide, range(photons, 0, -1),
                      range(photons + modes - 1, modes - 1, -1))
         coefficients = list(itertools.accumulate(ratios, operator.mul))
-        probs = noise.arrangement_probs(photons)[1:]
+        probs, _ = noise.arrangement_series()
+        next(probs)  # p_0: no photon returned
+        # a table's series ends with it: the products past its end are exact zeros
+        probs = itertools.chain(probs, itertools.repeat(Decimal(0)))
         return sum(map(operator.mul, coefficients, probs), Decimal(0))
 
 

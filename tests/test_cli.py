@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -15,6 +16,7 @@ import threading
 import tracemalloc
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
@@ -614,6 +616,22 @@ def test_pfa_large_cells_round_exact_values():
         for photons, modes in sizes + [(3000, 10**5)] * corner:
             lines = "".join(pfa_lines({photons: [modes]}, noise_for))
             assert cells(lines)[(photons, modes)] == pfa_cell(photons, modes, noise_for(modes))
+
+
+def test_pfa_total_rounds_a_17_digit_midpoint_half_even(capsys, tmp_path):
+    # (2 p_1 + p_2) / 3 = 100001 / 2^18 = 0.381473541259765625 exactly, a 17-digit
+    # midpoint that half-even rounds down; the 40 digits lie above it, as 2/3 is rounded
+    path = tmp_path / "table.txt"
+    path.write_text("0.3814697265625\n0.3814811706542969\n")
+    code, out, _ = run(["pfa-curves", "--n", "2", "--m-list", "2", "--noise", f"table:{path}"],
+                       capsys)
+    assert code == EXIT_OK
+    assert "total,2,2,3.8147354125976562e-1\n" in out.splitlines(keepends=True)
+    # p_1 = 100000 / 2^18 and p_2 = (3m - 200000) / 2^18 make the total m / 2^18, a
+    # midpoint for every odd m; at 40 digits half of these printed the other neighbour
+    for m in range(100001, 100400, 2):
+        noise_for = table_factory((100000 / 2**18, (3 * m - 200000) / 2**18))
+        assert cells("".join(pfa_lines({2: [2]}, noise_for)))[(2, 2)]["total"] == sci17(m, 2**18)
 
 
 def test_pfa_baselines_are_exact_quotients(capsys):
@@ -1251,6 +1269,17 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(*codes)
 print(*sorted({name.partition(".")[0] for name in sys.modules}))
 """
+
+
+def test_the_console_script_resolves_to_cli_main():
+    # tests call main in-process or run python -m twinfock.cli; the installed
+    # twinfock command goes through this entry instead (3.10 has no tomllib)
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    target = re.search(r'^twinfock\s*=\s*"([\w.]+):(\w+)"\s*$', scripts, re.MULTILINE)
+    assert target, scripts
+    module, attribute = target.groups()
+    assert getattr(importlib.import_module(module), attribute) is cli.main
 
 
 def test_the_runtime_imports_only_the_standard_library():

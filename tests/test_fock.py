@@ -15,6 +15,8 @@ from twinfock.fock import (
     orthonormality_residual,
 )
 
+from references import amplitude_bits
+
 IS = (IDLER, SIGNAL)
 
 
@@ -51,6 +53,39 @@ def test_annihilate_sqrt_rule():
     start = SparseState.basis(2, IS, ((0, 0), (0, 2)))
     lowered = start.annihilate(SIGNAL, 1)
     assert lowered.amplitude(((0, 0), (0, 1))) == pytest.approx(math.sqrt(2))
+
+
+def ladder_reference(state, register, mode, raise_count):
+    """The create and annihilate loops written out apart, as a state."""
+    off = state._offset(register, mode)
+    out = {}
+    for key, amp in state._amps.items():
+        n = int.from_bytes(key[off:off + 2], "big")
+        if raise_count:
+            if n >= 0xFFFF:
+                raise ValueError("mode count overflow")
+            out[key[:off] + (n + 1).to_bytes(2, "big") + key[off + 2:]] = amp * math.sqrt(n + 1)
+        elif n:
+            out[key[:off] + (n - 1).to_bytes(2, "big") + key[off + 2:]] = amp * math.sqrt(n)
+    return SparseState._adopt(state.modes, state.registers, out)
+
+
+def test_ladder_keeps_keys_order_and_amplitude_bits():
+    rng = random.Random(5)
+    terms = [(((rng.choice([0, 1, 2, 7, 0xFFFE, 0xFFFF]), rng.randrange(4)),
+               (rng.randrange(3), 0)), complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+             for _ in range(40)]
+    state = SparseState.from_terms(2, IS, terms)
+    for register in IS:
+        for mode in (0, 1):
+            assert (amplitude_bits(state.annihilate(register, mode))
+                    == amplitude_bits(ladder_reference(state, register, mode, False)))
+            if register == IDLER and mode == 0:  # some idler counts there are 65535
+                with pytest.raises(ValueError, match="mode count overflow"):
+                    state.create(register, mode)
+                continue
+            assert (amplitude_bits(state.create(register, mode))
+                    == amplitude_bits(ladder_reference(state, register, mode, True)))
 
 
 def test_annihilate_vacuum_is_empty():

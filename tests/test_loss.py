@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from twinfock.loss import (
     conditional_state,
     conditional_states,
     returned_mixture,
+    round_once,
     split_by_environment,
 )
 from twinfock.states import pair_state_direct
@@ -141,6 +143,27 @@ def test_weight_is_the_exact_value_rounded_once():
         assert exact.denominator.bit_count() == 1
         assert exact.numerator % 2 == 1 and exact.numerator.bit_length() == 54
         assert absorption_weight(photons, modes, eta, lost) == float(exact)
+
+
+def _refused():
+    raise AssertionError("the exact route was taken")
+
+
+def test_round_once_takes_the_exact_route_only_near_a_rounding_boundary():
+    # clear of every boundary, the kernel value decides, at either target
+    assert round_once(Decimal("0.3"), _refused) == 0.3
+    assert round_once(Decimal("0.3"), _refused, 17) == Decimal("0.3")
+    # 8.4e-40 above 1 + 2^-53, the midpoint between 1 and its successor, which
+    # half-even rounds down: the exact route gives 1.0, the 40 digits round up
+    above = Decimal("1.000000000000000111022302462515654042364")
+    assert float(above) == 1.0000000000000002
+    assert round_once(above, lambda: (2**53 + 1, 2**53)) == 1.0
+    # 1e-40 above the 17-digit midpoint 100001 / 2^18 = 0.381473541259765625
+    total = Decimal("0.3814735412597656250000000000000000000001")
+    assert round_once(total, lambda: (100001, 2**18), 17) == Decimal("0.38147354125976562")
+    # with no exact route, as past a caller's bound, the kernel value is rounded
+    assert round_once(above, None) == 1.0000000000000002
+    assert round_once(total, None, 17) == Decimal("0.38147354125976563")
 
 
 def test_mixture_past_the_float_range_of_the_binomials():
