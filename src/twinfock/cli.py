@@ -17,19 +17,21 @@ import decimal
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import re
 import stat
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .combinat import composition_texts, count_compositions
 from .detection import (
     TableNoise,
     ThermalNoise,
     exact_p_fa,
-    false_alarm_series,
+    false_alarm_grid,
     missed_detection,
     p_fa_closed,
     p_fa_trace,
@@ -67,8 +69,8 @@ EXIT_CAP = 3
 
 DEFAULT_N_VALUES = [10, 100, 1000]
 #: Ceiling on the rows one pfa-curves or pmd-curve run writes: a million
-#: pfa-curves rows (--n 19990) take about 2 s and 29 MiB peak RSS, whole
-#: process, on a 2-core x86-64 VM with Python 3.11.
+#: pfa-curves rows (--n 19990) take 1.0-1.6 s and 31 MiB peak RSS, whole
+#: process with stdout to /dev/null, on a 2-core x86-64 VM with Python 3.11.7.
 SWEEP_ROW_CAP = 10 ** 6
 #: Largest mode count of pfa-curves and photon number of pmd-curve: the counts
 #: are read and gridded through floats, which hold none past about 1.8e308.
@@ -235,12 +237,17 @@ def log_grid(m_min: int, m_max: int, points: int) -> list[int]:
 
 
 def linear_grid(low: float, high: float, points: int) -> list[float]:
+    """Linearly spaced grid, ascending, of `points` floats.
+
+    The ends are low and high themselves; each interior point low + i step is
+    capped at high, which its rounding may pass (with step >= 0 it cannot fall below low).
+    """
     if points < 2:
         raise ValueError("need at least 2 grid points")
     if high < low:
         raise ValueError("grid upper bound below lower bound")
     step = (high - low) / (points - 1)
-    return [low + i * step for i in range(points)]
+    return [low, *(min(low + i * step, high) for i in range(1, points - 1)), high]
 
 
 def parse_noise_spec(text: str):
@@ -450,26 +457,29 @@ def cmd_verify(args) -> int:
 def pfa_lines(grids: dict, noise_for):
     """The pfa-curves CSV: the header, then one string per (N, M) cell of grids, N -> Ms.
 
-    Rows are ordered by (N, M, series); the sorted series order depends on N
-    alone, so it is worked out once per N.  Every value prints from its
-    Decimal, rounded half-even to 17 significant digits; zeros print as 0.
-    Up to P_FA_EXACT_MAX, round_once rounds the total from the exact total.
+    Rows are ordered by (N, M, series).  The series sort as the two baselines,
+    the terms by the text of k, then the total; that order depends on N alone,
+    so it and each row's head, a newline and the series name, are worked out
+    once per N, and each cell is one join of value + next head.  Every value
+    prints from its Decimal, rounded half-even to 17 significant digits; zeros
+    print as 0.  Up to P_FA_EXACT_MAX, round_once rounds the total from the
+    exact total.
     """
     yield "series,N,M,value\n"
     for photons, grid in grids.items():
-        names = [f"term:{k}" for k in range(1, photons + 1)]
-        names += ["total", "baseline:1_over_M", "baseline:N_over_M"]
-        order = sorted(range(len(names)), key=names.__getitem__)
-        for modes in grid:
-            noise = noise_for(modes)
-            coefficients, total = false_alarm_series(photons, modes, noise)
-            total = round_once(total, exact_p_fa(photons, modes, noise), 17)
+        order = sorted(range(photons), key=lambda i: str(i + 1))  # coefficient indices
+        heads = ["baseline:1_over_M", "\nbaseline:N_over_M",
+                 *[f"\nterm:{i + 1}" for i in order], "\ntotal", "\n"]
+        for modes, coefficients, total in false_alarm_grid(photons, grid, noise_for):
+            total = round_once(total, exact_p_fa(photons, modes, noise_for(modes)), 17)
             # CONTEXT traps Subnormal, so no coefficient is zero; N / M is zero at N = 0
-            values = [*map(format, coefficients, itertools.repeat(".16e")),
-                      *(format(v, ".16e") if v else "0"
-                        for v in (total, *single_photon_baselines(photons, modes)))]
-            cell = f",{photons},{modes},"
-            yield "".join([f"{names[i]}{cell}{values[i]}\n" for i in order])
+            single, repeated = (format(v, ".16e") if v else "0"
+                                for v in single_photon_baselines(photons, modes))
+            values = ["", single, repeated,
+                      *map(Decimal.__format__, map(coefficients.__getitem__, order),
+                           itertools.repeat(".16e")),
+                      format(total, ".16e") if total else "0"]
+            yield f",{photons},{modes},".join(map(operator.add, values, heads))
 
 
 def _sweep_refused(command: str, rows: int, lower: str) -> bool:

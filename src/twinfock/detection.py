@@ -40,11 +40,10 @@ from .loss import (CONTEXT, _one_plus, absorption_decimal, absorption_weight, ch
 
 @contextlib.contextmanager
 def _in_context(quantity: str):
-    """Run the block in a copy of CONTEXT, which it yields; a Subnormal it raises
-    comes out naming the quantity."""
+    """Run the block in a copy of CONTEXT; a Subnormal it raises comes out naming the quantity."""
     try:
-        with decimal.localcontext(CONTEXT) as context:
-            yield context
+        with decimal.localcontext(CONTEXT):
+            yield
     except decimal.Subnormal:
         raise decimal.Subnormal(f"{quantity} lies below 1e{CONTEXT.Emin}, the smallest "
                                 f"value the closed forms hold") from None
@@ -211,14 +210,18 @@ _ROUNDING_MARGIN = Decimal("1.00000000000000000000000000000000000001")
 P_FA_EXACT_MAX = 512
 
 
-def false_alarm_series(photons: int, modes: int, noise) -> tuple[list[Decimal], Decimal]:
-    """Closed-form false-alarm rate as (coefficients, total), in CONTEXT.
+def false_alarm_grid(photons: int, grid: Iterable[int],
+                     noise_for: Callable[[int], object]) -> Iterator[tuple[int, list[Decimal], Decimal]]:
+    """Closed-form false-alarm rate of each cell of one photon number's grid, in CONTEXT.
 
-    Entry k-1 of coefficients is the falling ratio
-    prod_{j<k} (N - j) / (N + M - 1 - j), run as the recurrence
-    c_k = c_{k-1} r_k with r_k = (N - k + 1) / (N + M - k); total, the sum of
-    each coefficient times the noise model's k-photon arrangement probability,
-    is the false-alarm probability.
+    Yields (modes, coefficients, total) for each mode count M of grid in turn,
+    with noise_for(M) the cell's noise model.  Entry k-1 of coefficients is
+    the falling ratio prod_{j<k} (N - j) / (N + M - 1 - j), run as the
+    recurrence c_k = c_{k-1} r_k with r_k = (N - k + 1) / (N + M - k), each
+    ratio a Decimal numerator over an int denominator, rounded once; the
+    numerators N, ..., 1 are built once for the whole grid.  total, the sum
+    of each coefficient times the noise model's k-photon arrangement
+    probability, is the false-alarm probability.
 
     The products t_k = c_k p_k are added in order, in blocks of 16, 32, 64,
     ... products, and the sum stops where the products left cannot change it:
@@ -231,26 +234,35 @@ def false_alarm_series(photons: int, modes: int, noise) -> tuple[list[Decimal], 
     """
     if photons < 0:
         raise ValueError("photons must be non-negative")
-    if modes < 1:
-        raise ValueError("modes must be at least 1")
-    _check_noise_modes(noise, modes)
-    with _in_context(f"P_FA at N={photons}, M={modes}") as context:
-        # the ratios (N - k + 1) / (N + M - k), k = 1..N, each rounded once
-        ratios = map(context.divide, range(photons, 0, -1),
-                     range(photons + modes - 1, modes - 1, -1))
-        coefficients = list(itertools.accumulate(ratios, operator.mul))
-        probs, step = noise.arrangement_series()
-        next(probs)  # p_0: no photon returned, no false alarm
-        products = map(operator.mul, coefficients, probs)
-        total, summed, size = Decimal(0), 0, FIRST_BLOCK
-        while block := list(itertools.islice(products, size)):
-            total = sum(block, total)
-            summed += len(block)
-            if step is not None and summed < photons and _rest_negligible(
-                    total, block[-1],
-                    context.divide(photons - summed, photons + modes - 1 - summed) * step):
-                break
-            size *= 2
+    numerators = list(map(Decimal, range(photons, 0, -1)))
+    for modes in grid:
+        if modes < 1:
+            raise ValueError("modes must be at least 1")
+        noise = noise_for(modes)
+        _check_noise_modes(noise, modes)
+        with _in_context(f"P_FA at N={photons}, M={modes}"):
+            # the ratios (N - k + 1) / (N + M - k), k = 1..N
+            ratios = map(operator.truediv, numerators, range(photons + modes - 1, modes - 1, -1))
+            coefficients = list(itertools.accumulate(ratios, operator.mul))
+            probs, step = noise.arrangement_series()
+            next(probs)  # p_0: no photon returned, no false alarm
+            products = map(operator.mul, coefficients, probs)
+            total, summed, size = Decimal(0), 0, FIRST_BLOCK
+            while block := list(itertools.islice(products, size)):
+                total = sum(block, total)
+                summed += len(block)
+                if step is not None and summed < photons and _rest_negligible(
+                        total, block[-1],
+                        numerators[summed] / (photons + modes - 1 - summed) * step):
+                    break
+                size *= 2
+        yield modes, coefficients, total
+
+
+def false_alarm_series(photons: int, modes: int, noise) -> tuple[list[Decimal], Decimal]:
+    """Closed-form false-alarm rate as (coefficients, total), in CONTEXT: the one cell
+    of false_alarm_grid over [modes]."""
+    _, coefficients, total = next(false_alarm_grid(photons, (modes,), lambda _: noise))
     return coefficients, total
 
 

@@ -83,16 +83,24 @@ def pfa_total(photons: int, modes: int, noise) -> tuple[int, int]:
     return weighted, denominator * common
 
 
+def division_coefficients(photons: int, modes: int) -> list[Decimal]:
+    """The 40-digit P_FA coefficients c_1..c_N, each ratio (N - k + 1) / (N + M - k) made
+    by context.divide from two ints, in CONTEXT: the kernel's Decimal numerator / int
+    must give them bit for bit."""
+    with localcontext(CONTEXT) as context:
+        ratios = map(context.divide, range(photons, 0, -1),
+                     range(photons + modes - 1, modes - 1, -1))
+        return list(itertools.accumulate(ratios, operator.mul))
+
+
 def full_pfa_total(photons: int, modes: int, noise) -> Decimal:
     """The 40-digit P_FA total with every product c_k p_k, k = 1..N, added in order.
 
     The kernel's summation before it learned to stop early, in CONTEXT: the
     same ratios, coefficients, probabilities, products and additions.
     """
-    with localcontext(CONTEXT) as context:
-        ratios = map(context.divide, range(photons, 0, -1),
-                     range(photons + modes - 1, modes - 1, -1))
-        coefficients = list(itertools.accumulate(ratios, operator.mul))
+    coefficients = division_coefficients(photons, modes)
+    with localcontext(CONTEXT):
         probs, _ = noise.arrangement_series()
         next(probs)  # p_0: no photon returned
         # a table's series ends with it: the products past its end are exact zeros

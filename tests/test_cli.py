@@ -29,10 +29,12 @@ from twinfock.cli import (
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     fmt_float,
+    linear_grid,
     log_grid,
     main,
     parse_noise_spec,
     pfa_lines,
+    render_svg,
 )
 from twinfock.detection import (
     TableNoise,
@@ -99,6 +101,20 @@ def test_log_grid_properties():
                                  (10**16 + 1, 10**16 + 2, 9), (3, 10**308, 50)):
         grid = log_grid(m_min, m_max, points)
         assert grid[0] == m_min and grid[-1] == m_max and grid == sorted(set(grid))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2).map(sorted),
+       st.integers(2, 300))
+@example([0.059, 1.0], 14)
+@example([0.0, 1.0], 50)
+def test_linear_grid_runs_from_low_to_high(bounds, points):
+    low, high = bounds
+    grid = linear_grid(low, high, points)
+    assert len(grid) == points
+    assert grid[0] == low and grid[-1] == high
+    assert all(low <= value <= high for value in grid)
+    assert grid == sorted(grid)
 
 
 def test_parse_noise_spec(tmp_path):
@@ -888,6 +904,12 @@ def test_pfa_svg_with_collapsed_axes(capsys, tmp_path, n, m_list):
     assert root.findall("{http://www.w3.org/2000/svg}polyline")
 
 
+def test_svg_of_a_csv_without_rows_is_an_empty_chart(tmp_path):
+    svg = tmp_path / "chart.svg"
+    render_svg(svg, ["series,N,M,value\n"])
+    assert svg.read_text() == "<svg xmlns='http://www.w3.org/2000/svg'/>\n"
+
+
 def test_pfa_config_file_and_flag_precedence(capsys, tmp_path):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({"n": [1], "m_list": [2, 4], "noise": "thermal:0.5"}))
@@ -1235,6 +1257,29 @@ def test_pmd_grid(capsys):
     assert code == EXIT_OK
     _, rows = parse_csv(out)
     assert [row[1] for row in rows] == ["0", "0.25", "0.5", "0.75", "1"]
+
+
+@pytest.mark.parametrize("grid", [
+    # the 14th point, 0.059 + 13 step, once rounded to 1.0000000000000002 and was refused
+    ["--eta-min", "0.059", "--eta-max", "1", "--eta-points", "14"],
+    # the 50th point, 49 step, once rounded to 0.99999999999999989
+    ["--eta-points", "50"],
+])
+def test_pmd_grid_ends_at_its_upper_bound(capsys, grid):
+    code, out, err = run(["pmd-curve", "--n", "3", *grid], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.endswith("\n3,1,0\n")
+
+
+#: sha256 of pmd-curve stdout at the defaults, recorded before the last grid
+#: point became eta_max itself
+PMD_DEFAULT_SHA256 = "14e03ac570177cda6df1a63ae6a687c10c7acb81114034204be9ce317d32477c"
+
+
+def test_pmd_defaults_print_the_recorded_bytes(capsys):
+    code, out, _ = run(["pmd-curve"], capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == PMD_DEFAULT_SHA256
 
 
 # -- top-level parsing --------------------------------------------------------------

@@ -42,6 +42,8 @@ def test_compositions_listing():
 def test_compositions_rejects_zero_parts():
     with pytest.raises(ValueError):
         list(compositions(2, 0))
+    with pytest.raises(ValueError, match="^total must be non-negative$"):
+        list(compositions(-1, 2))
 
 
 def test_compositions_enumeration_matches_count():

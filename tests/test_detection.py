@@ -13,6 +13,7 @@ from twinfock.detection import (
     TableNoise,
     ThermalNoise,
     detection_report,
+    false_alarm_grid,
     false_alarm_series,
     missed_detection,
     p_fa_closed,
@@ -31,7 +32,8 @@ from twinfock.loss import (
 )
 from twinfock.fock import IDLER, SIGNAL, AmplitudeCapError, SparseState, combine
 
-from references import falling_ratios, fraction17, full_pfa_total, pfa_total, sci17
+from references import (division_coefficients, falling_ratios, fraction17, full_pfa_total,
+                        pfa_total, sci17)
 
 
 def falling_ratio(photons, modes, k):
@@ -60,6 +62,8 @@ def test_thermal_rejects_negative_occupation():
     for nbar in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError):
             ThermalNoise(nbar, 2)
+    with pytest.raises(ValueError, match="^modes must be at least 1$"):
+        ThermalNoise(0.5, 0)
 
 
 def test_thermal_normalization_over_arrangements():
@@ -238,6 +242,33 @@ def test_total_equals_the_full_sequential_sum(case):
     assert total == expected
     # as pfa-curves prints them: a zero's exponent, which .16e shows, is not its value
     assert (format(total, ".16e") if total else "0") == (format(expected, ".16e") if expected else "0")
+
+
+GRID_MODES = (1, 2, 199, 10 ** 5, 10 ** 18)
+
+
+@pytest.mark.parametrize("noise_for", [
+    lambda modes: ThermalNoise(1.0, modes),
+    lambda modes: ThermalNoise(1e6, modes),
+    lambda modes: TableNoise((0.3, 0.0, 0.125, 2 ** -60)),
+], ids=["thermal:1", "thermal:1e6", "table"])
+@pytest.mark.parametrize("photons", [0, 1, 2, 10, 3000])
+def test_grid_kernel_keeps_the_bits_of_the_divisions_cell_by_cell(photons, noise_for):
+    # numerator / int over numerators built once per N is the rounded division
+    # context.divide(int, int) makes: every cell of a multi-cell grid holds the
+    # coefficients and total of the reference and of the one-cell false_alarm_series
+    cells = false_alarm_grid(photons, GRID_MODES, noise_for)
+    for modes in GRID_MODES:
+        noise = noise_for(modes)
+        try:
+            expected = division_coefficients(photons, modes), full_pfa_total(photons, modes, noise)
+        except Subnormal:  # (1 + nbar)^-M below the kernel's range: thermal:1e6 at M = 1e18
+            with pytest.raises(Subnormal, match=f"P_FA at N={photons}, M={modes} lies below"):
+                next(cells)
+            return
+        assert next(cells) == (modes, *expected)
+        assert false_alarm_series(photons, modes, noise) == expected
+    assert next(cells, None) is None
 
 
 class CountingNoise:
@@ -487,6 +518,10 @@ def test_every_coefficient_beats_repeated_copies_baseline():
 
 def test_baselines():
     assert single_photon_baselines(10, 100) == (Decimal("0.01"), Decimal("0.1"))
+    with pytest.raises(ValueError, match="^photons must be non-negative$"):
+        single_photon_baselines(-1, 3)
+    with pytest.raises(ValueError, match="^modes must be at least 1$"):
+        single_photon_baselines(3, 0)
     low, high = single_photon_baselines(1000, 500)
     assert (low, high) == (Decimal("0.002"), 2)
     one = single_photon_baselines(1, 7)

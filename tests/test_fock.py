@@ -196,6 +196,16 @@ def test_combine_identity_and_zero():
     assert out.amplitude(((1, 0), (1, 0))) == pytest.approx(1.0)
 
 
+def test_combine_refuses_an_empty_sum():
+    with pytest.raises(ValueError, match="^combine needs at least one term$"):
+        combine([])
+
+
+def test_repr_gives_the_shape_and_term_count():
+    assert repr(SparseState.vacuum(2, (IDLER, SIGNAL))) == (
+        "SparseState(modes=2, registers=('I', 'S'), terms=1)")
+
+
 def test_combine_adds_coefficients():
     x = SparseState.basis(2, IS, ((1, 0), (1, 0)))
     half = 1 / math.sqrt(2)
@@ -265,6 +275,8 @@ def test_mode_count_bounds():
         top.create(IDLER, 0)
     # a sector whose photons could all sit in one mode past the bound is refused unbuilt
     assert check_sector_size("sector", 0xFFFF, 1, 1, 2) == 1
+    with pytest.raises(ValueError, match="^photons must be non-negative$"):
+        check_sector_size("x", -1, 2, 2, 2)
     for photons in (0x10000, 10**400):
         with pytest.raises(ValueError):
             check_sector_size("sector", photons, 1, 1, 2)

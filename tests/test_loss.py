@@ -229,6 +229,10 @@ def test_conditional_state_refuses_like_pair_state():
         conditional_state(1, 2, (0, 0, 0))
     with pytest.raises(ValueError, match="non-negative"):
         conditional_state(1, 2, (-1, 1))
+    with pytest.raises(ValueError, match="^photons must be non-negative$"):
+        conditional_state(-1, 2, (0, 0))
+    with pytest.raises(ValueError, match="^modes must be at least 1$"):
+        conditional_state(1, 0, ())
     # nothing kept, but the idler mode would hold more than a key word can
     with pytest.raises(ValueError, match="65535"):
         conditional_state(0x10000, 1, (0x10000,))
