@@ -254,7 +254,7 @@ class SparseState:
         top = max(counts, default=0)
         if top >= MAX_MODE_COUNT:
             raise ValueError("mode count overflow")
-        root = list(map(math.sqrt, range(top + 2)))
+        up = list(map(math.sqrt, range(1, top + 2)))  # up[n] = sqrt(n + 1)
         keys = [int.from_bytes(key, "big") for key in self._amps]
         amps = list(self._amps.values())
         acc: dict[bytes, complex] = {}
@@ -265,7 +265,7 @@ class SparseState:
             delta = (1 << 16 * (words - 1 - i)) + (1 << 16 * (words - 1 - s))
             for key, amp, n_i, n_s in zip(keys, amps, counts[i::paired], counts[s::paired]):
                 new_key = (key + delta).to_bytes(2 * words, "big")
-                acc[new_key] = get(new_key, 0j) + amp * root[n_i + 1] * root[n_s + 1]
+                acc[new_key] = get(new_key, 0j) + amp * up[n_i] * up[n_s]
         del idler_signal, keys, amps, counts
         result = SparseState._adopt(self.modes, self.registers, acc)._scale_in_place(scale)
         result._check_caps()
@@ -382,7 +382,10 @@ class SparseState:
         cut = 2 * self.modes * (len(self.registers) - 1)
         groups: dict[bytes, dict] = {}
         for key, amp in self._amps.items():
-            groups.setdefault(key[cut:], {})[key[:cut]] = amp
+            group = groups.get(tail := key[cut:])
+            if group is None:
+                group = groups[tail] = {}
+            group[key[:cut]] = amp
         unpack, rest = struct.Struct(f">{self.modes}H").unpack, self.registers[:-1]
         return {unpack(tail): SparseState._adopt(self.modes, rest, amps)
                 for tail, amps in groups.items()}

@@ -8,15 +8,23 @@ fixes every component in closed form: summed over the kept arrangements,
 the per-arrangement multiplicities give C(N+M-1, N-k) whatever the absorbed
 arrangement of k photons, so each weight depends on k alone, one binomial
 term in CONTEXT (absorption_decimal) rounded once (absorption_weight); at
-one mode the all-absorbed weight is P_MD.  Each state's amplitudes are
-written down directly.  A brute-force tripartite oracle that tracks the
-environment register explicitly is the independent cross-check.
+one mode the all-absorbed weight is P_MD.  The states are built one kept
+sector at a time: the arrangements of the N - k kept photons are enumerated
+once, as packed integer keys and per-mode count columns, and each absorbed
+arrangement of k photons costs one integer add, one to_bytes and one dict
+store per amplitude.  A brute-force tripartite oracle that tracks the
+environment register explicitly is the independent cross-check; it expands
+each idler arrangement's product of single-mode outputs mode by mode, as
+prefix products under integer keys.  Both give, bit for bit, the keys, key
+order and amplitudes of a term-by-term build.
 """
 
 import decimal
+import functools
 import itertools
 import math
 import operator
+import struct
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
@@ -76,11 +84,15 @@ class LossComponent:
     state: SparseState
 
 
-def _check_arrangement(photons: int, modes: int, absorbed) -> int:
+def _check_counts(photons: int, modes: int) -> None:
     if photons < 0:
         raise ValueError("photons must be non-negative")
     if modes < 1:
         raise ValueError("modes must be at least 1")
+
+
+def _check_arrangement(photons: int, modes: int, absorbed) -> int:
+    _check_counts(photons, modes)
     if len(absorbed) != modes:
         raise ValueError(f"absorbed needs one count per mode ({modes})")
     if any(a < 0 for a in absorbed):
@@ -125,6 +137,63 @@ def absorption_weight(photons: int, modes: int, eta: float, lost: int) -> float:
     return round_once(weight, exact if photons <= MAX_MODE_COUNT else None)
 
 
+class _Memo(dict):
+    """A dict that fills each missing key with make(key) on its first lookup."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+class _KeptSector:
+    """The N - k photons kept when k of N are absorbed: their arrangements, enumerated once.
+
+    Each kept arrangement n is held as one integer, the key of |n, n> with the
+    idler and signal words packed big-endian, beside one column of counts per
+    mode.  An absorbed arrangement a adds its idler words to every key, and
+    weighs each n by prod_i C(n_i + a_i, a_i) through a column of binomials per
+    count a_i, built once for the counts n that occur.  The amplitude of an
+    integer weight is computed once per sector.
+    """
+
+    __slots__ = ("modes", "kept", "bases", "columns", "binomials", "amplitudes", "pack")
+
+    def __init__(self, photons: int, modes: int, lost: int):
+        kept = photons - lost
+        check_sector_size(f"pair state with N={kept}, M={modes}", kept, modes, modes, 2)
+        self.modes, self.kept = modes, kept
+        self.pack = struct.Struct(f">{2 * modes}H").pack
+        arrangements = list(compositions(kept, modes))
+        self.bases = [int.from_bytes(self.pack(*n, *n), "big") for n in arrangements]
+        self.columns = list(zip(*arrangements))
+        # every mode holds the same counts: each of 0..N-k, or N-k alone at one mode
+        counts = set(self.columns[0])
+        self.binomials = _Memo(lambda a: {n: math.comb(n + a, a) for n in counts})
+        multiplicity = math.comb(photons + modes - 1, kept)
+        self.amplitudes = _Memo(lambda weight: complex(math.sqrt(weight / multiplicity)))
+
+    def state(self, absorbed: tuple[int, ...]) -> SparseState:
+        """The normalized state left when the arrangement `absorbed` of the k photons is absorbed."""
+        if self.kept + max(absorbed) > MAX_MODE_COUNT:
+            raise ValueError(f"mode counts must be integers in [0, {MAX_MODE_COUNT}]")
+        shift = int.from_bytes(self.pack(*absorbed, *(0,) * self.modes), "big")
+        factors = [map(self.binomials[a].__getitem__, column)
+                   for column, a in zip(self.columns, absorbed) if a]
+        weights = itertools.repeat(1)
+        if factors:
+            weights = functools.reduce(functools.partial(map, operator.mul), factors)
+        amplitude, width = self.amplitudes.__getitem__, 4 * self.modes
+        return SparseState._adopt(self.modes, (IDLER, SIGNAL), {
+            (base + shift).to_bytes(width, "big"): amplitude(weight)
+            for base, weight in zip(self.bases, weights)})
+
+
 def conditional_state(photons: int, modes: int, absorbed) -> SparseState:
     """Normalized idler/signal state left when the given arrangement is absorbed.
 
@@ -135,39 +204,34 @@ def conditional_state(photons: int, modes: int, absorbed) -> SparseState:
     """
     absorbed = tuple(absorbed)
     lost = _check_arrangement(photons, modes, absorbed)
-    kept = photons - lost
-    check_sector_size(f"pair state with N={kept}, M={modes}", kept, modes, modes, 2)
-    multiplicity = math.comb(photons + modes - 1, kept)
-    loaded = [(mode, count) for mode, count in enumerate(absorbed) if count]
-    terms = []
-    for arrangement in compositions(kept, modes):
-        weight = 1
-        for mode, count in loaded:
-            weight *= math.comb(arrangement[mode] + count, count)
-        idler = tuple(map(operator.add, arrangement, absorbed))
-        terms.append((idler + arrangement, complex(math.sqrt(weight / multiplicity))))
-    return SparseState._from_flat(modes, (IDLER, SIGNAL), terms)
+    return _KeptSector(photons, modes, lost).state(absorbed)
 
 
 def conditional_states(photons: int, modes: int) -> Iterator[tuple[tuple[int, ...], SparseState]]:
     """Lazily yield (absorbed, conditional_state) for every absorbed arrangement.
 
     The canonical order: total absorbed count ascending, then descending-lex
-    arrangement.  The states carry no eta, and no weight is computed.
+    arrangement.  Each kept sector is enumerated once, when its first state
+    is asked for.  The states carry no eta, and no weight is computed.
     """
-    if photons < 0:
-        raise ValueError("photons must be non-negative")
+    _check_counts(photons, modes)
     for lost in range(photons + 1):
+        sector = _KeptSector(photons, modes, lost)
         for absorbed in compositions(lost, modes):
-            yield absorbed, conditional_state(photons, modes, absorbed)
+            yield absorbed, sector.state(absorbed)
 
 
 def returned_mixture(photons: int, modes: int, eta: float) -> list[LossComponent]:
-    """All components of the returned state: conditional_states with their weights, which sum to one."""
-    components = list(conditional_states(photons, modes))
+    """All components of the returned state: conditional_states with their weights, which sum to one.
+
+    eta and the total size, C(N + 2M - 1, N) amplitudes over all the
+    components, are checked before any state is built.
+    """
+    _check_eta(eta)
+    check_sector_size(f"returned mixture with N={photons}, M={modes}", photons, 2 * modes, modes, 2)
     weights = [absorption_weight(photons, modes, eta, lost) for lost in range(photons + 1)]
     return [LossComponent(absorbed, weights[sum(absorbed)], state)
-            for absorbed, state in components]
+            for absorbed, state in conditional_states(photons, modes)]
 
 
 def check_oracle_size(photons: int, modes: int) -> int:
@@ -186,9 +250,11 @@ def beamsplitter_oracle(photons: int, modes: int, eta: float) -> SparseState:
     routed into a mode is weighted by 1/sqrt(j), which spreads the 1/sqrt(c!)
     normalisation over the ladder steps: each partial output is a normalized
     state, so no amplitude exceeds one at any photon number, and neither does
-    a product of them.  Each amplitude of the product is then written once
-    per idler arrangement, unless it is exactly zero.  Intended for small
-    instances; the result holds C(N + 2M - 1, N) amplitudes.
+    a product of them.  Each idler arrangement's product is expanded mode by
+    mode into prefix products under integer keys, multiplied left to right
+    as math.prod multiplies them, and each amplitude is written once unless
+    it is exactly zero.  Intended for small instances; the result holds
+    C(N + 2M - 1, N) amplitudes.
     """
     _check_eta(eta)
     check_oracle_size(photons, modes)
@@ -201,19 +267,29 @@ def beamsplitter_oracle(photons: int, modes: int, eta: float) -> SparseState:
             (keep * step, outputs[-1].create(SIGNAL, 0)),
             (leak * step, outputs[-1].create(BACKGROUND, 0)),
         ]))
-    # factors[c]: (signal count, background count, amplitude) of each term of the c-photon output
-    factors = [[(s, b, amp) for ((s,), (b,)), amp in output.terms()] for output in outputs]
+    # word w of a key of 3M words carries weight 2^(16 (3M - 1 - w)); offsets[i][c] holds
+    # (the signal and background counts of mode i at their words, amplitude) for each
+    # term of the c-photon output
+    offsets = [[[((s << 16 * (2 * modes - 1 - mode)) + (b << 16 * (modes - 1 - mode)), amp)
+                 for ((s,), (b,)), amp in output.terms()] for output in outputs]
+               for mode in range(modes)]
     scale = 1.0 / math.sqrt(count_compositions(photons, modes))
-
-    def terms():
-        for arrangement in compositions(photons, modes):
-            for picks in itertools.product(*map(factors.__getitem__, arrangement)):
-                signal, background, amps = zip(*picks)
-                amp = scale * math.prod(amps)
-                if amp != 0:
-                    yield arrangement + signal + background, amp
-
-    return SparseState._from_flat(modes, (IDLER, SIGNAL, BACKGROUND), terms())
+    pack, width = struct.Struct(f">{modes}H").pack, 6 * modes
+    amplitudes = {}
+    for arrangement in compositions(photons, modes):
+        # prefix products, multiplied left to right from 1 as math.prod does; an empty
+        # mode's output is the vacuum, amplitude 1.0, and multiplying by it is exact, as
+        # every amplitude here is a non-negative real
+        products = [(int.from_bytes(pack(*arrangement), "big") << 32 * modes, 1 + 0j)]
+        for mode, count in enumerate(arrangement):
+            if count:
+                products = [(key + offset, amp * factor) for key, amp in products
+                            for offset, factor in offsets[mode][count]]
+        for key, amp in products:
+            amp = scale * amp
+            if amp != 0:
+                amplitudes[key.to_bytes(width, "big")] = amp
+    return SparseState._adopt(modes, (IDLER, SIGNAL, BACKGROUND), amplitudes)
 
 
 def split_by_environment(state: SparseState) -> list[LossComponent]:

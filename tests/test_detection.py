@@ -455,16 +455,16 @@ def test_p_fa_oracle_builds_only_accepting_states_and_no_weights(monkeypatch):
         raise AssertionError("absorption_weight called")
 
     built = []
-    build = loss.conditional_state
+    build = loss._KeptSector.state
 
-    def counting(photons, modes, absorbed):
+    def counting(sector, absorbed):
         built.append(absorbed)
-        return build(photons, modes, absorbed)
+        return build(sector, absorbed)
 
     # p_md_closed and detection_report's P_MD cross-check call absorption_weight
     monkeypatch.setattr(loss, "absorption_weight", refuse)
     monkeypatch.setattr(detection, "absorption_weight", refuse)
-    monkeypatch.setattr(loss, "conditional_state", counting)
+    monkeypatch.setattr(loss._KeptSector, "state", counting)
     p_fa_oracle(7, 6, ThermalNoise(0.4, 6))
     # C(13, 6) = 1,716 arrangements, less the C(12, 5) = 792 that absorb all 7 photons,
     # plus the first of those, which ends the trace

@@ -1,3 +1,4 @@
+import itertools
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from twinfock.combinat import compositions, count_compositions
-from twinfock.detection import p_md_closed
+from twinfock.detection import TableNoise, p_fa_oracle, p_md_closed
 from twinfock.fock import (
     BACKGROUND,
     IDLER,
@@ -24,6 +25,7 @@ from twinfock.loss import (
     round_once,
     split_by_environment,
 )
+from twinfock import loss
 from twinfock.states import pair_state_direct
 
 from references import amplitude_bits
@@ -206,15 +208,20 @@ def from_terms_conditional_state(photons, modes, absorbed):
 
 
 def test_conditional_state_equals_public_construction():
+    # keys, their order and every amplitude bit, state by state and over every kept sector
     cases = [(4, 3, absorbed) for absorbed in ((0, 0, 0), (1, 0, 0), (0, 2, 1), (0, 0, 4))]
     cases += [(7, 6, absorbed) for absorbed in ((0,) * 6, (0, 0, 0, 0, 0, 1),
                                                  (2, 0, 1, 0, 3, 0), (1, 1, 1, 1, 1, 1))]
-    for photons, modes, absorbed in cases:
-        built = conditional_state(photons, modes, absorbed)
+    built = [((photons, modes, absorbed), conditional_state(photons, modes, absorbed))
+             for photons, modes, absorbed in cases]
+    built += [((photons, modes, absorbed), state)
+              for photons in range(0, 8) for modes in range(1, 7)
+              for absorbed, state in conditional_states(photons, modes)]
+    for (photons, modes, absorbed), state in built:
         reference = from_terms_conditional_state(photons, modes, absorbed)
-        assert (built.modes, built.registers) == (reference.modes, reference.registers)
-        assert list(built.terms()) == list(reference.terms())
-        assert all(type(amp) is complex for _, amp in built.terms())
+        assert (state.modes, state.registers) == (reference.modes, reference.registers)
+        assert amplitude_bits(state) == amplitude_bits(reference), (photons, modes, absorbed)
+        assert all(type(amp) is complex for _, amp in state.terms())
 
 
 def test_conditional_state_refuses_like_pair_state():
@@ -322,14 +329,40 @@ def test_conditional_states_are_the_mixture_without_weights(monkeypatch):
 
 def test_conditional_states_build_lazily(monkeypatch):
     built = []
-    build = conditional_state
-    monkeypatch.setattr("twinfock.loss.conditional_state",
+    build = loss._KeptSector.state
+    monkeypatch.setattr(loss._KeptSector, "state",
                         lambda *args: built.append(args) or build(*args))
     components = conditional_states(7, 6)
     assert built == []
     absorbed, state = next(components)
     assert absorbed == (0,) * 6 and len(built) == 1
     assert state.max_abs_diff(pair_state_direct(7, 6)) == 0.0
+
+
+def _build_refused(*args):
+    raise AssertionError("a loss component was built")
+
+
+def test_mixture_checks_eta_and_its_total_size_before_building(monkeypatch):
+    monkeypatch.setattr(loss, "conditional_states", _build_refused)
+    for eta in (1.5, -0.1, math.nan):
+        with pytest.raises(ValueError, match="eta must lie in"):
+            returned_mixture(9, 8, eta)
+    # every kept sector is under the amplitude cap, but all of them hold C(32, 13) = 347,373,600
+    with pytest.raises(AmplitudeCapError, match="N=13, M=10"):
+        returned_mixture(13, 10, 0.5)
+
+
+def test_zero_modes_are_refused_with_one_message():
+    builds = [lambda modes: list(conditional_states(3, modes)),
+              lambda modes: returned_mixture(3, modes, 0.5),
+              lambda modes: conditional_state(3, modes, (0,) * max(modes, 0)),
+              lambda modes: beamsplitter_oracle(3, modes, 0.5),
+              lambda modes: p_fa_oracle(3, modes, TableNoise((0.1,) * 3))]
+    for build in builds:
+        for modes in (0, -1):
+            with pytest.raises(ValueError, match="^modes must be at least 1$"):
+                build(modes)
 
 
 def test_negative_photon_counts_are_refused():
@@ -482,6 +515,37 @@ def test_oracle_matches_per_photon_ladder_reference():
         reference = dict(ladder_oracle(photons, modes, eta).terms())
         assert built.keys() == reference.keys(), (photons, modes, eta)
         assert max((abs(built[k] - reference[k]) for k in built), default=0.0) <= 1e-15
+
+
+def product_oracle(photons, modes, eta):
+    """Reference: each leaf of the product of single-mode outputs multiplied out by math.prod."""
+    keep, leak = math.sqrt(eta), math.sqrt(1.0 - eta)
+    outputs = [SparseState.vacuum(1, (SIGNAL, BACKGROUND))]
+    for j in range(1, photons + 1):
+        step = 1.0 / math.sqrt(j)
+        outputs.append(combine([(keep * step, outputs[-1].create(SIGNAL, 0)),
+                                (leak * step, outputs[-1].create(BACKGROUND, 0))]))
+    factors = [[(s, b, amp) for ((s,), (b,)), amp in output.terms()] for output in outputs]
+    scale = 1.0 / math.sqrt(count_compositions(photons, modes))
+    terms = []
+    for arrangement in compositions(photons, modes):
+        for picks in itertools.product(*map(factors.__getitem__, arrangement)):
+            signal, background, amps = zip(*picks)
+            amp = scale * math.prod(amps)
+            if amp != 0:
+                terms.append(((arrangement, signal, background), amp))
+    return SparseState.from_terms(modes, (IDLER, SIGNAL, BACKGROUND), terms)
+
+
+def test_oracle_equals_leaf_by_leaf_products_bit_for_bit():
+    cases = [(n, m, eta) for n in range(0, 8) for m in range(1, 7) if n + m <= 10
+             for eta in (0.0, 0.3, 0.7, 1.0)]
+    cases.append((7, 6, 0.3))  # the size the benchmark builds
+    cases += [(n, 1, eta) for n in (171, 200) for eta in (0.0, 0.3, 0.7, 1.0)]
+    for photons, modes, eta in cases:
+        built = beamsplitter_oracle(photons, modes, eta)
+        reference = product_oracle(photons, modes, eta)
+        assert amplitude_bits(built) == amplitude_bits(reference), (photons, modes, eta)
 
 
 def test_oracle_routes_each_photon_count_once(monkeypatch):
