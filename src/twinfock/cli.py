@@ -417,10 +417,13 @@ def run_verification(max_n: int, max_m: int) -> list[CheckResult]:
     ]
 
 
-#: Ceiling on the battery's estimated ladder steps: at most about a minute of
-#: battery on a 2-core x86-64 VM, where (6, 5) is estimated at 1.2e6 steps and
-#: runs 0.35 s.  The estimate is a conservative bound: the beamsplitter oracle
-#: takes 2N ladder calls and one write per amplitude, not N + 1 steps per amplitude.
+#: Ceiling on the battery's estimated ladder steps: at most about two and a half
+#: minutes of battery on a 2-core x86-64 VM.  The time per estimated step depends
+#: on the corner: (6, 5) is estimated at 1.2e6 steps and runs 0.12 s, and (8, 6) at
+#: 3.7e7 steps and runs 1.2 s, but (0, 250) at 6.3e7 steps runs 89 s and (300, 1)
+#: at 2.7e7 steps runs 34 s.  The estimate is a conservative bound: the beamsplitter
+#: oracle takes 2N ladder calls and one write per amplitude, not N + 1 steps per
+#: amplitude.
 VERIFY_WORK_CAP = 10 ** 8
 
 

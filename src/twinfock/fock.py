@@ -158,9 +158,11 @@ class SparseState:
 
     @classmethod
     def vacuum(cls, modes: int, registers: Sequence[str]) -> "SparseState":
-        """All-zero occupation with amplitude one."""
-        zeros = tuple((0,) * modes for _ in registers)
-        return cls.basis(modes, registers, zeros)
+        """All-zero occupation with amplitude one; its key of zero words is written directly,
+        after the caps are checked."""
+        registers = cls(modes, registers).registers  # validates the layout
+        _check_size("state", 1, modes, len(registers))
+        return cls._adopt(modes, registers, {bytes(2 * modes * len(registers)): 1 + 0j})
 
     @classmethod
     def basis(cls, modes: int, registers: Sequence[str], counts) -> "SparseState":

@@ -36,6 +36,17 @@ def test_vacuum_inner_product():
     assert vac.norm() == pytest.approx(1.0)
 
 
+def test_vacuum_is_the_all_zero_basis_state_and_checks_the_caps_first():
+    for modes in (1, 3):
+        for registers in (IS, (IDLER, SIGNAL, fock.BACKGROUND)):
+            zeros = tuple((0,) * modes for _ in registers)
+            assert (amplitude_bits(SparseState.vacuum(modes, registers))
+                    == amplitude_bits(SparseState.basis(modes, registers, zeros)))
+    # 400 MB of key: refused before it is allocated
+    with pytest.raises(AmplitudeCapError, match="key storage budget"):
+        SparseState.vacuum(10 ** 8, IS)
+
+
 def test_create_promotes_vacuum():
     vac = SparseState.vacuum(2, IS)
     raised = vac.create(IDLER, 0)

@@ -150,6 +150,20 @@ def reference_pair_state_recursive(photons, modes):
     return state
 
 
+def footprint(state):
+    """Bytes the state's dict, keys and amplitudes hold."""
+    return sys.getsizeof(state._amps) + sum(
+        sys.getsizeof(key) + sys.getsizeof(amp) for key, amp in state._amps.items())
+
+
+def create_pairs_chain(photons, modes):
+    """The N-pair state as SparseState.create_pairs applied step by step to the vacuum."""
+    state = SparseState.vacuum(modes, IS)
+    for step in range(1, photons + 1):
+        state = state.create_pairs(1.0 / math.sqrt(step * (step + modes - 1)))
+    return state
+
+
 def test_pair_create_equals_ladder_reference_exactly():
     # same amplitudes bit for bit and the same key order, not within a tolerance
     rng = random.Random(2024)
@@ -172,8 +186,6 @@ def test_pair_create_equals_ladder_reference_exactly():
 def test_pair_create_holds_less_than_its_input_beside_the_result():
     # the transient memory of one step: its traced peak less what the result keeps
     state = pair_state_recursive(7, 8)
-    footprint = sys.getsizeof(state._amps) + sum(
-        sys.getsizeof(key) + sys.getsizeof(amp) for key, amp in state._amps.items())
     tracemalloc.start()
     try:
         raised = state.create_pairs(0.5)
@@ -181,7 +193,7 @@ def test_pair_create_holds_less_than_its_input_beside_the_result():
     finally:
         tracemalloc.stop()
     assert len(raised) == count_compositions(8, 8)
-    assert peak - held <= 1.4 * footprint
+    assert peak - held <= 1.4 * footprint(state)
 
 
 def test_pair_state_recursive_equals_ladder_reference_exactly():
@@ -197,6 +209,43 @@ def test_pair_creation_makes_no_ladder_calls(monkeypatch):
     monkeypatch.setattr(SparseState, "create", refuse)
     assert len(pair_state_recursive(4, 3)) == count_compositions(4, 3)
     assert len(SparseState.vacuum(3, IS).create_pairs()) == 3
+
+
+def test_pair_state_recursive_equals_create_pairs_chain_bit_for_bit():
+    # keys, key order and every amplitude bit of the general operator's chain
+    cases = [(photons, modes) for photons in range(9) for modes in range(1, 8)]
+    for photons, modes in cases + [(100, 1), (60, 2), (20, 3), (5, 12)]:
+        assert (amplitude_bits(pair_state_recursive(photons, modes))
+                == amplitude_bits(create_pairs_chain(photons, modes))), (photons, modes)
+
+
+def test_pair_state_recursive_one_mode_reaches_the_count_limit():
+    # one source per step: each step costs the same whatever it holds, so 65535 steps stay quick
+    state = pair_state_recursive(fock.MAX_MODE_COUNT, 1)
+    assert len(state) == 1
+    assert abs(state.amplitude(((fock.MAX_MODE_COUNT,), (fock.MAX_MODE_COUNT,))) - 1) < 1e-9
+
+
+def test_pair_state_recursive_makes_no_create_pairs_calls(monkeypatch):
+    def refuse(self, scale=1.0):
+        raise AssertionError("pair_state_recursive went through SparseState.create_pairs")
+
+    monkeypatch.setattr(SparseState, "create_pairs", refuse)
+    assert len(pair_state_recursive(4, 3)) == count_compositions(4, 3)
+
+
+def test_pair_state_recursive_wide_modes_hold_about_the_state():
+    # the vacuum comes back before any per-mode table is built, and past it no
+    # table outgrows the state: the traced peak stays near the state's own bytes
+    for photons, modes, bound in ((0, 10 ** 6, 1.1), (1, 1000, 1.25)):
+        tracemalloc.start()
+        try:
+            state = pair_state_recursive(photons, modes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(state) == count_compositions(photons, modes)
+        assert peak <= bound * footprint(state), (photons, modes)
 
 
 def test_pair_create_mode_count_overflow():
