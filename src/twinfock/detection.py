@@ -28,9 +28,9 @@ import decimal
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from decimal import Decimal
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .combinat import count_compositions
 from .fock import SIGNAL, SparseState
@@ -49,9 +49,8 @@ def _in_context(quantity: str):
                                 f"value the closed forms hold") from None
 
 
-@dataclass(frozen=True)
-class ThermalNoise:
-    """Identical thermal occupation of every environment mode.
+class ThermalNoise(namedtuple("ThermalNoise", "nbar modes")):
+    """Identical thermal occupation, mean nbar, of each of `modes` environment modes.
 
     Entry k of arrangement_series is the probability of one specific
     arrangement of k noise photons, (1 + nbar)^-M x^k with
@@ -59,14 +58,14 @@ class ThermalNoise:
     arrangement multiplies this by the number of arrangements.
     """
 
-    nbar: float
-    modes: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.nbar) and self.nbar >= 0):
-            raise ValueError(f"mean occupation nbar must be finite and >= 0, got {self.nbar}")
-        if self.modes < 1:
+    def __new__(cls, nbar: float, modes: int):
+        if not (math.isfinite(nbar) and nbar >= 0):
+            raise ValueError(f"mean occupation nbar must be finite and >= 0, got {nbar}")
+        if modes < 1:
             raise ValueError("modes must be at least 1")
+        return super().__new__(cls, nbar, modes)
 
     def arrangement_series(self) -> tuple[Iterator[Decimal], Decimal]:
         """The arrangement probabilities p_0, p_1, ... without end, and x.
@@ -98,20 +97,20 @@ class ThermalNoise:
         return b ** self.modes * numerator, (a + b) ** (self.modes + count)
 
 
-@dataclass(frozen=True)
-class TableNoise:
-    """Arrangement probabilities supplied directly, entry i for i+1 photons.
+class TableNoise(namedtuple("TableNoise", "values")):
+    """Arrangement probabilities supplied directly, entry i of values for i+1 photons.
 
     Counts beyond the table are treated as zero; the vacuum arrangement is
     not part of the table and reads as zero as well.
     """
 
-    values: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        bad = [v for v in self.values if not 0.0 <= v <= 1.0]
+    def __new__(cls, values: tuple[float, ...]):
+        bad = [v for v in values if not 0.0 <= v <= 1.0]
         if bad:
             raise ValueError(f"arrangement probabilities must lie in [0, 1], got {bad[0]}")
+        return super().__new__(cls, values)
 
     @classmethod
     def from_file(cls, path) -> "TableNoise":
@@ -157,28 +156,24 @@ class TableNoise:
                    for weight, (num, den) in zip(weights, ratios)), common
 
 
-@dataclass
-class DetectionReport:
-    """Closed-form error rates, plus optional oracles."""
+class DetectionReport(namedtuple("DetectionReport", "photons modes eta p_fa_closed p_md_closed "
+                                 "p_fa_oracle p_md_oracle", defaults=(None, None))):
+    """Closed-form error rates at (photons, modes, eta), plus optional oracles, None when not run."""
 
-    photons: int
-    modes: int
-    eta: float
-    p_fa_closed: float
-    p_md_closed: float
-    p_fa_oracle: Optional[float] = None
-    p_md_oracle: Optional[float] = None
+    __slots__ = ()
 
 
-class Baselines(NamedTuple):
-    """Single-photon protocol reference rates, in CONTEXT.
+class Baselines(namedtuple("Baselines", "single_copy repeated_copies")):
+    """Single-photon protocol reference rates, Decimals in CONTEXT.
+
+    single_copy:     one maximally mode-entangled photon, 1 / M
+    repeated_copies: N sequential single-photon probes, N / M
 
     The repeated-copies figure N / M assumes N well below M; once the photon
     count reaches the mode count it stops being a probability.
     """
 
-    single_copy: Decimal      # one maximally mode-entangled photon: 1 / M
-    repeated_copies: Decimal  # N sequential single-photon probes: N / M
+    __slots__ = ()
 
 
 def _check_noise_modes(noise, modes: int) -> None:
@@ -290,7 +285,7 @@ def _rest_negligible(total: Decimal, last: Decimal, growth: Decimal) -> bool:
     return growth / (1 - growth) < (total / last).scaleb(-41)
 
 
-def exact_p_fa(photons: int, modes: int, noise) -> Optional[Callable[[], tuple[int, int]]]:
+def exact_p_fa(photons: int, modes: int, noise) -> Callable[[], tuple[int, int]] | None:
     """For round_once: the exact P_FA, sum_k C(N - k + M - 1, M - 1) p_k / C(N + M - 1, M - 1)
     for the exact noise values, as (numerator, denominator); None past P_FA_EXACT_MAX."""
     if photons + modes > P_FA_EXACT_MAX:
@@ -376,8 +371,8 @@ def detection_report(
     oracle, p_md_oracle by 1 - sum_{k<N} absorption_weight(N, 1, eta, k), the returned mass."""
     report = DetectionReport(photons, modes, eta, p_fa_closed(photons, modes, noise),
                              p_md_closed(photons, eta))
-    if include_oracle:
-        report.p_fa_oracle = p_fa_oracle(photons, modes, noise)
-        report.p_md_oracle = 1.0 - math.fsum(absorption_weight(photons, 1, eta, lost)
-                                             for lost in range(photons))
-    return report
+    if not include_oracle:
+        return report
+    return report._replace(p_fa_oracle=p_fa_oracle(photons, modes, noise),
+                           p_md_oracle=1.0 - math.fsum(absorption_weight(photons, 1, eta, lost)
+                                                       for lost in range(photons)))

@@ -20,7 +20,7 @@ import itertools
 import math
 import struct
 import sys
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 IDLER = "I"
 SIGNAL = "S"
@@ -236,7 +236,8 @@ class SparseState:
 
         Each key becomes an integer once, kept in a flat list beside the
         amplitudes; the idler and signal counts are read from one array of
-        their packed words, so no per-term tuple is built.  Raising mode i in
+        their packed words, so no per-term tuple is built, and sqrt(n + 1) is
+        taken once for each count n they hold.  Raising mode i in
         both registers adds a fixed integer to the key, and each contribution
         adds up directly under that sum packed into bytes, whose hash is
         cached; the sums are then scaled in place and exact zeros dropped.
@@ -253,10 +254,9 @@ class SparseState:
         counts = array.array("H", b"".join(idler_signal))
         if sys.byteorder == "little":  # the keys hold big-endian words
             counts.byteswap()
-        top = max(counts, default=0)
-        if top >= MAX_MODE_COUNT:
+        up = {n: math.sqrt(n + 1) for n in set(counts)}  # up[n] = sqrt(n + 1)
+        if MAX_MODE_COUNT in up:  # a word holds no larger count
             raise ValueError("mode count overflow")
-        up = list(map(math.sqrt, range(1, top + 2)))  # up[n] = sqrt(n + 1)
         keys = [int.from_bytes(key, "big") for key in self._amps]
         amps = list(self._amps.values())
         acc: dict[bytes, complex] = {}

@@ -26,9 +26,9 @@ import math
 import operator
 import struct
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 from decimal import Decimal
-from typing import Callable, Iterator, Optional
 
 from .combinat import compositions, count_compositions
 from .fock import (BACKGROUND, IDLER, MAX_MODE_COUNT, SIGNAL, SparseState, check_sector_size,
@@ -40,8 +40,8 @@ CONTEXT = decimal.Context(prec=40, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
                                  decimal.Overflow, decimal.Subnormal])
 
 
-def round_once(value: Decimal, exact: Optional[Callable[[], tuple[int, int]]],
-               digits: Optional[int] = None):
+def round_once(value: Decimal, exact: Callable[[], tuple[int, int]] | None,
+               digits: int | None = None):
     """The exact value behind a kernel value, which lies within 1e-35 relative of
     it, rounded once: to a float, or half-even to a Decimal of `digits` digits.
 
@@ -70,8 +70,7 @@ def _check_eta(eta: float) -> None:
         raise ValueError("eta must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class LossComponent:
+class LossComponent(namedtuple("LossComponent", "absorbed weight state")):
     """One orthogonal piece of the returned state.
 
     absorbed: per-mode photon counts left in the environment
@@ -79,9 +78,7 @@ class LossComponent:
     state:    normalized idler/signal state conditioned on the arrangement
     """
 
-    absorbed: tuple[int, ...]
-    weight: float
-    state: SparseState
+    __slots__ = ()
 
 
 def _check_counts(photons: int, modes: int) -> None:

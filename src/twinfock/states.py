@@ -44,8 +44,14 @@ def pair_amplitude(photons: int, modes: int) -> float:
 
 
 def pair_state_direct(photons: int, modes: int) -> SparseState:
-    """Equal-weight superposition of |n, n> over all arrangements |n| = photons."""
-    return _pair_state(photons, modes, itertools.repeat(complex(pair_amplitude(photons, modes))))
+    """Equal-weight superposition of |n, n> over all arrangements |n| = photons.
+
+    After the size check, N = 0 is the vacuum, its key of zero words written directly.
+    """
+    amplitude = pair_amplitude(photons, modes)
+    if photons == 0:
+        return SparseState.vacuum(modes, (IDLER, SIGNAL))
+    return _pair_state(photons, modes, itertools.repeat(complex(amplitude)))
 
 
 def pair_state_recursive(photons: int, modes: int) -> SparseState:

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import importlib
 import io
@@ -303,8 +302,8 @@ def with_all_absorbed_weights_moved(case, shift):
     moved = list(split)
     absorbed_all = [i for i, c in enumerate(split) if sum(c.absorbed) == case.photons]
     for rank, i in enumerate(absorbed_all):
-        moved[i] = dataclasses.replace(split[i], weight=split[i].weight + shift(rank))
-    return dataclasses.replace(case, oracles={eta: moved})
+        moved[i] = split[i]._replace(weight=split[i].weight + shift(rank))
+    return case._replace(oracles={eta: moved})
 
 
 def test_missed_detection_check_reads_the_oracle_all_absorbed_mass():
@@ -326,7 +325,7 @@ def test_decomposition_charges_a_component_the_oracle_lacks_its_closed_weight():
     (eta, split), = case.oracles.items()
     # the heaviest, one photon absorbed in the first mode: C(2, 1) 0.3 0.7 / 2 = 0.21
     dropped = max(split, key=lambda c: c.weight)
-    lacking = dataclasses.replace(case, oracles={eta: [c for c in split if c is not dropped]})
+    lacking = case._replace(oracles={eta: [c for c in split if c is not dropped]})
     residual = next(r for name, _, r in cli.CHECKS if name == "beamsplitter decomposition")
     assert residual(case) < 1e-15
     assert residual(lacking) == case.weights[eta][sum(dropped.absorbed)]
@@ -1327,15 +1326,42 @@ def test_the_console_script_resolves_to_cli_main():
     assert getattr(importlib.import_module(module), attribute) is cli.main
 
 
+def _fresh_child(code):
+    """Run code in a fresh interpreter that imports twinfock from this source tree; -S
+    keeps the .pth files of site-packages from importing their modules."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
 def test_the_runtime_imports_only_the_standard_library():
     # no runtime dependencies: a fresh interpreter that runs both sweeps holds no
     # module from outside the standard library but twinfock itself (and its own
-    # __main__); -S keeps the .pth files of site-packages from importing theirs
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    result = subprocess.run([sys.executable, "-S", "-c", _STDLIB_CHILD], capture_output=True,
-                            text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    # __main__)
+    result = _fresh_child(_STDLIB_CHILD)
+    assert result.returncode == 0, result.stderr
     codes, modules = result.stdout.splitlines()
     assert codes == "0 0"
     foreign = [name for name in modules.split() if name not in
                ("__main__", "twinfock") and name not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_importing_the_cli_leaves_the_deferred_modules_unloaded():
+    # every command pays for `import twinfock.cli`, so the modules only some paths use
+    # are imported where they are used: argparse and re when arguments are parsed, json
+    # by the config readers and random by the verify battery; the record types are
+    # named tuples, so neither dataclasses nor its inspect is needed
+    result = _fresh_child("import sys, twinfock.cli\nprint(*sorted(sys.modules))")
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "twinfock.cli" in loaded
+    assert loaded.isdisjoint({"argparse", "json", "dataclasses", "inspect", "random", "re"})
+
+
+def test_a_fresh_interpreter_parses_and_runs_a_sweep():
+    # the parser type is defined on first use; a process that has built none runs main
+    result = _fresh_child("import sys\nfrom twinfock import cli\n"
+                          "sys.exit(cli.main(['pmd-curve', '--n', '3', '--eta', '0.5']))")
+    assert result.returncode == EXIT_OK and result.stderr == ""
+    assert result.stdout == "N,eta,p_md\n3,0.5,0.125\n"

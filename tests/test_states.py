@@ -183,6 +183,30 @@ def test_pair_create_equals_ladder_reference_exactly():
     assert len(empty.create_pairs()) == 0
 
 
+def test_pair_create_takes_one_root_per_count_held(monkeypatch):
+    # sqrt(n + 1) for each count n the idler and signal words hold, not for every n up
+    # to the largest, so a chain of steps on one crowded mode stays linear in N
+    crowded = SparseState.basis(1, IS, ((20000,), (20000,)))
+    mixed = SparseState.from_terms(2, (IDLER, SIGNAL, BACKGROUND),
+                                   [(((0, 7), (3, 7), (50, 50)), 1.0), (((7, 0), (0, 3), (9, 9)), 0.5)])
+    roots = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def sqrt(self, x):
+            roots.append(x)
+            return math.sqrt(x)
+
+    monkeypatch.setattr(fock, "math", CountingMath())
+    crowded.create_pairs(0.5)
+    assert roots == [20001]
+    roots.clear()
+    mixed.create_pairs()
+    assert sorted(roots) == [1, 4, 8]
+
+
 def test_pair_create_holds_less_than_its_input_beside_the_result():
     # the transient memory of one step: its traced peak less what the result keeps
     state = pair_state_recursive(7, 8)
@@ -246,6 +270,24 @@ def test_pair_state_recursive_wide_modes_hold_about_the_state():
             tracemalloc.stop()
         assert len(state) == count_compositions(photons, modes)
         assert peak <= bound * footprint(state), (photons, modes)
+
+
+def test_pair_state_direct_vacuum_is_the_zero_key_after_the_size_check():
+    # N = 0 skips the general build: the same key and amplitude bits, and at a million
+    # modes a traced peak near the state's own bytes, where the build took 36 MB
+    for modes in range(1, 9):
+        general = SparseState.from_terms(modes, IS, [(((0,) * modes, (0,) * modes), 1.0)])
+        assert amplitude_bits(pair_state_direct(0, modes)) == amplitude_bits(general)
+    tracemalloc.start()
+    try:
+        state = pair_state_direct(0, 10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(state) == 1
+    assert peak <= 1.1 * footprint(state)
+    with pytest.raises(AmplitudeCapError):
+        pair_state_direct(0, 10 ** 8)
 
 
 def test_pair_create_mode_count_overflow():
