@@ -34,8 +34,8 @@ from decimal import Decimal
 
 from .combinat import count_compositions
 from .fock import SIGNAL, SparseState
-from .loss import (CONTEXT, _one_plus, absorption_decimal, absorption_weight, check_oracle_size,
-                   conditional_states, round_once)
+from .loss import (CONTEXT, _one_plus, absorption_decimal, absorption_weight, beamsplitter_oracle,
+                   check_oracle_size, conditional_states, round_once, split_by_environment)
 
 
 @contextlib.contextmanager
@@ -192,6 +192,13 @@ def p_md_closed(photons: int, eta: float) -> float:
     """Missed-detection probability as a float: the exact (1 - eta)^N rounded once."""
     with _in_context(f"P_MD at N={photons}, eta={eta!r}"):
         return absorption_weight(photons, 1, eta, photons)
+
+
+def p_md_oracle(photons: int, eta: float) -> float:
+    """Missed-detection probability from the beamsplitter oracle at one mode, N + 1
+    amplitudes: the weight of its all-absorbed component, zero when it has none."""
+    split = split_by_environment(beamsplitter_oracle(photons, 1, eta))
+    return math.fsum(c.weight for c in split if c.absorbed == (photons,))
 
 
 #: Products false_alarm_series adds before it first bounds the rest of its sum;
@@ -367,12 +374,11 @@ def detection_report(
     noise,
     include_oracle: bool = False,
 ) -> DetectionReport:
-    """Bundle the closed-form rates, optionally cross-checked: p_fa_oracle by the trace
-    oracle, p_md_oracle by 1 - sum_{k<N} absorption_weight(N, 1, eta, k), the returned mass."""
+    """Bundle the closed-form rates, optionally cross-checked by the trace oracle
+    (p_fa_oracle) and the beamsplitter oracle's all-absorbed weight (p_md_oracle)."""
     report = DetectionReport(photons, modes, eta, p_fa_closed(photons, modes, noise),
                              p_md_closed(photons, eta))
     if not include_oracle:
         return report
     return report._replace(p_fa_oracle=p_fa_oracle(photons, modes, noise),
-                           p_md_oracle=1.0 - math.fsum(absorption_weight(photons, 1, eta, lost)
-                                                       for lost in range(photons)))
+                           p_md_oracle=p_md_oracle(photons, eta))

@@ -15,11 +15,9 @@ the caller must never touch that dict afterwards, except to scale the new
 state in place (_scale_in_place) before handing it out.
 """
 
-import array
 import itertools
 import math
 import struct
-import sys
 from collections.abc import Iterable, Iterator, Sequence
 
 IDLER = "I"
@@ -106,6 +104,9 @@ class SparseState:
     uint16 words, idler register first, so byte order of keys matches
     lexicographic order of the concatenated count vectors.  Per-mode counts
     are limited to 65535, far above anything reachable at desk scale.
+    Keys stay bytes: an int hashes as its value mod 2^61 - 1, which folds
+    the 16-bit words onto each other, so the 80,200 keys of
+    pair_state_direct(2, 400) would share 1,891 hashes.
 
     SparseState(...) validates the layout of an empty state; _adopt trusts a
     layout taken from a valid state and owns the dict it is handed, which
@@ -232,43 +233,19 @@ class SparseState:
         return SparseState._adopt(self.modes, self.registers, out)
 
     def create_pairs(self, scale: float = 1.0) -> "SparseState":
-        """scale * sum_i a+_{I,i} a+_{S,i} in one pass; cap-checked as combine does.
+        """scale * sum_i a+_{I,i} a+_{S,i} by its definition; cap-checked as combine does.
 
-        Each key becomes an integer once, kept in a flat list beside the
-        amplitudes; the idler and signal counts are read from one array of
-        their packed words, so no per-term tuple is built, and sqrt(n + 1) is
-        taken once for each count n they hold.  Raising mode i in
-        both registers adds a fixed integer to the key, and each contribution
-        adds up directly under that sum packed into bytes, whose hash is
-        cached; the sums are then scaled in place and exact zeros dropped.
-        Modes run outermost and each term is multiplied in the order
-        create(I).create(S) uses, so for a finite nonzero scale the result,
-        amplitudes and key order both, equals
-        combine((1.0, create(I, i).create(S, i)) for i).scaled(scale).
-        ValueError when a mode already holds 65535 photons.
+        For each mode i in order, create(I, i).create(S, i) adds its amplitudes
+        into one dict, which is then scaled in place and its exact zeros dropped,
+        so for a finite nonzero scale the amplitudes and key order equal
+        combine((1.0, create(I, i).create(S, i)) for i).scaled(scale).  Beside
+        its input and its result it holds one mode's two ladder steps, about two
+        copies of its input.  ValueError when a mode already holds 65535 photons.
         """
-        idler, signal = self._offset(IDLER, 0) // 2, self._offset(SIGNAL, 0) // 2
-        words, paired = self.modes * len(self.registers), 2 * self.modes
-        # canonical register order puts the idler and the signal in the first 2M words
-        idler_signal = self._amps if words == paired else [key[:2 * paired] for key in self._amps]
-        counts = array.array("H", b"".join(idler_signal))
-        if sys.byteorder == "little":  # the keys hold big-endian words
-            counts.byteswap()
-        up = {n: math.sqrt(n + 1) for n in set(counts)}  # up[n] = sqrt(n + 1)
-        if MAX_MODE_COUNT in up:  # a word holds no larger count
-            raise ValueError("mode count overflow")
-        keys = [int.from_bytes(key, "big") for key in self._amps]
-        amps = list(self._amps.values())
         acc: dict[bytes, complex] = {}
-        get = acc.get
         for mode in range(self.modes):
-            i, s = idler + mode, signal + mode
-            # word w of a key of `words` words carries weight 2^(16 (words - 1 - w))
-            delta = (1 << 16 * (words - 1 - i)) + (1 << 16 * (words - 1 - s))
-            for key, amp, n_i, n_s in zip(keys, amps, counts[i::paired], counts[s::paired]):
-                new_key = (key + delta).to_bytes(2 * words, "big")
-                acc[new_key] = get(new_key, 0j) + amp * up[n_i] * up[n_s]
-        del idler_signal, keys, amps, counts
+            for key, amp in self.create(IDLER, mode).create(SIGNAL, mode)._amps.items():
+                acc[key] = acc.get(key, 0j) + amp
         result = SparseState._adopt(self.modes, self.registers, acc)._scale_in_place(scale)
         result._check_caps()
         return result

@@ -422,6 +422,17 @@ def test_oracle_all_absorbed_mass_matches_closed_form():
     assert all_absorbed_mass(2, 2, 0.0) == pytest.approx(1.0)
 
 
+def test_p_md_oracle_is_independent_of_the_closed_form(monkeypatch):
+    # the oracle is the beamsplitter oracle's all-absorbed weight, so a perturbed
+    # absorption_weight moves the closed form and leaves the oracle at (1 - eta)^N
+    monkeypatch.setattr(detection, "absorption_weight", lambda *args: 0.5)
+    for photons, modes, eta in ((1, 1, 0.3), (3, 2, 0.4), (5, 3, 0.75), (2, 1, 1.0)):
+        report = detection_report(photons, modes, eta, TableNoise(()), include_oracle=True)
+        assert report.p_md_closed == 0.5
+        assert report.p_md_oracle == pytest.approx(float((1 - Fraction(eta)) ** photons),
+                                                   rel=1e-14)
+
+
 def test_report_past_the_float_range_of_the_binomials():
     # C(1100, 550) is past the float range, which the integer quotient of the old weights met
     report = detection_report(1100, 1, 0.5, ThermalNoise(0.5, 1), include_oracle=True)
@@ -461,7 +472,7 @@ def test_p_fa_oracle_builds_only_accepting_states_and_no_weights(monkeypatch):
         built.append(absorbed)
         return build(sector, absorbed)
 
-    # p_md_closed and detection_report's P_MD cross-check call absorption_weight
+    # p_md_closed calls absorption_weight
     monkeypatch.setattr(loss, "absorption_weight", refuse)
     monkeypatch.setattr(detection, "absorption_weight", refuse)
     monkeypatch.setattr(loss._KeptSector, "state", counting)
