@@ -29,7 +29,6 @@ from .detection import (
     ThermalNoise,
     exact_p_fa,
     false_alarm_grid,
-    missed_detection,
     p_fa_closed,
     p_fa_trace,
     p_md_closed,
@@ -561,7 +560,7 @@ def cmd_pmd_curve(args) -> int:
         etas = linear_grid(settings["eta_min"], settings["eta_max"], points)
     if any(not 0.0 <= eta <= 1.0 for eta in etas):
         raise ValueError("eta values must lie in [0, 1]")
-    rows = (f"{photons},{fmt_float(eta)},{fmt_float(missed_detection(photons, eta))}\n"
+    rows = (f"{photons},{fmt_float(eta)},{fmt_float(p_md_closed(photons, eta, 17))}\n"
             for photons in n_values for eta in etas)
     _write_text(settings["csv"], itertools.chain(["N,eta,p_md\n"], rows))
     return EXIT_OK

@@ -34,7 +34,7 @@ from decimal import Decimal
 
 from .combinat import count_compositions
 from .fock import SIGNAL, SparseState
-from .loss import (CONTEXT, _one_plus, absorption_decimal, absorption_weight, beamsplitter_oracle,
+from .loss import (CONTEXT, _check_counts, _one_plus, absorption_weight, beamsplitter_oracle,
                    check_oracle_size, conditional_states, round_once, split_by_environment)
 
 
@@ -182,16 +182,11 @@ def _check_noise_modes(noise, modes: int) -> None:
         raise ValueError(f"noise model built for {noise_modes} modes, state has {modes}")
 
 
-def missed_detection(photons: int, eta: float) -> Decimal:
-    """Missed-detection probability (1 - eta)^N in CONTEXT: the all-absorbed weight at M = 1."""
+def p_md_closed(photons: int, eta: float, digits: int | None = None):
+    """Missed-detection probability, the all-absorbed weight at M = 1: the exact
+    (1 - eta)^N rounded once, to a float or to `digits` digits."""
     with _in_context(f"P_MD at N={photons}, eta={eta!r}"):
-        return absorption_decimal(photons, 1, eta, photons)
-
-
-def p_md_closed(photons: int, eta: float) -> float:
-    """Missed-detection probability as a float: the exact (1 - eta)^N rounded once."""
-    with _in_context(f"P_MD at N={photons}, eta={eta!r}"):
-        return absorption_weight(photons, 1, eta, photons)
+        return absorption_weight(photons, 1, eta, photons, digits)
 
 
 def p_md_oracle(photons: int, eta: float) -> float:
@@ -327,6 +322,7 @@ def p_fa_trace(photons: int, modes: int, noise, components: Iterable[SparseState
     no returned photon adds nothing, so the components of every absorbed
     arrangement may be passed: the all-absorbed ones leave the sum as it is.
     """
+    _check_counts(photons, modes)
     _check_noise_modes(noise, modes)
     uniform = 1.0 / count_compositions(photons, modes)
     # the vacuum term, k = 0, is no returned photon and adds nothing
@@ -359,10 +355,7 @@ def p_fa_oracle(photons: int, modes: int, noise) -> float:
 
 def single_photon_baselines(photons: int, modes: int) -> Baselines:
     """Reference false-alarm rates of the single-photon protocol."""
-    if photons < 0:
-        raise ValueError("photons must be non-negative")
-    if modes < 1:
-        raise ValueError("modes must be at least 1")
+    _check_counts(photons, modes)
     with decimal.localcontext(CONTEXT) as context:
         return Baselines(context.divide(1, modes), context.divide(photons, modes))
 

@@ -7,10 +7,10 @@ labeled by the exact arrangement of absorbed photons.  Chu-Vandermonde
 fixes every component in closed form: summed over the kept arrangements,
 the per-arrangement multiplicities give C(N+M-1, N-k) whatever the absorbed
 arrangement of k photons, so each weight depends on k alone, one binomial
-term in CONTEXT (absorption_decimal) rounded once (absorption_weight); at
-one mode the all-absorbed weight is P_MD.  The states are built one kept
-sector at a time: the arrangements of the N - k kept photons are enumerated
-once, as packed integer keys and per-mode count columns, and each absorbed
+term in CONTEXT rounded once (absorption_weight); at one mode the
+all-absorbed weight is P_MD.  The states are built one kept sector at a
+time: the arrangements of the N - k kept photons are enumerated once, as
+packed integer keys and per-mode count columns, and each absorbed
 arrangement of k photons costs one integer add, one to_bytes and one dict
 store per amplitude.  A brute-force tripartite oracle that tracks the
 environment register explicitly is the independent cross-check; it expands
@@ -33,6 +33,7 @@ from decimal import Decimal
 from .combinat import compositions, count_compositions
 from .fock import (BACKGROUND, IDLER, MAX_MODE_COUNT, SIGNAL, SparseState, check_sector_size,
                    combine)
+from .states import check_pair_state_size
 
 #: The one context of the closed forms; a result too small for it raises Subnormal.
 CONTEXT = decimal.Context(prec=40, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
@@ -100,12 +101,17 @@ def _check_arrangement(photons: int, modes: int, absorbed) -> int:
     return lost
 
 
-def absorption_decimal(photons: int, modes: int, eta: float, lost: int) -> Decimal:
-    """C(N, k) eta^(N-k) (1-eta)^k / C(k+M-1, k) for k = lost, in CONTEXT.
+def absorption_weight(photons: int, modes: int, eta: float, lost: int,
+                      digits: int | None = None):
+    """C(N, k) eta^(N-k) (1-eta)^k / C(k+M-1, k) for k = lost, rounded once.
 
     The chance that exactly k of the N photons are absorbed, shared evenly among
     the C(k+M-1, k) arrangements of k photons over M modes; at M = 1, k = N it
-    is P_MD.  From the exact eta and 1 - eta, in five roundings: within 1e-35.
+    is P_MD.  Taken in CONTEXT from the exact eta and 1 - eta, in five roundings,
+    within 1e-35, then rounded once by round_once: to a float, or to `digits`
+    digits.  round_once may need the exact quotient, as at C(57, 25) / 2^57,
+    which up to MAX_MODE_COUNT photons it gets: past it the exact powers grow
+    without bound.
     """
     if modes < 1 or not 0 <= lost <= photons:
         raise ValueError(f"need M >= 1 and 0 <= lost <= N, got M={modes}, lost={lost}, N={photons}")
@@ -115,23 +121,12 @@ def absorption_decimal(photons: int, modes: int, eta: float, lost: int) -> Decim
         for base, power in ((Decimal(eta), photons - lost), (_one_plus(-eta), lost)):
             if power:  # CONTEXT traps 0^0, met at eta = 0 or 1
                 weight *= base ** power
-        return weight
-
-
-def absorption_weight(photons: int, modes: int, eta: float, lost: int) -> float:
-    """Probability of any one arrangement of `lost` absorbed photons, a float.
-
-    The exact value of absorption_decimal rounded once; round_once may need the
-    exact quotient, as at C(57, 25) / 2^57, which up to MAX_MODE_COUNT photons
-    it gets: past it the exact powers grow without bound.
-    """
-    weight = absorption_decimal(photons, modes, eta, lost)
 
     def exact() -> tuple[int, int]:
         num, den = eta.as_integer_ratio()
         return (math.comb(photons, lost) * num ** (photons - lost) * (den - num) ** lost,
                 math.comb(lost + modes - 1, lost) * den ** photons)
-    return round_once(weight, exact if photons <= MAX_MODE_COUNT else None)
+    return round_once(weight, exact if photons <= MAX_MODE_COUNT else None, digits)
 
 
 class _Memo(dict):
@@ -163,7 +158,7 @@ class _KeptSector:
 
     def __init__(self, photons: int, modes: int, lost: int):
         kept = photons - lost
-        check_sector_size(f"pair state with N={kept}, M={modes}", kept, modes, modes, 2)
+        check_pair_state_size(kept, modes)
         self.modes, self.kept = modes, kept
         self.pack = struct.Struct(f">{2 * modes}H").pack
         arrangements = list(compositions(kept, modes))

@@ -23,7 +23,8 @@ from .combinat import compositions
 from .fock import IDLER, SIGNAL, SparseState, check_sector_size, combine, nan_max
 
 
-def _check_materializable(photons: int, modes: int) -> int:
+def check_pair_state_size(photons: int, modes: int) -> int:
+    """Terms of the N-pair state, C(N+M-1, N); AmplitudeCapError past the caps."""
     return check_sector_size(f"pair state with N={photons}, M={modes}", photons, modes, modes, 2)
 
 
@@ -40,7 +41,7 @@ def pair_amplitude(photons: int, modes: int) -> float:
     Runs the size check first and refuses what pair_state_direct could not
     materialize.
     """
-    return 1.0 / math.sqrt(_check_materializable(photons, modes))
+    return 1.0 / math.sqrt(check_pair_state_size(photons, modes))
 
 
 def pair_state_direct(photons: int, modes: int) -> SparseState:
@@ -78,7 +79,7 @@ def pair_state_recursive(photons: int, modes: int) -> SparseState:
     Each sector is checked against the caps before its list is allocated,
     and no table is built for the vacuum.
     """
-    _check_materializable(photons, modes)
+    check_pair_state_size(photons, modes)
     if photons == 0:
         return SparseState.vacuum(modes, (IDLER, SIGNAL))
     up = list(map(math.sqrt, range(1, photons + 1)))  # up[n] = sqrt(n + 1)
@@ -86,8 +87,7 @@ def pair_state_recursive(photons: int, modes: int) -> SparseState:
     steps = [[math.comb(s + modes - j - 2, s) for s in range(photons)] for j in range(modes - 1)]
     amps = [1.0]
     for held in range(photons):
-        size = check_sector_size(f"pair state with N={held + 1}, M={modes}",
-                                 held + 1, modes, modes, 2)
+        size = check_pair_state_size(held + 1, modes)
         raised = [0.0] * size
         rank = len(amps)
         # the photons after each of the first M - 1 modes, for the sources from the last rank;

@@ -15,7 +15,6 @@ from twinfock.detection import (
     detection_report,
     false_alarm_grid,
     false_alarm_series,
-    missed_detection,
     p_fa_closed,
     p_fa_oracle,
     p_fa_trace,
@@ -138,8 +137,11 @@ def test_missed_detection_rounds_the_exact_power():
     for _ in range(40):
         photons, eta = rng.randrange(10**4 + 1), rng.choice([rng.random(), 2.0 ** -rng.randrange(60)])
         exact = (1 - Fraction(eta)) ** photons
-        assert format(missed_detection(photons, eta), ".16e") == fraction17(exact)
+        assert format(p_md_closed(photons, eta, 17), ".16e") == fraction17(exact)
         assert p_md_closed(photons, eta) == float(exact)
+    # 0.5^25 = 2.98023223876953125e-8 is an exact 17-digit midpoint: the exact route
+    # rounds it half-even, down to an even last digit
+    assert p_md_closed(25, 0.5, 17) == Decimal("2.9802322387695312E-8")
 
 
 def test_p_md_closed_is_correctly_rounded_at_every_midpoint_kind():
@@ -156,16 +158,17 @@ def test_p_md_closed_is_correctly_rounded_at_every_midpoint_kind():
 
 def test_p_md_reads_the_all_absorbed_loss_weight():
     for photons, eta in ((0, 1.0), (7, 0.3), (34, 0.25), (10**6, 1e-7)):
-        assert missed_detection(photons, eta) == loss.absorption_decimal(photons, 1, eta, photons)
+        assert p_md_closed(photons, eta, 17) == loss.absorption_weight(photons, 1, eta, photons,
+                                                                       digits=17)
         assert p_md_closed(photons, eta) == loss.absorption_weight(photons, 1, eta, photons)
     for photons, eta in ((-1, 0.5), (2, 1.5), (2, math.nan)):
-        for function in (missed_detection, p_md_closed):
+        for digits in (17, None):
             with pytest.raises(ValueError):
-                function(photons, eta)
-    # 0.5^(10^19) lies below the decimal range; both name the quantity
-    for function in (missed_detection, p_md_closed):
+                p_md_closed(photons, eta, digits)
+    # 0.5^(10^19) lies below the decimal range; both roundings name the quantity
+    for digits in (17, None):
         with pytest.raises(Subnormal, match=r"P_MD at N=10000000000000000000, eta=0\.5 lies below"):
-            function(10**19, 0.5)
+            p_md_closed(10**19, 0.5, digits)
 
 
 def test_p_md_past_the_exact_fallback_bound_returns_at_once():
@@ -174,12 +177,14 @@ def test_p_md_past_the_exact_fallback_bound_returns_at_once():
     # past 65535 photons the float is rounded from the 40 digits
     with localcontext(Context(prec=700)):
         photons = int((1075 * Decimal(2).ln() / -(1 - Decimal(1e-300)).ln()).to_integral_value())
-    weight = loss.absorption_decimal(photons, 1, 1e-300, photons)
+    # the kernel's own 40 digits: past 65535 photons round_once returns them as they are
+    weight = loss.absorption_weight(photons, 1, 1e-300, photons, digits=CONTEXT.prec)
     # round_once would take an exact route here: the 40 digits leave the float undecided
     assert loss.round_once(weight, lambda: (1, 3)) == 1 / 3
     start = time.perf_counter()
     assert loss.absorption_weight(photons, 1, 1e-300, photons) == float(weight)
     assert p_md_closed(photons, 1e-300) == float(weight)
+    assert p_md_closed(photons, 1e-300, 17) == Context(prec=17).plus(weight)
     assert time.perf_counter() - start < 1.0
 
 
@@ -396,6 +401,16 @@ def test_trace_over_mixture_components_equals_oracle():
 def test_trace_rejects_mismatched_noise_modes():
     with pytest.raises(ValueError):
         p_fa_trace(2, 3, ThermalNoise(0.5, 2), [state for _, state in conditional_states(2, 3)])
+
+
+def test_trace_names_bad_counts_as_the_oracle_does():
+    # the photon and mode counts are checked first, in p_fa_oracle's words
+    with pytest.raises(ValueError, match="^photons must be non-negative$"):
+        p_fa_trace(-1, 2, TableNoise(()), [])
+    with pytest.raises(ValueError, match="^modes must be at least 1$"):
+        p_fa_trace(2, 0, TableNoise(()), [])
+    with pytest.raises(ValueError, match="^modes must be at least 1$"):
+        p_fa_trace(2, 0, ThermalNoise(0.5, 2), [])
 
 
 def test_noise_modes_mismatch_rejected():

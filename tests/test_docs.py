@@ -2,10 +2,13 @@
 
 import argparse
 import contextlib
+import importlib
 import io
+import pkgutil
 import re
 from pathlib import Path
 
+import twinfock
 from twinfock import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -27,6 +30,16 @@ def test_library_example_runs():
     p_fa_closed, p_fa_oracle, p_md_closed = map(float, out.getvalue().split())
     assert abs(p_fa_closed - p_fa_oracle) < 1e-10
     assert p_md_closed == 0.25
+
+
+def test_every_named_module_attribute_exists():
+    # each backticked `module.name` or `twinfock.module.name` names a real attribute
+    modules = "|".join(info.name for info in pkgutil.iter_modules(twinfock.__path__))
+    named = set(re.findall(rf"`(?:twinfock\.)?({modules})\.(\w+)", README.read_text()))
+    assert named
+    missing = [f"{module}.{name}" for module, name in sorted(named)
+               if not hasattr(importlib.import_module(f"twinfock.{module}"), name)]
+    assert not missing
 
 
 def _subparsers():

@@ -290,12 +290,21 @@ def test_pair_create_mode_count_overflow():
 
 
 def test_pair_state_recursive_checks_each_step_against_the_cap(monkeypatch):
-    # the up-front sector check is bypassed, so only the per-step check can refuse
-    monkeypatch.setattr(states, "_check_materializable", lambda photons, modes: None)
+    # the up-front sector check, each build's first call, is bypassed, so only the
+    # per-step check can refuse
+    check, calls = states.check_pair_state_size, []
+
+    def per_step_only(photons, modes):
+        calls.append(photons)
+        return check(photons, modes) if len(calls) > 1 else None
+    monkeypatch.setattr(states, "check_pair_state_size", per_step_only)
     monkeypatch.setattr(fock, "AMPLITUDE_CAP", 5)
     assert len(pair_state_recursive(1, 3)) == 3
-    with pytest.raises(AmplitudeCapError):
+    assert calls == [1, 1]
+    calls.clear()
+    with pytest.raises(AmplitudeCapError, match="^pair state with N=2, M=3 "):
         pair_state_recursive(3, 3)
+    assert calls == [3, 1, 2]
 
 
 def test_pair_creation_commutators():
