@@ -28,10 +28,7 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     and has exactly count_compositions(total, parts) entries.  The order is
     fixed so that serialized states and CSV sweeps are reproducible.
     """
-    if parts < 1:
-        raise ValueError("parts must be at least 1")
-    if total < 0:
-        raise ValueError("total must be non-negative")
+    count_compositions(total, parts)  # validates the counts
     counts = [total] + [0] * (parts - 1)
     while True:
         yield tuple(counts)

@@ -33,9 +33,9 @@ from collections.abc import Callable, Iterable, Iterator
 from decimal import Decimal
 
 from .combinat import count_compositions
-from .fock import SIGNAL, SparseState
-from .loss import (CONTEXT, _check_counts, _one_plus, absorption_weight, beamsplitter_oracle,
-                   check_oracle_size, conditional_states, round_once, split_by_environment)
+from .fock import SIGNAL, SparseState, check_counts
+from .loss import (CONTEXT, _one_plus, absorption_weight, beamsplitter_oracle, check_oracle_size,
+                   conditional_states, round_once, split_by_environment)
 
 
 @contextlib.contextmanager
@@ -229,12 +229,10 @@ def false_alarm_grid(photons: int, grid: Iterable[int],
     Each skipped addition would have rounded back to the total, so it is
     the value that adding all N products gives.
     """
-    if photons < 0:
-        raise ValueError("photons must be non-negative")
+    check_counts(photons, 1)  # an empty grid refuses a negative N too
     numerators = list(map(Decimal, range(photons, 0, -1)))
     for modes in grid:
-        if modes < 1:
-            raise ValueError("modes must be at least 1")
+        check_counts(photons, modes)
         noise = noise_for(modes)
         _check_noise_modes(noise, modes)
         with _in_context(f"P_FA at N={photons}, M={modes}"):
@@ -322,7 +320,7 @@ def p_fa_trace(photons: int, modes: int, noise, components: Iterable[SparseState
     no returned photon adds nothing, so the components of every absorbed
     arrangement may be passed: the all-absorbed ones leave the sum as it is.
     """
-    _check_counts(photons, modes)
+    check_counts(photons, modes)
     _check_noise_modes(noise, modes)
     uniform = 1.0 / count_compositions(photons, modes)
     # the vacuum term, k = 0, is no returned photon and adds nothing
@@ -355,7 +353,7 @@ def p_fa_oracle(photons: int, modes: int, noise) -> float:
 
 def single_photon_baselines(photons: int, modes: int) -> Baselines:
     """Reference false-alarm rates of the single-photon protocol."""
-    _check_counts(photons, modes)
+    check_counts(photons, modes)
     with decimal.localcontext(CONTEXT) as context:
         return Baselines(context.divide(1, modes), context.divide(photons, modes))
 

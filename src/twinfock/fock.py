@@ -69,19 +69,24 @@ def log_sector_size(photons: int, parts: int) -> float:
         return math.inf
 
 
+def check_counts(photons: int, modes: int) -> None:
+    """ValueError unless photons >= 0 and modes >= 1, checked in that order."""
+    if photons < 0:
+        raise ValueError("photons must be non-negative")
+    if modes < 1:
+        raise ValueError("modes must be at least 1")
+
+
 def check_sector_size(label: str, photons: int, parts: int, modes: int, registers: int) -> int:
     """Term count C(photons + parts - 1, photons) of photons spread over parts modes.
 
     Raises AmplitudeCapError when a state with that many terms, each over
     `registers` registers of `modes` modes, would break the caps, and
-    ValueError past a key's per-mode count.  The log_sector_size estimate
-    refuses hostile sizes before the exact binomial is built, so a refusal
-    stays cheap however large the request.
+    ValueError on counts that check_counts refuses or past a key's per-mode
+    count.  The log_sector_size estimate refuses hostile sizes before the
+    exact binomial is built, so a refusal stays cheap however large the request.
     """
-    if photons < 0:
-        raise ValueError("photons must be non-negative")
-    if parts < 1:
-        raise ValueError("modes must be at least 1")
+    check_counts(photons, parts)
     log_terms = log_sector_size(photons, parts)
     # the margin of one covers lgamma's rounding; sizes within it get the exact test
     if log_terms > math.log(AMPLITUDE_CAP) + 1.0:

@@ -31,8 +31,8 @@ from collections.abc import Callable, Iterator
 from decimal import Decimal
 
 from .combinat import compositions, count_compositions
-from .fock import (BACKGROUND, IDLER, MAX_MODE_COUNT, SIGNAL, SparseState, check_sector_size,
-                   combine)
+from .fock import (BACKGROUND, IDLER, MAX_MODE_COUNT, SIGNAL, SparseState, check_counts,
+                   check_sector_size)
 from .states import check_pair_state_size
 
 #: The one context of the closed forms; a result too small for it raises Subnormal.
@@ -82,15 +82,8 @@ class LossComponent(namedtuple("LossComponent", "absorbed weight state")):
     __slots__ = ()
 
 
-def _check_counts(photons: int, modes: int) -> None:
-    if photons < 0:
-        raise ValueError("photons must be non-negative")
-    if modes < 1:
-        raise ValueError("modes must be at least 1")
-
-
 def _check_arrangement(photons: int, modes: int, absorbed) -> int:
-    _check_counts(photons, modes)
+    check_counts(photons, modes)
     if len(absorbed) != modes:
         raise ValueError(f"absorbed needs one count per mode ({modes})")
     if any(a < 0 for a in absorbed):
@@ -113,8 +106,9 @@ def absorption_weight(photons: int, modes: int, eta: float, lost: int,
     which up to MAX_MODE_COUNT photons it gets: past it the exact powers grow
     without bound.
     """
-    if modes < 1 or not 0 <= lost <= photons:
-        raise ValueError(f"need M >= 1 and 0 <= lost <= N, got M={modes}, lost={lost}, N={photons}")
+    check_counts(photons, modes)
+    if not 0 <= lost <= photons:
+        raise ValueError(f"need 0 <= lost <= N, got lost={lost}, N={photons}")
     _check_eta(eta)
     with decimal.localcontext(CONTEXT) as context:
         weight = context.divide(math.comb(photons, lost), math.comb(lost + modes - 1, lost))
@@ -206,7 +200,7 @@ def conditional_states(photons: int, modes: int) -> Iterator[tuple[tuple[int, ..
     arrangement.  Each kept sector is enumerated once, when its first state
     is asked for.  The states carry no eta, and no weight is computed.
     """
-    _check_counts(photons, modes)
+    check_counts(photons, modes)
     for lost in range(photons + 1):
         sector = _KeptSector(photons, modes, lost)
         for absorbed in compositions(lost, modes):
@@ -232,38 +226,43 @@ def check_oracle_size(photons: int, modes: int) -> int:
     return check_sector_size(label, photons, 2 * modes, modes, 3)
 
 
+def _one_mode_outputs(photons: int, eta: float) -> list[list[float]]:
+    """Amplitudes of (sqrt(eta) a+_S + sqrt(1-eta) a+_B)^c / sqrt(c!) |0> over s = 0..c kept
+    photons, for c = 0..N.  The c-th photon routed is weighted by step = 1/sqrt(c), so each
+    output is a normalized state: out_c[s] = (keep step)(out_{c-1}[s-1] sqrt(s)) +
+    (leak step)(out_{c-1}[s] sqrt(c-s)), the products and sum that combine forms from
+    create(S, 0) and then create(B, 0), with a term past either end an exact zero."""
+    keep, leak = math.sqrt(eta), math.sqrt(1.0 - eta)
+    roots = list(map(math.sqrt, range(photons + 1)))
+    outputs = [[1.0]]
+    for c in range(1, photons + 1):
+        step, padded = 1.0 / roots[c], [0.0, *outputs[-1], 0.0]
+        kept, leaked = keep * step, leak * step
+        outputs.append([kept * (padded[s] * roots[s]) + leaked * (padded[s + 1] * roots[c - s])
+                        for s in range(c + 1)])
+    return outputs
+
+
 def beamsplitter_oracle(photons: int, modes: int, eta: float) -> SparseState:
     """Exact tripartite state after the beamsplitter, built by ladder operators.
 
-    Each signal mode holding c photons leaves the splitter as
-    (sqrt(eta) a+_S + sqrt(1-eta) a+_B)^c / sqrt(c!) |0>, a product of
-    single-mode outputs.  Those are built once for c = 0..N, by routing one
-    photon at a time, one binomial expansion per photon.  The j-th photon
-    routed into a mode is weighted by 1/sqrt(j), which spreads the 1/sqrt(c!)
-    normalisation over the ladder steps: each partial output is a normalized
-    state, so no amplitude exceeds one at any photon number, and neither does
-    a product of them.  Each idler arrangement's product is expanded mode by
-    mode into prefix products under integer keys, multiplied left to right
-    as math.prod multiplies them, and each amplitude is written once unless
-    it is exactly zero.  Intended for small instances; the result holds
-    C(N + 2M - 1, N) amplitudes.
+    Each signal mode holding c photons leaves the splitter as the c-photon
+    output of _one_mode_outputs, built once for c = 0..N; each is a normalized
+    state, so no amplitude exceeds one, and neither does a product of them.
+    Each idler arrangement's product is expanded mode by mode into prefix
+    products under integer keys, multiplied left to right as math.prod
+    multiplies them, and each amplitude is written once unless it is exactly
+    zero.  Intended for small instances; the result holds C(N + 2M - 1, N) amplitudes.
     """
     _check_eta(eta)
     check_oracle_size(photons, modes)
-    keep = math.sqrt(eta)
-    leak = math.sqrt(1.0 - eta)
-    outputs = [SparseState.vacuum(1, (SIGNAL, BACKGROUND))]
-    for j in range(1, photons + 1):
-        step = 1.0 / math.sqrt(j)
-        outputs.append(combine([
-            (keep * step, outputs[-1].create(SIGNAL, 0)),
-            (leak * step, outputs[-1].create(BACKGROUND, 0)),
-        ]))
+    outputs = _one_mode_outputs(photons, eta)
     # word w of a key of 3M words carries weight 2^(16 (3M - 1 - w)); offsets[i][c] holds
     # (the signal and background counts of mode i at their words, amplitude) for each
-    # term of the c-photon output
-    offsets = [[[((s << 16 * (2 * modes - 1 - mode)) + (b << 16 * (modes - 1 - mode)), amp)
-                 for ((s,), (b,)), amp in output.terms()] for output in outputs]
+    # nonzero amplitude of the c-photon output, most photons kept first
+    offsets = [[[((s << 16 * (2 * modes - 1 - mode)) + ((c - s) << 16 * (modes - 1 - mode)), amp)
+                 for s, amp in reversed(list(enumerate(output))) if amp != 0]
+                for c, output in enumerate(outputs)]
                for mode in range(modes)]
     scale = 1.0 / math.sqrt(count_compositions(photons, modes))
     pack, width = struct.Struct(f">{modes}H").pack, 6 * modes

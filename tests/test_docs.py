@@ -42,6 +42,18 @@ def test_every_named_module_attribute_exists():
     assert not missing
 
 
+def test_quoted_constants_match_the_code():
+    # each `module.NAME` = value, such as `cli.VERIFY_WORK_CAP` = 10^8, reads the attribute's value
+    modules = "|".join(info.name for info in pkgutil.iter_modules(twinfock.__path__))
+    quoted = re.findall(rf"`(?:twinfock\.)?({modules})\.([A-Z_]+)`\s+=\s+(\d+)(?:\^(\d+))?",
+                        README.read_text())
+    assert quoted
+    wrong = [f"{module}.{name}" for module, name, base, power in quoted
+             if getattr(importlib.import_module(f"twinfock.{module}"), name)
+             != int(base) ** int(power or 1)]
+    assert not wrong
+
+
 def _subparsers():
     """Subcommand name -> its argparse parser, as build_parser defines them."""
     parser = cli.build_parser()

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from twinfock.combinat import compositions, count_compositions
-from twinfock.detection import TableNoise, p_fa_oracle, p_md_closed
+from twinfock.detection import TableNoise, false_alarm_grid, p_fa_closed, p_fa_oracle, p_md_closed
 from twinfock.fock import (
     BACKGROUND,
     IDLER,
@@ -250,9 +250,9 @@ def test_weight_validation():
         absorption_weight(1, 2, 0.5, 2)  # more absorbed than sent
     with pytest.raises(ValueError):
         absorption_weight(1, 2, 0.5, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^photons must be non-negative$"):
         absorption_weight(-1, 2, 0.5, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^modes must be at least 1$"):
         absorption_weight(1, 0, 0.5, 0)
     for eta in (1.5, -0.1, math.nan):
         with pytest.raises(ValueError, match="eta"):
@@ -366,11 +366,15 @@ def test_zero_modes_are_refused_with_one_message():
 
 
 def test_negative_photon_counts_are_refused():
-    # range(photons + 1) alone would enumerate nothing and return an empty mixture
-    with pytest.raises(ValueError):
-        list(conditional_states(-1, 2))
-    with pytest.raises(ValueError):
-        returned_mixture(-1, 2, 0.5)
+    # range(photons + 1) alone would enumerate nothing and return an empty mixture;
+    # an empty grid of cells would likewise yield nothing
+    refusals = [lambda: list(conditional_states(-1, 2)),
+                lambda: returned_mixture(-1, 2, 0.5),
+                lambda: list(false_alarm_grid(-1, [], lambda modes: TableNoise(()))),
+                lambda: p_fa_closed(-1, 2, TableNoise((0.1,)))]
+    for refusal in refusals:
+        with pytest.raises(ValueError, match="^photons must be non-negative$"):
+            refusal()
 
 
 def test_mixture_single_pair_example():
@@ -549,17 +553,18 @@ def test_oracle_equals_leaf_by_leaf_products_bit_for_bit():
 
 
 def test_oracle_routes_each_photon_count_once(monkeypatch):
-    # the single-mode outputs are built once for c = 0..N, whatever the mode count
+    # the single-mode outputs are built once per oracle, for c = 0..N, whatever the mode count
     calls = []
-    create = SparseState.create
+    build = loss._one_mode_outputs
 
-    def counting(self, register, mode):
-        calls.append(register)
-        return create(self, register, mode)
+    def spying(photons, eta):
+        outputs = build(photons, eta)
+        calls.append(outputs)
+        return outputs
 
-    monkeypatch.setattr(SparseState, "create", counting)
+    monkeypatch.setattr(loss, "_one_mode_outputs", spying)
     for photons, modes in ((0, 3), (1, 1), (3, 1), (3, 4), (5, 3), (7, 6)):
         calls.clear()
         beamsplitter_oracle(photons, modes, 0.4)
-        assert len(calls) == 2 * photons, (photons, modes)
-        assert calls.count(SIGNAL) == calls.count(BACKGROUND) == photons
+        (outputs,) = calls
+        assert list(map(len, outputs)) == list(range(1, photons + 2)), (photons, modes)
