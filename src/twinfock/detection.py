@@ -7,7 +7,8 @@ the receiver sees only environment noise, and the false-alarm rate is a
 noise-weighted sum of per-photon-count coefficients, every one of which
 falls off as the mode count grows.  P_MD is loss's all-absorbed weight at
 one mode.  Brute-force oracles over explicitly materialized states check
-them: a trace for P_FA, the beamsplitter oracle's all-absorbed weight for P_MD.
+them: a trace for P_FA, which forms its noise probabilities in floats, and the
+beamsplitter oracle's all-absorbed weight for P_MD; neither reads CONTEXT.
 
 The closed forms run in loss.CONTEXT: 40 significant digits, rounded half-even,
 over the whole exponent range of the decimal module, from the exact values
@@ -34,8 +35,8 @@ from decimal import Decimal
 
 from .combinat import count_compositions
 from .fock import SIGNAL, SparseState, check_counts
-from .loss import (CONTEXT, _one_plus, absorption_weight, beamsplitter_oracle, check_oracle_size,
-                   conditional_states, round_once, split_by_environment)
+from .loss import (CONTEXT, LossComponent, _one_plus, absorption_weight, beamsplitter_oracle,
+                   check_oracle_size, conditional_states, round_once, split_by_environment)
 
 
 @contextlib.contextmanager
@@ -189,11 +190,11 @@ def p_md_closed(photons: int, eta: float, digits: int | None = None):
         return absorption_weight(photons, 1, eta, photons, digits)
 
 
-def p_md_oracle(photons: int, eta: float) -> float:
-    """Missed-detection probability from the beamsplitter oracle at one mode, N + 1
-    amplitudes: the weight of its all-absorbed component, zero when it has none."""
-    split = split_by_environment(beamsplitter_oracle(photons, 1, eta))
-    return math.fsum(c.weight for c in split if c.absorbed == (photons,))
+def p_md_oracle(photons: int, split: Iterable[LossComponent]) -> float:
+    """Missed-detection probability from an oracle's split, such as split_by_environment of
+    the beamsplitter oracle at any M: the in-order sum of the weights of the components
+    that absorbed all N photons, 0.0 when there are none."""
+    return sum((c.weight for c in split if sum(c.absorbed) == photons), 0.0)
 
 
 #: Products false_alarm_series adds before it first bounds the rest of its sum;
@@ -319,14 +320,20 @@ def p_fa_trace(photons: int, modes: int, noise, components: Iterable[SparseState
     environment equals the term's returned-signal arrangement).  A term with
     no returned photon adds nothing, so the components of every absorbed
     arrangement may be passed: the all-absorbed ones leave the sum as it is.
+    The noise probabilities share no arithmetic with the closed forms: a table's
+    entries are read as given, and a thermal p_k is formed in floats from nbar.
     """
     check_counts(photons, modes)
     _check_noise_modes(noise, modes)
     uniform = 1.0 / count_compositions(photons, modes)
-    # the vacuum term, k = 0, is no returned photon and adds nothing
-    probs, _ = noise.arrangement_series()
-    with decimal.localcontext(CONTEXT):
-        probs = dict(enumerate(map(float, itertools.islice(probs, 1, photons + 1)), 1))
+    # p_1..p_N; the vacuum term, k = 0, is no returned photon and adds nothing
+    if isinstance(noise, TableNoise):
+        probs = noise.values[:photons]
+    else:  # (1 + nbar)^-M x^k, x = nbar / (1 + nbar); 1 - x would cancel at large nbar
+        one_plus = 1.0 + noise.nbar
+        vacuum, step = (1.0 / one_plus) ** modes, noise.nbar / one_plus
+        probs = [vacuum * step ** k for k in range(1, photons + 1)]
+    probs = dict(enumerate(probs, 1))
     total = 0.0
     for component in components:
         for returned, amp in component.register_totals(SIGNAL):
@@ -371,5 +378,6 @@ def detection_report(
                              p_md_closed(photons, eta))
     if not include_oracle:
         return report
+    split = split_by_environment(beamsplitter_oracle(photons, 1, eta))  # N + 1 amplitudes
     return report._replace(p_fa_oracle=p_fa_oracle(photons, modes, noise),
-                           p_md_oracle=p_md_oracle(photons, eta))
+                           p_md_oracle=p_md_oracle(photons, split))

@@ -2,7 +2,7 @@
 
 The paper's identities (pair creation, the loss identity, the beamsplitter
 decomposition, the closed-form P_FA and P_MD against their oracles) are
-gated by one run of the verify battery, twinfock.cli.CHECKS, up to N = 6
+gated by one run of the verify battery, twinfock.verify.CHECKS, up to N = 6
 and M = 5: criteria 1-5 each gate their own entries of it, and every entry
 belongs to exactly one of them.  The unit modules check the same identities
 input by input.  The remaining criteria gate the pfa-curves sweep and the
@@ -17,7 +17,8 @@ from decimal import Decimal
 
 import pytest
 
-from twinfock.cli import CHECKS, main, run_verification
+from twinfock.cli import main
+from twinfock.verify import CHECKS, run_verification
 from twinfock.detection import TableNoise, ThermalNoise, false_alarm_series
 
 from references import falling_ratios, pfa_total, sci17

@@ -21,7 +21,7 @@ from xml.etree import ElementTree
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from twinfock import cli, states
+from twinfock import cli, states, verify
 from twinfock.cli import (
     EXIT_CAP,
     EXIT_INVALID,
@@ -187,10 +187,10 @@ def test_verify_invalid_bounds(capsys):
 @pytest.mark.parametrize("excess", [10.0, math.nan])
 def test_verify_failure_marks_only_the_failing_check(capsys, monkeypatch, excess):
     failing = VERIFY_CHECKS.index("component orthonormality")
-    checks = list(cli.CHECKS)
+    checks = list(verify.CHECKS)
     name, tolerance, _ = checks[failing]
     checks[failing] = (name, tolerance, lambda case: excess * tolerance)
-    monkeypatch.setattr(cli, "CHECKS", tuple(checks))
+    monkeypatch.setattr(verify, "CHECKS", tuple(checks))
     code, out, err = run(["verify", "--max-n", "1", "--max-m", "2"], capsys)
     assert code == EXIT_VERIFY_FAILED
     assert err == "verification FAILED\n"
@@ -206,10 +206,10 @@ def test_nan_amplitude_makes_amplitude_residuals_nan():
     finite = SparseState.from_terms(2, (IDLER, SIGNAL), [(((0, 1), (0, 1)), 0.5)])
     assert math.isnan(nan_state.max_abs_diff(finite))
     assert math.isnan(finite.max_abs_diff(nan_state))
-    case = cli.VerifyCase(1, 2, probe=nan_state, direct=finite, recursive=finite, previous=None,
-                          components=[], weights={}, oracles={})
-    assert math.isnan(cli._commutator(case, SIGNAL, IDLER))
-    assert math.isnan(cli._commutator(case, IDLER, SIGNAL))
+    case = verify.VerifyCase(1, 2, probe=nan_state, direct=finite, recursive=finite, previous=None,
+                             components=[], weights={}, oracles={})
+    assert math.isnan(verify._commutator(case, SIGNAL, IDLER))
+    assert math.isnan(verify._commutator(case, IDLER, SIGNAL))
 
     # the first term of the 2-pair state, (2, 0), holds both photons in mode 0
     poisoned = _poison(pair_state_direct(2, 2), lambda arrangement: arrangement == (2, 0))
@@ -228,11 +228,11 @@ def test_verify_residual_maxima_keep_a_nan_in_any_position():
     # is NaN: the poisoned term holds both photons in mode 2, which the other
     # modes' annihilators send to zero
     direct = _poison(pair_state_direct(2, 3), lambda arrangement: arrangement == (0, 0, 2))
-    case = cli.VerifyCase(2, 3, probe=SparseState.vacuum(3, (IDLER, SIGNAL)), direct=direct,
-                          recursive=direct, previous=pair_state_direct(1, 3), components=[],
-                          weights={}, oracles={})
+    case = verify.VerifyCase(2, 3, probe=SparseState.vacuum(3, (IDLER, SIGNAL)), direct=direct,
+                             recursive=direct, previous=pair_state_direct(1, 3), components=[],
+                             weights={}, oracles={})
     assert not any(math.isnan(direct.annihilate(SIGNAL, j).max_abs()) for j in (0, 1))
-    assert math.isnan(cli._signal_loss(case))
+    assert math.isnan(verify._signal_loss(case))
 
 
 def test_verify_builds_each_pair_state_once(monkeypatch):
@@ -248,9 +248,9 @@ def test_verify_builds_each_pair_state_once(monkeypatch):
 
     for name in built:
         wrapper = counting(name)
-        monkeypatch.setattr(cli, name, wrapper)
+        monkeypatch.setattr(verify, name, wrapper)
         monkeypatch.setattr(states, name, wrapper)
-    cli.run_verification(6, 5)
+    verify.run_verification(6, 5)
     for calls in built.values():
         assert len(calls) == 35
         assert len(set(calls)) == 35
@@ -261,7 +261,7 @@ def test_verify_releases_each_case_before_building_the_next():
     # and oracle splits, 3.36 MiB when only its direct state is kept (Python 3.11)
     tracemalloc.start()
     try:
-        cli.run_verification(6, 5)
+        verify.run_verification(6, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -271,10 +271,10 @@ def test_verify_releases_each_case_before_building_the_next():
 def test_verify_builds_one_oracle_per_case_and_eta_and_one_weight_per_count(monkeypatch):
     calls = {"beamsplitter_oracle": [], "absorption_weight": []}
     for name, log in calls.items():
-        build = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda *args, build=build, log=log:
+        build = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args, build=build, log=log:
                             log.append(args) or build(*args))
-    cli.run_verification(6, 5)
+    verify.run_verification(6, 5)
     # 35 cases at 2 etas; 2 (N + 1) weights per case, N = 0..6 at each of 5 mode counts
     oracles = calls["beamsplitter_oracle"]
     assert len(oracles) == len(set(oracles)) == 70
@@ -283,7 +283,7 @@ def test_verify_builds_one_oracle_per_case_and_eta_and_one_weight_per_count(monk
 
 def full_case(photons, modes, eta):
     """A battery case at one eta, built as run_verification builds it, for photons >= 1."""
-    return cli.VerifyCase(
+    return verify.VerifyCase(
         photons, modes, probe=SparseState.vacuum(modes, (IDLER, SIGNAL)),
         direct=pair_state_direct(photons, modes), recursive=pair_state_recursive(photons, modes),
         previous=pair_state_direct(photons - 1, modes),
@@ -293,7 +293,7 @@ def full_case(photons, modes, eta):
 
 
 def failing_checks(case):
-    return [name for name, tolerance, residual in cli.CHECKS if not residual(case) <= tolerance]
+    return [name for name, tolerance, residual in verify.CHECKS if not residual(case) <= tolerance]
 
 
 def with_all_absorbed_weights_moved(case, shift):
@@ -326,35 +326,36 @@ def test_decomposition_charges_a_component_the_oracle_lacks_its_closed_weight():
     # the heaviest, one photon absorbed in the first mode: C(2, 1) 0.3 0.7 / 2 = 0.21
     dropped = max(split, key=lambda c: c.weight)
     lacking = case._replace(oracles={eta: [c for c in split if c is not dropped]})
-    residual = next(r for name, _, r in cli.CHECKS if name == "beamsplitter decomposition")
+    residual = next(r for name, _, r in verify.CHECKS if name == "beamsplitter decomposition")
     assert residual(case) < 1e-15
     assert residual(lacking) == case.weights[eta][sum(dropped.absorbed)]
     assert failing_checks(lacking) == ["beamsplitter decomposition"]
 
 
 def test_amplitude_uniformity_reads_the_ladder_build():
-    name, tolerance, residual = next(c for c in cli.CHECKS if c[0] == "amplitude uniformity")
+    name, tolerance, residual = next(c for c in verify.CHECKS if c[0] == "amplitude uniformity")
     direct, recursive = pair_state_direct(2, 3), pair_state_recursive(2, 3)
     (first, amp), *rest = recursive.terms()
     wrong = SparseState.from_terms(3, (IDLER, SIGNAL), [(first, amp * (1 + 1e-9)), *rest])
 
     def case(ladder):
-        return cli.VerifyCase(2, 3, probe=SparseState.vacuum(3, (IDLER, SIGNAL)), direct=direct,
-                              recursive=ladder, previous=None, components=[], weights={}, oracles={})
+        return verify.VerifyCase(2, 3, probe=SparseState.vacuum(3, (IDLER, SIGNAL)), direct=direct,
+                                 recursive=ladder, previous=None, components=[], weights={},
+                                 oracles={})
 
     assert residual(case(recursive)) <= tolerance
     assert residual(case(wrong)) > tolerance
 
 
 def test_direct_vs_recursive_build_reports_a_gap_of_1e_16():
-    name, tolerance, residual = next(c for c in cli.CHECKS if c[0] == "direct vs recursive build")
+    name, tolerance, residual = next(c for c in verify.CHECKS if c[0] == "direct vs recursive build")
     # the two (2, 2) builds agree bit for bit, so the nudged amplitude makes the whole gap
     direct, recursive = pair_state_direct(2, 2), pair_state_recursive(2, 2)
     assert direct.max_abs_diff(recursive) == 0.0
     (first, amp), *rest = recursive.terms()
     nudged = SparseState.from_terms(2, (IDLER, SIGNAL), [(first, amp + 1e-16), *rest])
-    case = cli.VerifyCase(2, 2, probe=SparseState.vacuum(2, (IDLER, SIGNAL)), direct=direct,
-                          recursive=nudged, previous=None, components=[], weights={}, oracles={})
+    case = verify.VerifyCase(2, 2, probe=SparseState.vacuum(2, (IDLER, SIGNAL)), direct=direct,
+                             recursive=nudged, previous=None, components=[], weights={}, oracles={})
     assert 0 < residual(case) == abs(amp + 1e-16 - amp) < 1e-15
 
 
@@ -370,15 +371,33 @@ def test_verify_prints_residuals_below_1e_15(capsys):
 def test_verify_false_alarm_check_equals_the_oracle_residual():
     for photons in range(0, 5):
         for modes in range(1, 4):
-            case = cli.VerifyCase(photons, modes, probe=SparseState.vacuum(modes, (IDLER, SIGNAL)),
-                                  direct=pair_state_direct(photons, modes),
-                                  recursive=pair_state_recursive(photons, modes), previous=None,
-                                  components=list(conditional_states(photons, modes)),
-                                  weights={}, oracles={})
+            case = verify.VerifyCase(photons, modes,
+                                     probe=SparseState.vacuum(modes, (IDLER, SIGNAL)),
+                                     direct=pair_state_direct(photons, modes),
+                                     recursive=pair_state_recursive(photons, modes), previous=None,
+                                     components=list(conditional_states(photons, modes)),
+                                     weights={}, oracles={})
             table = TableNoise(tuple(0.12 / (k + 1) for k in range(photons)))
             expected = max(abs(p_fa_closed(photons, modes, noise) - p_fa_oracle(photons, modes, noise))
                            for noise in (ThermalNoise(0.5, modes), table))
-            assert cli._false_alarm(case) == expected
+            assert verify._false_alarm(case) == expected
+
+
+def test_verify_false_alarm_check_is_independent_of_the_closed_form_series(capsys, monkeypatch):
+    # the trace forms its thermal probabilities from nbar itself, so a series scaled
+    # by (1 + 1e-6) moves the closed form alone, and only the false-alarm check fails
+    series = ThermalNoise.arrangement_series
+
+    def scaled(noise):
+        probs, step = series(noise)
+        return (prob * Decimal("1.000001") for prob in probs), step
+
+    monkeypatch.setattr(ThermalNoise, "arrangement_series", scaled)
+    code, out, err = run(["verify", "--max-n", "3", "--max-m", "3"], capsys)
+    assert code == EXIT_VERIFY_FAILED and err == "verification FAILED\n"
+    failed = [line.split("  worst=")[0].rstrip() for line in out.splitlines()
+              if line.endswith("  FAIL")]
+    assert failed == ["false alarm: closed vs oracle"]
 
 
 # -- state-dump ---------------------------------------------------------------
@@ -1357,6 +1376,19 @@ def test_importing_the_cli_leaves_the_deferred_modules_unloaded():
     loaded = set(result.stdout.split())
     assert "twinfock.cli" in loaded
     assert loaded.isdisjoint({"argparse", "json", "dataclasses", "inspect", "random", "re"})
+
+
+def test_only_the_verify_command_loads_the_battery():
+    # python -I ignores PYTHONPATH, so the child puts this source tree on its path itself
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (f"import contextlib, io, sys\nsys.path.insert(0, {src!r})\nimport twinfock.cli\n"
+            "loaded = 'twinfock.verify' in sys.modules\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = twinfock.cli.main(['verify', '--max-n', '1', '--max-m', '1'])\n"
+            "print(loaded, code, 'twinfock.verify' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False 0 True\n"
 
 
 def test_a_fresh_interpreter_parses_and_runs_a_sweep():

@@ -19,6 +19,7 @@ from twinfock.detection import (
     p_fa_oracle,
     p_fa_trace,
     p_md_closed,
+    p_md_oracle,
     single_photon_baselines,
 )
 from twinfock import detection, loss
@@ -365,7 +366,13 @@ def test_closed_vs_oracle_thermal():
 def terms_walking_p_fa(photons, modes, noise):
     """Reference trace: every accepting component's terms unpacked through terms(), the signal summed."""
     uniform = 1.0 / count_compositions(photons, modes)
-    probs = {k: float(p) for k, p in enumerate(first_probs(noise, photons)) if k}
+    # the trace's floats: a table as given, thermal from 1 / (1 + nbar) and nbar / (1 + nbar)
+    if isinstance(noise, TableNoise):
+        probs = dict(enumerate(noise.values[:photons], 1))
+    else:
+        one_plus = 1.0 + noise.nbar
+        probs = {k: (1.0 / one_plus) ** modes * (noise.nbar / one_plus) ** k
+                 for k in range(1, photons + 1)}
     total = 0.0
     accepting = (conditional_state(photons, modes, absorbed)
                  for lost in range(photons) for absorbed in compositions(lost, modes))
@@ -430,6 +437,9 @@ def test_oracle_all_absorbed_mass_matches_closed_form():
             for eta in (0.2, 0.5, 0.8):
                 closed = p_md_closed(photons, eta)
                 assert abs(all_absorbed_mass(photons, modes, eta) - closed) < 1e-15
+                split = split_by_environment(beamsplitter_oracle(photons, modes, eta))
+                mass = all_absorbed_mass(photons, modes, eta)
+                assert p_md_oracle(photons, split).hex() == mass.hex()  # the same in-order sum
                 report = detection_report(photons, modes, eta, TableNoise(()), include_oracle=True)
                 assert abs(report.p_md_oracle - closed) < 1e-15
     assert all_absorbed_mass(1, 2, 0.5) == pytest.approx(0.5)
@@ -452,6 +462,7 @@ def test_report_past_the_float_range_of_the_binomials():
     # C(1100, 550) is past the float range, which the integer quotient of the old weights met
     report = detection_report(1100, 1, 0.5, ThermalNoise(0.5, 1), include_oracle=True)
     assert report.p_md_closed == 0.0 and abs(report.p_md_oracle) <= 1e-12
+    assert report.p_md_oracle.hex() == (0.0).hex()  # 2^-1100 rounds to +0.0
     assert abs(report.p_fa_oracle - report.p_fa_closed) <= 1e-12
 
 
